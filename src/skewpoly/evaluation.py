@@ -160,27 +160,28 @@ def evaluate(F, point):
     """F(a) as the left combination sum_m F_m N_m(a).
 
     Agrees with divide(F, point).remainder; the division path is kept
-    as an independent cross-check.
+    as an independent cross-check.  The fundamental values are cached in
+    a trie of word suffixes: each word walks down its longest cached
+    suffix from the right, then extends leftwards, one sigma/delta
+    application per new suffix giving all n of its one-letter
+    extensions.  The walk is iterative, so word length is bounded by
+    memory only.
     """
     frame = F.frame
     point = check_point(frame, point)
-    if not F.terms:
-        return frame.ring.zero()
-    cache = {(): frame.ring.one()}
-
-    def n_of(word):
-        got = cache.get(word)
-        if got is not None:
-            return got
-        suffix = word[1:]
-        ext = _extend(frame, n_of(suffix), point)
-        for i in range(frame.n):
-            cache[(i + 1,) + suffix] = ext[i]
-        return cache[word]
-
-    total = frame.ring.zero()
+    ring = frame.ring
+    total = ring.zero()
+    # node = (N_suffix(a), {variable index: node of the suffix extended by it})
+    root = (ring.one(), {})
     for w, c in F.terms.items():
-        total = total + c * n_of(w)
+        node = root
+        for i in reversed(w):
+            children = node[1]
+            if not children:
+                for j, val in enumerate(_extend(frame, node[0], point)):
+                    children[j + 1] = (val, {})
+            node = children[i]
+        total = total + c * node[0]
     return total
 
 

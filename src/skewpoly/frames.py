@@ -10,17 +10,19 @@ delta[i](a) extend to an associative, degree-additive ring product:
 
 Additive maps over GF(p^k) are k x k matrices over GF(p) acting on
 power-basis coefficient vectors; every additive self-map of GF(p^k) is
-of this form.  Over the rational quaternions the maps come from a small
-symbolic catalog (left/right constant multiplications, conjugation,
-sums and compositions), which keeps the laws checkable on generators.
+of this form.  Over the rational quaternions the maps are written in a
+small symbolic catalog (left/right constant multiplications,
+conjugation, sums and compositions) and compiled to 4 x 4 rational
+matrices acting on the coordinates (w, x, y, z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from .errors import InvalidFrame, RingMismatch
-from .rings import FieldElement, FiniteField, Quaternion
+from .rings import FieldElement, FiniteField, Quaternion, quaternion_from_ints
 
 # Frames over fields of at most this many elements validate the laws over
 # every pair; beyond it the power-basis pairs suffice (both laws are
@@ -32,6 +34,9 @@ _QUAT_SAMPLE_SEED = 0x5EED
 _QUAT_SAMPLE_PAIRS = 256
 
 _MAP_TABLE_LIMIT = 4096
+
+# Entries a sigma or delta memo of one frame holds before it is emptied.
+_MEMO_LIMIT = 1 << 14
 
 
 class LinearMap:
@@ -139,43 +144,48 @@ class QuatMap:
     op is one of "lmul" (a -> c a), "rmul" (a -> a c), "conj"
     (quaternion conjugation), "sum" (pointwise sum of maps) or
     "compose" (maps applied right to left).  Every catalog expression
-    is additive by construction.
+    is Q-linear on the coordinates (w, x, y, z), and is compiled once,
+    at construction, into a 4 x 4 integer matrix ``mat`` (row-major,
+    flattened) over a positive common denominator ``den``: left and
+    right multiplications are fixed sign patterns, conjugation is
+    diag(1, -1, -1, -1), and sums and compositions are matrix sums and
+    products of the already compiled children.  The catalog is kept only
+    as the JSON input and serialization language.
     """
 
-    __slots__ = ("ring", "op", "c", "maps")
+    __slots__ = ("ring", "op", "c", "maps", "mat", "den")
 
     def __init__(self, ring, op, c=None, maps=()):
+        maps = tuple(maps)
         if op in ("lmul", "rmul"):
             if not isinstance(c, Quaternion):
                 raise ValueError(f"{op} needs a quaternion constant")
+            compiled = _mul_matrix(c, op == "lmul")
         elif op == "conj":
-            pass
+            compiled = _CONJ_MATRIX
         elif op in ("sum", "compose"):
             if not maps:
                 raise ValueError(f"{op} needs at least one map")
+            compiled = (_matrix_sum if op == "sum" else _matrix_product)(maps)
         else:
             raise ValueError(f"unknown quaternion map op {op!r}")
         self.ring = ring
         self.op = op
         self.c = c
-        self.maps = tuple(maps)
+        self.maps = maps
+        self.mat, self.den = compiled
 
     def apply(self, a):
-        if self.op == "lmul":
-            return self.c * a
-        if self.op == "rmul":
-            return a * self.c
-        if self.op == "conj":
-            return a.conjugate()
-        if self.op == "sum":
-            out = self.ring.zero()
-            for m in self.maps:
-                out = out + m.apply(a)
-            return out
-        out = a
-        for m in reversed(self.maps):
-            out = m.apply(out)
-        return out
+        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = self.mat
+        w, x, y, z = a.num
+        return quaternion_from_ints(
+            a.ring,
+            m00 * w + m01 * x + m02 * y + m03 * z,
+            m10 * w + m11 * x + m12 * y + m13 * z,
+            m20 * w + m21 * x + m22 * y + m23 * z,
+            m30 * w + m31 * x + m32 * y + m33 * z,
+            self.den * a.den,
+        )
 
     @classmethod
     def identity(cls, ring):
@@ -191,7 +201,7 @@ class QuatMap:
         return cls(ring, "compose", maps=(cls(ring, "lmul", u), cls(ring, "rmul", u.inv())))
 
     def is_zero_map(self):
-        return self.op == "lmul" and self.c.is_zero()
+        return not any(self.mat)
 
     def to_json(self):
         if self.op in ("lmul", "rmul"):
@@ -206,6 +216,44 @@ class QuatMap:
         if self.op == "conj":
             return "conj"
         return f"{self.op}({', '.join(map(repr, self.maps))})"
+
+
+_CONJ_MATRIX = ((1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1), 1)
+
+
+def _mul_matrix(c, left):
+    """Matrix of a -> c a (left) or a -> a c on the coordinates (w, x, y, z)."""
+    w, x, y, z = c.num
+    if left:
+        mat = (w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w)
+    else:
+        mat = (w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w)
+    return mat, c.den
+
+
+def _normal_matrix(mat, den):
+    g = gcd(den, *mat)
+    return tuple(v // g for v in mat), den // g
+
+
+def _matrix_sum(maps):
+    den = lcm(*(m.den for m in maps))
+    acc = [0] * 16
+    for m in maps:
+        scale = den // m.den
+        for r, v in enumerate(m.mat):
+            acc[r] += v * scale
+    return _normal_matrix(acc, den)
+
+
+def _matrix_product(maps):
+    mat, den = maps[0].mat, maps[0].den
+    for m in maps[1:]:
+        b = m.mat
+        mat = [sum(mat[4 * r + k] * b[4 * k + col] for k in range(4))
+               for r in range(4) for col in range(4)]
+        den *= m.den
+    return _normal_matrix(mat, den)
 
 
 def additive_map_from_json(ring, obj):
@@ -242,7 +290,9 @@ class Frame:
     """A validated (sigma, delta) pair over a coefficient ring.
 
     Frames are immutable after construction; application results are
-    memoized per frame, so sharing one frame across calls is cheap.
+    memoized per frame, so sharing one frame across calls is cheap.  Each
+    memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its
+    memory.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
@@ -262,20 +312,26 @@ class Frame:
 
     def sigma_at(self, a):
         """The n x n matrix sigma(a), rows/cols as nested tuples."""
+        cache = self._sig_cache
         try:
-            return self._sig_cache[a]
+            return cache[a]
         except KeyError:
             out = tuple(tuple(m.apply(a) for m in row) for row in self.sigma)
-            self._sig_cache[a] = out
+            if len(cache) >= _MEMO_LIMIT:
+                cache.clear()
+            cache[a] = out
             return out
 
     def delta_at(self, a):
         """The length-n vector delta(a)."""
+        cache = self._del_cache
         try:
-            return self._del_cache[a]
+            return cache[a]
         except KeyError:
             out = tuple(m.apply(a) for m in self.delta)
-            self._del_cache[a] = out
+            if len(cache) >= _MEMO_LIMIT:
+                cache.clear()
+            cache[a] = out
             return out
 
     def to_json(self):
@@ -499,11 +555,3 @@ def block_frame(f1, f2):
             sigma[n1 + i][n1 + j] = f2.sigma[i][j]
     delta = list(f1.delta) + list(f2.delta)
     return Frame(ring, sigma, delta)
-
-
-def apply_sigma(f, a):
-    return f.sigma_at(a)
-
-
-def apply_delta(f, a):
-    return f.delta_at(a)

@@ -14,6 +14,7 @@ as 0, 1, w, w+1 where w is a root of the modulus.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZero, NotFinite, RingMismatch
 
@@ -372,11 +373,11 @@ class FiniteField:
 
     def element_from_json(self, obj):
         if self.k == 1:
-            if not isinstance(obj, int):
+            if not _is_json_int(obj):
                 raise ValueError(f"prime-field element must be an integer, got {obj!r}")
             return self.element(obj % self.p)
-        if not isinstance(obj, list) or len(obj) != self.k:
-            raise ValueError(f"extension element must be a list of {self.k} integers")
+        if not isinstance(obj, list) or len(obj) != self.k or not all(map(_is_json_int, obj)):
+            raise ValueError(f"extension element must be a list of {self.k} integers, got {obj!r}")
         return self.from_coeffs(obj)
 
     def spec_to_json(self):
@@ -404,17 +405,67 @@ class FiniteField:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
-class Quaternion:
-    """A rational quaternion w + x i + y j + z k with exact Fraction parts."""
+_ZERO4 = (0, 0, 0, 0)
+_new = object.__new__
 
-    __slots__ = ("ring", "w", "x", "y", "z")
+
+def quaternion_from_ints(ring, w, x, y, z, den):
+    """The quaternion (w + x i + y j + z k) / den from integers, den != 0,
+    in normal form: den > 0 and gcd(w, x, y, z, den) = 1.
+
+    Every arithmetic result and every compiled map application is built
+    here, with one gcd.
+    """
+    g = gcd(w, x, y, z, den)
+    if den < 0:
+        g = -g
+    q = _new(Quaternion)
+    q.ring = ring
+    if g == 1:
+        q.num = (w, x, y, z)
+        q.den = den
+    else:
+        q.num = (w // g, x // g, y // g, z // g)
+        q.den = den // g
+    return q
+
+
+class Quaternion:
+    """A rational quaternion (w + x i + y j + z k) / den.
+
+    The four parts are carried as integer numerators ``num`` over one
+    common denominator ``den``, kept in normal form (den > 0 and
+    gcd(w, x, y, z, den) = 1), so equal quaternions have equal
+    representations and each operation costs a single gcd.  The
+    attributes ``w``, ``x``, ``y``, ``z`` are read-only ``Fraction``
+    views of the parts.
+    """
+
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, w, x, y, z):
+        parts = [p if isinstance(p, int) else Fraction(p) for p in (w, x, y, z)]
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        den = lcm(*(p.denominator for p in parts))
         self.ring = ring
-        self.w = Fraction(w)
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-        self.z = Fraction(z)
+        self.num = tuple(p.numerator * (den // p.denominator) for p in parts)
+        self.den = den
+
+    @property
+    def w(self):
+        return Fraction(self.num[0], self.den)
+
+    @property
+    def x(self):
+        return Fraction(self.num[1], self.den)
+
+    @property
+    def y(self):
+        return Fraction(self.num[2], self.den)
+
+    @property
+    def z(self):
+        return Fraction(self.num[3], self.den)
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
@@ -427,7 +478,13 @@ class Quaternion:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return Quaternion(self.ring, self.w + b.w, self.x + b.x, self.y + b.y, self.z + b.z)
+        aw, ax, ay, az = self.num
+        bw, bx, by, bz = b.num
+        da, db = self.den, b.den
+        return quaternion_from_ints(
+            self.ring, aw * db + bw * da, ax * db + bx * da, ay * db + by * da,
+            az * db + bz * da, da * db,
+        )
 
     __radd__ = __add__
 
@@ -435,7 +492,13 @@ class Quaternion:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        return Quaternion(self.ring, self.w - b.w, self.x - b.x, self.y - b.y, self.z - b.z)
+        aw, ax, ay, az = self.num
+        bw, bx, by, bz = b.num
+        da, db = self.den, b.den
+        return quaternion_from_ints(
+            self.ring, aw * db - bw * da, ax * db - bx * da, ay * db - by * da,
+            az * db - bz * da, da * db,
+        )
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -447,14 +510,15 @@ class Quaternion:
         b = self._coerce(other)
         if b is None:
             return NotImplemented
-        aw, ax, ay, az = self.w, self.x, self.y, self.z
-        bw, bx, by, bz = b.w, b.x, b.y, b.z
-        return Quaternion(
+        aw, ax, ay, az = self.num
+        bw, bx, by, bz = b.num
+        return quaternion_from_ints(
             self.ring,
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
+            self.den * b.den,
         )
 
     def __rmul__(self, other):
@@ -464,7 +528,8 @@ class Quaternion:
         return b * self
 
     def __neg__(self):
-        return Quaternion(self.ring, -self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self.num
+        return quaternion_from_ints(self.ring, -w, -x, -y, -z, self.den)
 
     def __pow__(self, e):
         if e < 0:
@@ -479,34 +544,38 @@ class Quaternion:
         return out
 
     def conjugate(self):
-        return Quaternion(self.ring, self.w, -self.x, -self.y, -self.z)
+        w, x, y, z = self.num
+        return quaternion_from_ints(self.ring, w, -x, -y, -z, self.den)
 
     def norm(self):
         """The reduced norm w^2 + x^2 + y^2 + z^2, a nonnegative rational."""
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        w, x, y, z = self.num
+        return Fraction(w * w + x * x + y * y + z * z, self.den * self.den)
 
     def inv(self):
-        n = self.norm()
+        w, x, y, z = self.num
+        n = w * w + x * x + y * y + z * z
         if n == 0:
             raise DivisionByZero("inverse of 0")
-        c = self.conjugate()
-        return Quaternion(self.ring, c.w / n, c.x / n, c.y / n, c.z / n)
+        # conj(q) / |q|^2 with q = num / den is conj(num) * den / |num|^2
+        d = self.den
+        return quaternion_from_ints(self.ring, w * d, -x * d, -y * d, -z * d, n)
 
     def is_zero(self):
-        return self.w == 0 and self.x == 0 and self.y == 0 and self.z == 0
+        return self.num == _ZERO4
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.num != _ZERO4
 
     def __eq__(self, other):
         if isinstance(other, Quaternion):
-            return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Quaternion(self.ring, other, 0, 0, 0)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         parts = []
@@ -577,13 +646,17 @@ class QuaternionRing:
                 return a
 
     def element_to_json(self, a):
-        return [
-            f"{c.numerator}/{c.denominator}" for c in (a.w, a.x, a.y, a.z)
-        ]
+        out = []
+        for n in a.num:
+            g = gcd(n, a.den)
+            out.append(f"{n // g}/{a.den // g}")
+        return out
 
     def element_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != 4:
             raise ValueError("quaternion must be a list of four num/den strings")
+        if any(isinstance(s, bool) for s in obj):
+            raise ValueError(f"quaternion parts must be num/den strings, got {obj!r}")
         return Quaternion(self, *(Fraction(s) for s in obj))
 
     def spec_to_json(self):
@@ -599,15 +672,33 @@ class QuaternionRing:
         return "H(Q)"
 
 
+def _is_json_int(obj):
+    # JSON true/false decode to bool, a subclass of int; they are not integers here
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _spec_int(obj, key):
+    val = obj[key]
+    if not _is_json_int(val):
+        raise ValueError(f"ring spec {key!r} must be an integer, got {val!r}")
+    return val
+
+
 def ring_from_json(obj):
     """Rebuild a coefficient ring from its JSON spec."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("ring spec must be an object with a 'kind' key")
     kind = obj["kind"]
     if kind == "prime-field":
-        return FiniteField(int(obj["p"]))
+        if "k" in obj and _spec_int(obj, "k") != 1:
+            raise ValueError(f"a prime-field spec needs k = 1, got k = {obj['k']}")
+        return FiniteField(_spec_int(obj, "p"))
     if kind == "extension-field":
-        return FiniteField(int(obj["p"]), int(obj["k"]), obj.get("modulus"))
+        modulus = obj.get("modulus")
+        if modulus is not None and (not isinstance(modulus, list)
+                                    or not all(map(_is_json_int, modulus))):
+            raise ValueError(f"modulus must be a list of integers, got {modulus!r}")
+        return FiniteField(_spec_int(obj, "p"), _spec_int(obj, "k"), modulus)
     if kind == "rational-quaternion":
         return QuaternionRing()
     raise ValueError(f"unknown ring kind {kind!r}")

@@ -16,8 +16,16 @@ linear algebra:
 Monomial values feed in through the division-algorithm path, not the
 fundamental-function recursion, keeping the data source independent
 too.  Finite fields only.
+
+For the rational quaternions the module also keeps the reference
+semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
+expressions over quaternions written as 4-tuples of ``Fraction`` parts,
+with the Hamilton product done part by part.  The library compiles the
+catalog to integer matrices and carries quaternions as integers over a
+common denominator; neither representation is used here.
 """
 
+from fractions import Fraction
 from itertools import product
 
 from skewpoly import divide, monomial, monomials_below
@@ -146,3 +154,46 @@ def span_dimension_on(frame, points, bound, cache=None):
         dim += 1
     assert ring.size ** dim == size, "span size must be a power of q"
     return dim
+
+
+# ---------------------------------------------------------------------------
+# Quaternion reference: Fraction parts and the interpreted map catalog
+# ---------------------------------------------------------------------------
+
+def frac_parts(a):
+    """A library quaternion as the 4-tuple of its Fraction parts (w, x, y, z)."""
+    return (Fraction(a.w), Fraction(a.x), Fraction(a.y), Fraction(a.z))
+
+
+def frac_quat_mul(a, b):
+    """Hamilton product of two quaternions given as 4-tuples of Fractions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def quat_map_reference(m, a):
+    """Apply the catalog expression of a QuatMap to Fraction parts a by
+    walking its tree: lmul/rmul multiply by the constant, conj negates the
+    vector part, sum adds the children, compose applies them right to left."""
+    if m.op == "lmul":
+        return frac_quat_mul(frac_parts(m.c), a)
+    if m.op == "rmul":
+        return frac_quat_mul(a, frac_parts(m.c))
+    if m.op == "conj":
+        w, x, y, z = a
+        return (w, -x, -y, -z)
+    if m.op == "sum":
+        out = (Fraction(0),) * 4
+        for sub in m.maps:
+            out = tuple(u + v for u, v in zip(out, quat_map_reference(sub, a)))
+        return out
+    assert m.op == "compose", m.op
+    for sub in reversed(m.maps):
+        a = quat_map_reference(sub, a)
+    return a

@@ -2,9 +2,22 @@
 
 import io
 import json
+import pathlib
+import random
 
-from skewpoly import FiniteField, QuaternionRing, conventional_frame, frobenius_frame
+import pytest
+
+from skewpoly import (
+    FiniteField,
+    QuaternionRing,
+    conventional_frame,
+    frobenius_frame,
+    fundamental,
+    point_from_json,
+)
 from skewpoly.cli import run
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def invoke(argv, job=None):
@@ -240,3 +253,63 @@ def test_selftest_verb():
     assert code == 0
     assert out["failed"] == 0
     assert out["passed"] >= 10
+
+
+def _one_error_line(text, code, want_code=2, want_error="MalformedInput"):
+    lines = text.splitlines()
+    assert code == want_code and len(lines) == 1 and text.endswith("\n")
+    assert json.loads(lines[0])["error"] == want_error
+
+
+def test_prime_field_spec_with_k_other_than_one_is_rejected():
+    job = gf5_job(f=[{"monomial": [1], "coeff": 1}], point=[2, 3])
+    job["ring"] = {"kind": "prime-field", "p": 5, "k": 3}
+    code, _, text = invoke(["eval"], job)
+    _one_error_line(text, code)
+    for spec in ({"kind": "prime-field", "p": True},
+                 {"kind": "extension-field", "p": 2, "k": True}):
+        code, _, text = invoke(["eval"], dict(job, ring=spec))
+        _one_error_line(text, code)
+
+
+def test_boolean_elements_are_rejected():
+    quat = QuaternionRing()
+    qjob = {"ring": quat.spec_to_json(), "frame": conventional_frame(quat, 1).to_json(),
+            "f": [{"monomial": [1], "coeff": ["1/1", "0/1", "0/1", "0/1"]}]}
+    cases = [
+        gf5_job(f=[{"monomial": [1], "coeff": 1}], point=[True, 3]),
+        gf4_frob_job(f=[{"monomial": [1], "coeff": [1, 0]}], point=[[True, 0]]),
+        dict(qjob, point=[[True, "0/1", "0/1", "0/1"]]),
+    ]
+    for job in cases:
+        code, _, text = invoke(["eval"], job)
+        _one_error_line(text, code)
+
+
+def test_long_word_eval_answers_with_one_json_line():
+    # 3000 letters: deeper than the default recursion limit
+    gf9 = FiniteField(3, 2)
+    frame = frobenius_frame(gf9, 2)
+    rng = random.Random(3000)
+    word = [rng.randint(1, 2) for _ in range(3000)]
+    point = [[rng.randrange(3), rng.randrange(3)] for _ in range(2)]
+    job = {"ring": gf9.spec_to_json(), "frame": frame.to_json(),
+           "f": [{"monomial": word, "coeff": [1, 0]}], "point": point}
+    code, out, text = invoke(["eval"], job)
+    assert code == 0 and len(text.splitlines()) == 1
+    want = fundamental(frame, tuple(word), point_from_json(frame, point))
+    assert out == {"value": gf9.element_to_json(want)}
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["mul"], "quat_mul.out"),
+    (["mul", "--format", "text"], "quat_mul_text.out"),
+    (["eval"], "quat_eval.out"),
+    (["pbasis"], "quat_pbasis.out"),
+    (["conjugate"], "quat_conjugate.out"),
+])
+def test_quaternion_output_matches_golden_bytes(argv, golden):
+    # the expected bytes come from quaternions with Fraction parts and an
+    # interpreted map catalog: the output must not depend on the representation
+    _, _, text = invoke(argv + ["--job", str(DATA / "quat_job.json")])
+    assert text == (DATA / golden).read_text()

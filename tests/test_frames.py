@@ -1,5 +1,7 @@
 """Frame construction, validation and application."""
 
+import random
+
 import pytest
 
 from skewpoly import (
@@ -12,17 +14,19 @@ from skewpoly import (
     inner_frame,
     validate_frame,
 )
-from skewpoly.frames import QuatMap, apply_delta, apply_sigma, block_frame
+from skewpoly.frames import _MEMO_LIMIT, Frame, QuatMap, block_frame
+from oracles import frac_parts, quat_map_reference
+from test_acceptance import acceptance_frames
 
 
 def test_conventional_frame_valid(gf5):
     f = conventional_frame(gf5, 2)
     assert validate_frame(f).valid
     a = gf5(3)
-    sig = apply_sigma(f, a)
+    sig = f.sigma_at(a)
     assert sig[0][0] == a and sig[1][1] == a
     assert sig[0][1].is_zero() and sig[1][0].is_zero()
-    assert all(d.is_zero() for d in apply_delta(f, a))
+    assert all(d.is_zero() for d in f.delta_at(a))
 
 
 def test_frobenius_frame_exhaustive_validation(gf4, gf9):
@@ -39,15 +43,15 @@ def test_frobenius_frame_exhaustive_validation(gf4, gf9):
 def test_frobenius_application(gf4):
     f = frobenius_frame(gf4, 2)
     w = gf4.gen()
-    sig = apply_sigma(f, w)
+    sig = f.sigma_at(w)
     assert sig[0][0] == w * w and sig[1][1] == w * w
 
 
 def test_delta_vanishes_at_zero_and_one(gf4, gf9, quat_inner_2):
     frames = [frobenius_frame(gf4, 2), frobenius_frame(gf9, 1), quat_inner_2]
     for f in frames:
-        assert all(d.is_zero() for d in apply_delta(f, f.ring.zero()))
-        assert all(d.is_zero() for d in apply_delta(f, f.ring.one()))
+        assert all(d.is_zero() for d in f.delta_at(f.ring.zero()))
+        assert all(d.is_zero() for d in f.delta_at(f.ring.one()))
 
 
 def test_invalid_unit_not_preserved(gf4):
@@ -83,13 +87,13 @@ def test_inner_frame_zero_beta_gives_zero_delta(gf9):
     f0 = frobenius_frame(gf9, 2)
     f = inner_frame(gf9, f0.sigma, (gf9.zero(), gf9.zero()))
     a = gf9.gen()
-    assert all(d.is_zero() for d in apply_delta(f, a))
+    assert all(d.is_zero() for d in f.delta_at(a))
 
 
 def test_inner_frame_commutative_identity_sigma_gives_zero_delta(gf5):
     f0 = conventional_frame(gf5, 2)
     f = inner_frame(gf5, f0.sigma, (gf5(1), gf5(2)))
-    assert all(d.is_zero() for d in apply_delta(f, gf5(3)))
+    assert all(d.is_zero() for d in f.delta_at(gf5(3)))
 
 
 def test_inner_frame_quaternion_example(quat):
@@ -97,7 +101,7 @@ def test_inner_frame_quaternion_example(quat):
     f = inner_frame(quat, f0.sigma, (quat.i(),))
     j = quat.j()
     # delta(j) = j i - i j = -2k
-    assert apply_delta(f, j)[0] == quat(0, 0, 0, -2)
+    assert f.delta_at(j)[0] == quat(0, 0, 0, -2)
 
 
 def test_inner_frame_validates(gf4, gf9, quat_inner_2, rng):
@@ -155,7 +159,7 @@ def test_block_frame_validates(gf4):
     assert joined.n == 2
     assert validate_frame(joined).valid
     w = gf4.gen()
-    sig = apply_sigma(joined, w)
+    sig = joined.sigma_at(w)
     assert sig[0][0] == w * w  # frobenius block
     assert sig[1][1] == w      # conventional block
     assert sig[0][1].is_zero() and sig[1][0].is_zero()
@@ -177,3 +181,73 @@ def test_frame_json_rejects_invalid(gf4):
     obj["sigma"][0][0]["matrix"] = [[0, 1], [1, 1]]  # not a morphism
     with pytest.raises(InvalidFrame):
         frame_from_json(gf4, obj)
+
+
+def _catalog_maps(quat):
+    """Every catalog op, nested: the maps the compiled form must reproduce."""
+    u = quat(1, 1, 0, 0)
+    conj = QuatMap(quat, "conj")
+    lm = QuatMap(quat, "lmul", quat("1/2", -1, "2/3", 3))
+    rm = QuatMap(quat, "rmul", quat(0, "-5/4", 1, "1/3"))
+    inner = QuatMap.inner_automorphism(quat, u)
+    return [
+        QuatMap.identity(quat), QuatMap.zero(quat), conj, lm, rm, inner,
+        QuatMap(quat, "sum", maps=(lm, conj, rm)),
+        QuatMap(quat, "compose", maps=(rm, conj, lm)),
+        QuatMap(quat, "compose", maps=(QuatMap(quat, "sum", maps=(inner, lm)), conj, inner)),
+        QuatMap(quat, "sum", maps=(lm, QuatMap(quat, "lmul", -quat("1/2", -1, "2/3", 3)))),
+    ]
+
+
+def _quat_frames(quat, quat_inner_2):
+    qframe = [f for name, f in acceptance_frames() if name.startswith("quaternion")]
+    example = inner_frame(quat, conventional_frame(quat, 1).sigma, (quat.i(),))
+    return [quat_inner_2, example] + qframe
+
+
+def test_compiled_quat_maps_match_interpreted_catalog(quat, quat_inner_2):
+    rng = random.Random(0x0AC1E)
+    samples = [quat.random_element(rng, h) for h in (1, 2, 4, 9) for _ in range(40)]
+    samples += [quat.zero(), quat.one(), quat.i(), quat.j(), quat.k(), quat("1/2")]
+    maps = _catalog_maps(quat)
+    for f in _quat_frames(quat, quat_inner_2):
+        maps += [m for row in f.sigma for m in row] + list(f.delta)
+    for m in maps:
+        for a in samples:
+            assert frac_parts(m.apply(a)) == quat_map_reference(m, frac_parts(a)), (m, a)
+
+
+def test_quat_frame_application_matches_interpreted_catalog(quat, quat_inner_2):
+    rng = random.Random(0x5A3)
+    for f in _quat_frames(quat, quat_inner_2):
+        for _ in range(60):
+            a = quat.random_element(rng, 3)
+            ref = frac_parts(a)
+            sig, dlt = f.sigma_at(a), f.delta_at(a)
+            for i in range(f.n):
+                assert frac_parts(dlt[i]) == quat_map_reference(f.delta[i], ref)
+                for j in range(f.n):
+                    assert frac_parts(sig[i][j]) == quat_map_reference(f.sigma[i][j], ref)
+
+
+def test_compiled_quat_maps_are_normal(quat):
+    from math import gcd
+
+    for m in _catalog_maps(quat):
+        assert m.den > 0 and gcd(m.den, *m.mat) == 1
+    assert QuatMap(quat, "conj").mat == (1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1)
+    # a sum that cancels compiles to the zero matrix
+    assert _catalog_maps(quat)[-1].is_zero_map()
+
+
+def test_memos_stay_bounded(quat, quat_inner_2):
+    f = Frame(quat, quat_inner_2.sigma, quat_inner_2.delta)
+    fresh = Frame(quat, f.sigma, f.delta)
+    els = [quat(k, 1, 0, 0) for k in range(_MEMO_LIMIT + 10)]
+    for a in els:
+        f.sigma_at(a)
+        f.delta_at(a)
+        assert len(f._sig_cache) <= _MEMO_LIMIT and len(f._del_cache) <= _MEMO_LIMIT
+    # values after the memo was emptied match a frame whose memo never was
+    for a in els[-5:] + els[:5]:
+        assert f.sigma_at(a) == fresh.sigma_at(a) and f.delta_at(a) == fresh.delta_at(a)

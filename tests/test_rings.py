@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from skewpoly import (
     ring_from_json,
 )
 from skewpoly.rings import default_modulus
+from oracles import frac_parts, frac_quat_mul
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 2), (2, 6)]
 
@@ -187,3 +189,37 @@ def test_prime_field_json_shape(gf5, gf9, quat):
     assert quat.element_to_json(quat(1, Fraction(1, 2), 0, -2)) == [
         "1/1", "1/2", "0/1", "-2/1",
     ]
+
+
+def _is_normal(a):
+    return a.den > 0 and gcd(*a.num, a.den) == 1
+
+
+def test_quaternion_products_match_fraction_reference(quat, rng):
+    for _ in range(300):
+        a, b = quat.random_element(rng, 6), quat.random_element(rng, 6)
+        assert frac_parts(a * b) == frac_quat_mul(frac_parts(a), frac_parts(b))
+        assert frac_parts(a + b) == tuple(u + v for u, v in zip(frac_parts(a), frac_parts(b)))
+        assert frac_parts(a - b) == tuple(u - v for u, v in zip(frac_parts(a), frac_parts(b)))
+        for c in (a * b, a + b, a - b, -a, a.conjugate()) + ((a.inv(),) if a else ()):
+            assert _is_normal(c)
+
+
+def test_quaternion_normal_form(quat):
+    half = quat("1/2", 0, -1, 0)
+    assert (half.num, half.den) == ((1, 0, -2, 0), 2)
+    same = [
+        quat(Fraction(2, 4), 0, Fraction(-6, 6), 0),
+        quat(1, 0, -2, 0) * quat("1/2"),
+        quat("3/4", "1/3", -1, 0) - quat("1/4", "1/3", 0, 0),
+        (quat(1, 0, 2, 0) + quat(1, 0, 2, 0)).conjugate() * quat(0, 0, 0, "1/4") * quat(0, 0, 0, -1),
+    ]
+    for q in same:
+        assert _is_normal(q)
+        assert q == half and hash(q) == hash(half)
+        assert quat.element_to_json(q) == ["1/2", "0/1", "-1/1", "0/1"]
+    zero = quat("1/3", 0, 0, 0) - quat("2/6", 0, 0, 0)
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1) and zero == quat.zero()
+    assert hash(zero) == hash(quat.zero())
+    assert half.w == Fraction(1, 2) and half.y == -1 and half.x == 0
+    assert quat(1, 1, "1/2", 0).norm() == Fraction(9, 4)
