@@ -8,19 +8,22 @@ elements can be shared freely between threads.
 Finite-field elements are carried as a single integer ``val`` in
 ``[0, p^k)`` whose base-p digits are the power-basis coefficients
 (constant digit first).  Ascending ``val`` therefore enumerates GF(4)
-as 0, 1, w, w+1 where w is a root of the modulus.
+as 0, 1, w, w+1 where w is a root of the modulus.  Their arithmetic runs
+on exp/log/Zech-logarithm tables of O(q) size (see :class:`FiniteField`).
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
+from operator import xor
 
 from .errors import DivisionByZero, NotFinite, RingMismatch
 
-# Fields up to this size precompute full add/mul/inv tables; larger ones
-# (supported up to 2**16) fall back to digit arithmetic per operation.
-_TABLE_LIMIT = 4096
+# Codes, logarithms and Zech logarithms of fields up to this size all fit
+# the unsigned 16-bit entries of the arithmetic tables.
 _MAX_FIELD_SIZE = 1 << 16
 
 
@@ -99,6 +102,85 @@ def _encode(digits, p):
     for d in reversed(digits):
         val = val * p + d
     return val
+
+
+def _poly_pow(a, e, m, p):
+    """a^e modulo the monic m, coefficients mod p."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, p), m, p)
+        a = _poly_mod(_poly_mul(a, a, p), m, p)
+        e >>= 1
+    return out
+
+
+def _primitive_element(p, k, modulus):
+    """Coefficients of the smallest element (by code) whose powers run
+    through all q - 1 units.  t itself often is not one: it has order 51
+    in GF(2^8) and 21845 in GF(2^16) under the default moduli."""
+    n = p ** k - 1
+    primes = {r for d in range(1, isqrt(n) + 1) if n % d == 0 for r in (d, n // d) if _is_prime(r)}
+    for g in range(1, n + 1):
+        a = _poly_trim(_digits(g, p, k))
+        if all(_poly_pow(a, n // r, modulus, p) != [1] for r in primes):
+            return a
+
+
+def _span_codes(cols, p, add):
+    """Images of the codes 0 .. p^len(cols) - 1 under the GF(p)-linear map
+    sending digit position j to the code cols[j]."""
+    out = [0]
+    for col in cols:
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add(multiples[-1], col))
+        out = [add(v, m) for m in multiples for v in out]
+    return out
+
+
+def _build_tables(p, k, modulus):
+    """exp, log and Zech-logarithm tables of GF(p)[t]/(modulus) over its
+    primitive element g, with n = q - 1:
+
+    * ``exp[i]`` = g^i for 0 <= i < 2n, so a sum of two logs needs no reduction
+    * ``log[a]`` = i with g^i = a for a != 0, and ``log[0]`` = n
+    * ``zech[i]`` = log(1 + g^i), which is n where 1 + g^i = 0
+
+    Multiplication by g is GF(p)-linear: each step of the walk through the
+    powers adds the images of the low and the high half of the digits,
+    read from tables of p^ceil(k/2) and p^floor(k/2) entries.
+    """
+    q = p ** k
+    n = q - 1
+    if p == 2:
+        add = xor  # the digit-wise sum mod 2
+    else:
+        def add(a, b):
+            return _encode([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+    a = _primitive_element(p, k, modulus)
+    cols = []  # g t^j
+    for _ in range(k):
+        cols.append(_encode(a, p))
+        a = _poly_mod([0] + a, modulus, p)
+    h = (k + 1) // 2
+    split = p ** h
+    low_images, high_images = _span_codes(cols[:h], p, add), _span_codes(cols[h:], p, add)
+    exp = array("H", [0]) * (2 * n)
+    log = array("H", [n]) * q
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x = add(low_images[x % split], high_images[x // split])
+    exp[n:] = exp[:n]
+    # log(a + 1) for every code a: adding 1 changes only the constant digit
+    log_succ = array("H", log)
+    for d in range(p - 1):
+        log_succ[d::p] = log[d + 1::p]
+    log_succ[p - 1::p] = log[::p]
+    zech = array("H", map(log_succ.__getitem__, islice(exp, n)))
+    return exp, log, zech
 
 
 def default_modulus(p, k):
@@ -214,15 +296,22 @@ class FiniteField:
     coefficient tuple; omit it to get the library default for (p, k).
     Sizes above 2**16 are rejected, which keeps the construction-time
     irreducibility check (exhaustive trial division) affordable.
+
+    Integer-code arithmetic reads three tables over a primitive element
+    g, built at construction in O(q) time and memory (the exp/log and
+    Zech-logarithm tables of Lidl & Niederreiter, *Finite Fields*): a
+    product is g^(log a + log b), an inverse g^(-log a), and a sum
+    a + b = a (1 + g^(log b - log a)) = g^(log a + zech(log b - log a)).
     """
 
     def __init__(self, p, k=1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p ** k > _MAX_FIELD_SIZE:
+        # before _is_prime(p) and p ** k, whose cost grows with p and k
+        if p > _MAX_FIELD_SIZE or k > 16 or p ** k > _MAX_FIELD_SIZE:
             raise ValueError(f"field size {p}^{k} exceeds 2^16")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if modulus is None:
             modulus = default_modulus(p, k) if k > 1 else (0, 1)
         modulus = tuple(int(c) % p for c in modulus)
@@ -234,76 +323,39 @@ class FiniteField:
         self.k = k
         self.q = p ** k
         self.modulus = modulus
-        self._add = None
-        self._mul = None
-        self._inv = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._exp, self._log, self._zech = _build_tables(p, k, modulus)
+        self._units = self.q - 1
+        self._log_minus_one = self._log[p - 1]  # code p - 1 is the constant -1
 
     # -- integer-code arithmetic -------------------------------------------
 
-    def _raw_mul(self, a, b):
-        prod = _poly_mul(_digits(a, self.p, self.k), _digits(b, self.p, self.k), self.p)
-        rem = _poly_mod(prod, list(self.modulus), self.p)
-        rem += [0] * (self.k - len(rem))
-        return _encode(rem, self.p)
-
-    def _raw_add(self, a, b):
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _build_tables(self):
-        q = self.q
-        self._add = [[self._raw_add(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    self._inv[a] = b
-                    break
-
     def add_val(self, a, b):
-        if self._add is not None:
-            return self._add[a][b]
-        return self._raw_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a negative index wraps modulo q - 1, like the exponent it stands for
+        z = self._zech[log[b] - la]
+        return 0 if z == self._units else self._exp[la + z]
 
     def neg_val(self, a):
-        return self.sub_val(0, a)
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub_val(self, a, b):
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.add_val(a, self.neg_val(b))
 
     def mul_val(self, a, b):
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._raw_mul(a, b)
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv_val(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self._inv is not None:
-            return self._inv[a]
-        # a^(q-2) = a^(-1) in GF(q)
-        out, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
+        return self._exp[self._units - self._log[a]]
 
     # -- element constructors ----------------------------------------------
 

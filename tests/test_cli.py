@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -299,6 +300,29 @@ def test_long_word_eval_answers_with_one_json_line():
     assert code == 0 and len(text.splitlines()) == 1
     want = fundamental(frame, tuple(word), point_from_json(frame, point))
     assert out == {"value": gf9.element_to_json(want)}
+
+
+def test_huge_field_specs_exit_at_once():
+    job = gf5_job(f=[{"monomial": [1], "coeff": 1}], point=[2, 3])
+    # the last spec must not reach 0 ** -1, which raises ZeroDivisionError
+    for spec in ({"kind": "prime-field", "p": 1000000000000000003},
+                 {"kind": "extension-field", "p": 3, "k": 100000000},
+                 {"kind": "extension-field", "p": 0, "k": -1}):
+        start = time.perf_counter()
+        code, _, text = invoke(["eval"], dict(job, ring=spec))
+        # trial division of p, or computing 3 ** 10**8, takes seconds to forever
+        assert time.perf_counter() - start < 1
+        _one_error_line(text, code)
+
+
+@pytest.mark.parametrize("ring", ["gf256", "gf65536"])
+@pytest.mark.parametrize("verb", ["mul", "eval", "divide", "pbasis", "dual-basis", "interpolate"])
+def test_finite_field_output_matches_golden_bytes(ring, verb):
+    # Frobenius GF(2^8) and an inner frame over GF(2^16); the expected bytes
+    # come from q x q tables (GF(2^8)) and digit arithmetic (GF(2^16)), so
+    # the output must not depend on how the field computes
+    _, _, text = invoke([verb, "--job", str(DATA / f"{ring}_job.json")])
+    assert text == (DATA / f"{ring}_{verb}.out").read_text()
 
 
 @pytest.mark.parametrize("argv, golden", [

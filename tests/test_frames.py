@@ -5,6 +5,7 @@ import random
 import pytest
 
 from skewpoly import (
+    FiniteField,
     InvalidFrame,
     LinearMap,
     conventional_frame,
@@ -15,7 +16,12 @@ from skewpoly import (
     validate_frame,
 )
 from skewpoly.frames import _MEMO_LIMIT, Frame, QuatMap, block_frame
-from oracles import frac_parts, quat_map_reference
+from oracles import (
+    frac_parts,
+    frame_laws_hold_all_pairs,
+    matrix_apply_reference,
+    quat_map_reference,
+)
 from test_acceptance import acceptance_frames
 
 
@@ -30,7 +36,7 @@ def test_conventional_frame_valid(gf5):
 
 
 def test_frobenius_frame_exhaustive_validation(gf4, gf9):
-    # the validator runs over every pair for fields this small
+    # the laws hold on every pair, not only on the basis pairs the validator checks
     for fld, frame in ((gf4, frobenius_frame(gf4, 2)), (gf9, frobenius_frame(gf9, 2))):
         report = validate_frame(frame)
         assert report.valid, report.summary()
@@ -251,3 +257,66 @@ def test_memos_stay_bounded(quat, quat_inner_2):
     # values after the memo was emptied match a frame whose memo never was
     for a in els[-5:] + els[:5]:
         assert f.sigma_at(a) == fresh.sigma_at(a) and f.delta_at(a) == fresh.delta_at(a)
+
+
+def _random_matrix_map(fld, rng):
+    return LinearMap(fld, [[rng.randrange(fld.p) for _ in range(fld.k)] for _ in range(fld.k)])
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 8), (2, 16)])
+def test_linear_map_application_matches_matrix_reference(p, k):
+    fld = FiniteField(p, k)
+    rng = random.Random(p + k)
+    maps = [LinearMap.identity(fld), LinearMap.zero(fld), LinearMap.frobenius(fld)]
+    maps += [_random_matrix_map(fld, rng) for _ in range(20)]
+    samples = [0, 1, fld.q - 1] + [fld.p ** j for j in range(k)]
+    samples += [rng.randrange(fld.q) for _ in range(100)]
+    for m in maps:
+        for v in samples:
+            assert m.apply(fld(v)).val == matrix_apply_reference(m, v)
+
+
+def _random_frames(fld, rng):
+    """Valid frames of one and two variables (Frobenius twists, a conjugated
+    pair of twists, inner derivations) and each of them with one matrix
+    entry of one map changed, which is almost always invalid."""
+    frob = [LinearMap.frobenius(fld, e) for e in range(fld.k)]
+    valid = [conventional_frame(fld, 1), Frame(fld, [[rng.choice(frob)]], [LinearMap.zero(fld)])]
+    while True:
+        c = [[fld.random_element(rng) for _ in range(2)] for _ in range(2)]
+        det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
+        if det:
+            break
+    inv = [[c[1][1] * det.inv(), -c[0][1] * det.inv()], [-c[1][0] * det.inv(), c[0][0] * det.inv()]]
+    twists = (rng.choice(frob), rng.choice(frob))
+    # a -> C diag(twist_1(a), twist_2(a)) C^-1 is a matrix morphism
+    conj = [[LinearMap.from_function(
+        fld, lambda a, i=i, j=j: sum((c[i][m] * twists[m].apply(a) * inv[m][j] for m in range(2)),
+                                     fld.zero()))
+        for j in range(2)] for i in range(2)]
+    beta = (fld.random_element(rng), fld.random_element(rng))
+    valid += [inner_frame(fld, conj, beta),
+              inner_frame(fld, [[rng.choice(frob)]], (fld.random_nonzero(rng),))]
+    out = list(valid)
+    for f in valid:
+        maps = [m for row in f.sigma for m in row] + list(f.delta)
+        pick = rng.randrange(len(maps))
+        mat = [list(row) for row in maps[pick].mat]
+        r, col = rng.randrange(fld.k), rng.randrange(fld.k)
+        mat[r][col] += rng.randrange(1, fld.p)
+        maps[pick] = LinearMap(fld, mat)
+        n = f.n
+        out.append(Frame(fld, [maps[i * n:(i + 1) * n] for i in range(n)], maps[n * n:]))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
+def test_basis_pair_validation_matches_all_pairs_oracle(p, k):
+    fld = FiniteField(p, k)
+    rng = random.Random(10 * p + k)
+    verdicts = []
+    for f in _random_frames(fld, rng) + _random_frames(fld, rng):
+        want = frame_laws_hold_all_pairs(f)
+        assert validate_frame(f).valid == want, f.to_json()
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -15,7 +15,7 @@ from skewpoly import (
     ring_from_json,
 )
 from skewpoly.rings import default_modulus
-from oracles import frac_parts, frac_quat_mul
+from oracles import digit_add, digit_mul, digit_neg, frac_parts, frac_quat_mul
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 2), (2, 6)]
 
@@ -157,7 +157,7 @@ def test_quaternions_are_not_enumerable(quat):
 
 
 def test_large_field_without_tables():
-    F = FiniteField(2, 13)  # q = 8192, above the table limit
+    F = FiniteField(2, 13)  # q = 8192
     rng = random.Random(3)
     for _ in range(50):
         a, b = F.random_element(rng), F.random_element(rng)
@@ -223,3 +223,29 @@ def test_quaternion_normal_form(quat):
     assert hash(zero) == hash(quat.zero())
     assert half.w == Fraction(1, 2) and half.y == -1 and half.x == 0
     assert quat(1, 1, "1/2", 0).norm() == Fraction(9, 4)
+
+
+# the fields of the digit-arithmetic comparison: GF(2^8) under the default
+# modulus (t of order 51) and under t^8 + t^4 + t^3 + t^2 + 1 (t primitive),
+# the largest binary field, odd characteristic with many digits, few digits
+# and one digit
+REFERENCE_FIELDS = [
+    (2, 8, None), (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)), (2, 16, None),
+    (3, 7, None), (251, 2, None), (4093, 1, None),
+]
+
+
+@pytest.mark.parametrize("p,k,modulus", REFERENCE_FIELDS)
+def test_table_arithmetic_matches_digit_arithmetic(p, k, modulus):
+    F = FiniteField(p, k, modulus)
+    rng = random.Random(p * 1000 + k)
+    edge = [0, 1, p - 1, F.q - 1, p ** (k - 1)]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert F.add_val(a, b) == digit_add(F, a, b)
+        assert F.sub_val(a, b) == digit_add(F, a, digit_neg(F, b))
+        assert F.neg_val(a) == digit_neg(F, a)
+        assert F.mul_val(a, b) == digit_mul(F, a, b)
+        if a:
+            assert digit_mul(F, a, F.inv_val(a)) == 1
