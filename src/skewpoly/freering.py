@@ -78,7 +78,49 @@ def word_times_constant(frame, word, a, memo=None):
     return _push(frame, word, a, memo)
 
 
+# Most letters one recursive push descends.  A longer word is cut every
+# _PUSH_DEPTH letters, so the Python stack stays shallow for any length.
+_PUSH_DEPTH = 512
+
+
 def _push(frame, word, a, memo):
+    """(word) * a as a dict word -> left coefficient, memoized per
+    (prefix of word, coefficient).
+
+    A word longer than _PUSH_DEPTH letters is first swept from its right
+    end, level by level, collecting the coefficients still to be pushed
+    through each prefix whose length is a multiple of _PUSH_DEPTH and
+    that the memo lacks.  Pushing those, shortest prefix first, fills the
+    memo, so the final push recurses through at most _PUSH_DEPTH letters.
+    """
+    if len(word) > _PUSH_DEPTH and (word, a) not in memo:
+        cuts = []
+        need = {a: None}
+        for k in range(len(word), _PUSH_DEPTH, -1):
+            i = word[k - 1] - 1
+            nxt = {}
+            for c in need:
+                for s in frame.sigma_at(c)[i]:
+                    if not s.is_zero():
+                        nxt[s] = None
+                d = frame.delta_at(c)[i]
+                if not d.is_zero():
+                    nxt[d] = None
+            need = nxt
+            if (k - 1) % _PUSH_DEPTH == 0:
+                prefix = word[:k - 1]
+                need = {c: None for c in need if (prefix, c) not in memo}
+                if not need:
+                    break
+                cuts.append((prefix, need))
+        for prefix, coeffs in reversed(cuts):
+            for c in coeffs:
+                _push_recursive(frame, prefix, c, memo)
+    return _push_recursive(frame, word, a, memo)
+
+
+def _push_recursive(frame, word, a, memo):
+    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)), recursing on m."""
     if a.is_zero():
         return {}
     if not word:
@@ -92,27 +134,25 @@ def _push(frame, word, a, memo):
     sig_row = frame.sigma_at(a)[i - 1]
     for j in range(frame.n):
         c = sig_row[j]
-        if c.is_zero():
-            continue
-        for w, coeff in _push(frame, prefix, c, memo).items():
-            wj = w + (j + 1,)
-            cur = out.get(wj)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero():
-                out.pop(wj, None)
-            else:
-                out[wj] = new
+        if not c.is_zero():
+            for w, coeff in _push_recursive(frame, prefix, c, memo).items():
+                _accumulate(out, w + (j + 1,), coeff)
     d = frame.delta_at(a)[i - 1]
     if not d.is_zero():
-        for w, coeff in _push(frame, prefix, d, memo).items():
-            cur = out.get(w)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
+        for w, coeff in _push_recursive(frame, prefix, d, memo).items():
+            _accumulate(out, w, coeff)
     memo[key] = out
     return out
+
+
+def _accumulate(terms, w, c):
+    """terms[w] += c, dropping the entry when the sum is zero."""
+    cur = terms.get(w)
+    new = c if cur is None else cur + c
+    if new.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = new
 
 
 class SkewPolynomial:
@@ -180,12 +220,7 @@ class SkewPolynomial:
             return NotImplemented
         out = dict(self.terms)
         for w, c in g.terms.items():
-            cur = out.get(w)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
+            _accumulate(out, w, c)
         return SkewPolynomial(self.frame, out)
 
     __radd__ = __add__
@@ -343,12 +378,5 @@ def mul(F, G):
     for mw, fc in F.terms.items():
         for nw, gc in G.terms.items():
             for w, c in _push(frame, mw, gc, memo).items():
-                full = w + nw
-                piece = fc * c
-                cur = out.get(full)
-                new = piece if cur is None else cur + piece
-                if new.is_zero():
-                    out.pop(full, None)
-                else:
-                    out[full] = new
+                _accumulate(out, w + nw, fc * c)
     return SkewPolynomial(frame, out)

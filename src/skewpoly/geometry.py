@@ -1,28 +1,37 @@
 """Zero-set geometry: P-closure, P-independence, P-bases and rank.
 
 A point b lies in the closure of a point set G when every skew
-polynomial vanishing on all of G also vanishes at b.  Membership is
-decided through skew Vandermonde matrices: b is independent from a
-P-independent set B exactly when appending b's column raises the rank
-of the Vandermonde built from monomials of degree <= #B.  That degree
-bound is the load-bearing fact of this module; the test suite checks
-it against a brute-force enumeration oracle on small fields before
-anything else relies on it.
+polynomial vanishing on all of G also vanishes at b.  Everything here
+is read off the image space V = {(F(b_1), ..., F(b_M))} of a point
+tuple, a left subspace of D^M: its dimension is the rank, and point k
+is independent from b_1..b_(k-1) exactly when projecting V onto the
+first k coordinates gains a dimension over the first k - 1, i.e. when
+k is a leading (first nonzero) coordinate of V's echelon form.
 
-Ranks and bases cost time exponential in the number of points when
-n > 1 (the monomial count explodes); this is inherent to the method
-and fine at desk scale.
+_image_pivots builds that echelon without Vandermonde matrices: V is
+the smallest left subspace holding the all-ones row (F = 1) and closed
+under the maps (x_i F)(b) = sum_j sigma_ij(F(b)) b_j + delta_i(F(b)),
+which the frame laws give.  This is the skew analogue of Moller and
+Buchberger's construction of polynomials with preassigned zeros; it
+reduces at most 1 + nM rows of length M.  vandermonde() stays as the
+independent verifier and as the certificate of find_p_basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import check_point, conjugate, fundamental_table
+from .evaluation import _extend, check_point, conjugate, fundamental_table
 from .freering import monomials_below
-from .linalg import Matrix, rank
+from .linalg import Matrix, echelon_insert
+
+# Work budgets, checked before any work is done (docs/wire_format.md).
+VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
+CLOSURE_POINT_LIMIT = 1 << 16      # q^n points enumerated by closure_members()
 
 
 def check_point_set(frame, points):
@@ -65,12 +74,23 @@ def vandermonde(frame, points, d):
 
     Rows run over the monomials of degree < d in the global monomial
     order, columns over the given points.  Row count is d for n = 1
-    and (n^d - 1)/(n - 1) otherwise.
+    and (n^d - 1)/(n - 1) otherwise; a matrix predicted to exceed
+    VANDERMONDE_CELL_LIMIT cells (rows x points) is refused unbuilt.
     """
     if d < 1:
         raise InvalidInput("degree bound must be >= 1")
     points = tuple(check_point(frame, p) for p in points)
-    monos = monomials_below(frame.n, d)
+    n = frame.n
+    # with n >= 2, 64 degrees already give more rows than any limit
+    nrows = d if n == 1 else (n ** min(d, 64) - 1) // (n - 1)
+    cells = nrows * max(len(points), 1)
+    if cells > VANDERMONDE_CELL_LIMIT:
+        size = cells if n == 1 or d <= 64 else f"more than {cells}"
+        raise InvalidInput(
+            f"a degree-{d} Vandermonde over {len(points)} points has {size} cells, "
+            f"over the limit of {VANDERMONDE_CELL_LIMIT}"
+        )
+    monos = monomials_below(n, d)
     tables = [fundamental_table(frame, p, d) for p in points]
     rows = [[t[m] for t in tables] for m in monos]
     if not points:
@@ -79,97 +99,122 @@ def vandermonde(frame, points, d):
 
 
 # ---------------------------------------------------------------------------
+# The image echelon
+# ---------------------------------------------------------------------------
+
+def _image_pivots(frame, points):
+    """Leading coordinates of the image space of the points, ascending.
+
+    These are the indices the greedy P-basis keeps, and their count is
+    the rank.  A FIFO worklist starts from the all-ones row (F = 1);
+    each row that enters the echelon queues its n images
+    phi_i(v)_k = sum_j sigma_ij(v_k) b_kj + delta_i(v_k), the values of
+    x_i F where v holds the values of F.
+    """
+    M = len(points)
+    if not M:
+        return ()
+    zero = frame.ring.zero()
+    span = {}
+    queue = deque([[frame.ring.one()] * M])
+    while queue and len(span) < M:
+        lead = echelon_insert(span, queue.popleft())
+        if lead is None:
+            continue
+        images = [[zero] * M for _ in range(frame.n)]
+        for k, (v, b) in enumerate(zip(span[lead], points)):
+            if not v.is_zero():
+                for i, x in enumerate(_extend(frame, v, b)):
+                    images[i][k] = x
+        queue.extend(images)
+    return tuple(sorted(span))
+
+
+# ---------------------------------------------------------------------------
 # Independence and bases
 # ---------------------------------------------------------------------------
 
 def is_p_independent_from(frame, b, base):
-    """Whether b lies outside the closure of the P-independent set base.
+    """Whether b lies outside the closure of the set base.
 
-    Decided by the rank jump of the Vandermonde with monomials of
-    degree <= #base; a separator of that degree exists exactly when b
-    is outside the closure.
+    True exactly when b's index leads in the image echelon of base
+    followed by b, i.e. appending b raises the rank.
     """
     b = check_point(frame, b)
     base = check_point_set(frame, base)
     if b in base:
         raise DuplicatePoint(f"{b!r} is already in the base set")
-    d = len(base) + 1
-    r_with = rank(vandermonde(frame, base + (b,), d))
-    r_without = rank(vandermonde(frame, base, d)) if base else 0
-    return r_with == r_without + 1
+    return len(base) in _image_pivots(frame, base + (b,))
 
 
 @dataclass
 class PBasisResult:
-    """Greedily extracted P-basis with its certifying Vandermonde."""
+    """Greedily extracted P-basis; its certifying Vandermonde is built on
+    first access."""
 
     basis: tuple
     rank: int
-    vandermonde: Matrix
     discarded: tuple
+    frame: object = field(repr=False, compare=False)
+
+    @cached_property
+    def vandermonde(self):
+        return vandermonde(self.frame, self.basis, max(self.rank, 1))
 
 
 def find_p_basis(frame, points):
     """Scan points in input order, keeping each one independent from the
     kept set; the kept set is a P-basis of the closure of the input."""
     points = check_point_set(frame, points)
-    kept = []
-    discarded = []
-    for p in points:
-        if is_p_independent_from(frame, p, kept):
-            kept.append(p)
-        else:
-            discarded.append(p)
-    cert = vandermonde(frame, kept, max(len(kept), 1))
-    return PBasisResult(
-        basis=tuple(kept), rank=len(kept), vandermonde=cert, discarded=tuple(discarded)
-    )
+    lead = set(_image_pivots(frame, points))
+    kept = tuple(p for k, p in enumerate(points) if k in lead)
+    discarded = tuple(p for k, p in enumerate(points) if k not in lead)
+    return PBasisResult(basis=kept, rank=len(kept), discarded=discarded, frame=frame)
 
 
 def rank_of(frame, points):
     """Rank of the closure of the given points."""
-    points = check_point_set(frame, points)
-    if not points:
-        return 0
-    return rank(vandermonde(frame, points, len(points)))
+    return len(_image_pivots(frame, check_point_set(frame, points)))
 
 
 def in_closure(frame, b, generators):
-    """Closure membership for arbitrary (possibly dependent) generators.
-
-    Reduces the generators to a P-basis first, then runs the rank test.
-    """
+    """Closure membership for arbitrary (possibly dependent) generators."""
     b = check_point(frame, b)
     generators = check_point_set(frame, generators)
     if b in generators:
         return True
-    basis = find_p_basis(frame, generators).basis
-    return not is_p_independent_from(frame, b, basis)
+    return len(generators) not in _image_pivots(frame, generators + (b,))
 
 
 def set_is_p_independent(frame, points):
     """Whether every point lies outside the closure of the others."""
     points = check_point_set(frame, points)
-    for i, p in enumerate(points):
-        rest = points[:i] + points[i + 1:]
-        if in_closure(frame, p, rest):
-            return False
-    return True
+    return len(_image_pivots(frame, points)) == len(points)
 
 
 def closure_members(frame, generators):
-    """All points of F^n in the closure of the generators (finite fields only)."""
+    """All points of F^n in the closure of the generators (finite fields only).
+
+    Enumerating more than CLOSURE_POINT_LIMIT points is refused before
+    the first one.
+    """
     generators = check_point_set(frame, generators)
     if not frame.ring.is_finite:
         raise NotFinite("closure enumeration needs a finite coefficient field")
     if not generators:
         return ()
+    count = frame.ring.size ** frame.n
+    if count > CLOSURE_POINT_LIMIT:
+        raise InvalidInput(
+            f"closure enumerates {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
+        )
     basis = find_p_basis(frame, generators).basis
-    out = []
-    for b in all_points(frame):
-        if b in basis or not is_p_independent_from(frame, b, basis):
-            out.append(b)
-    return tuple(out)
+    members = set(basis)
+    M = len(basis)
+    return tuple(
+        b for b in all_points(frame)
+        if b in members or M not in _image_pivots(frame, basis + (b,))
+    )
 
 
 def is_two_sided(frame, points):
@@ -273,27 +318,15 @@ def complementary_p_basis(frame, base, ambient):
 
     Returns the added points C: base and C are disjoint and their union
     is a P-basis of the closure of ambient.  Requires base itself to be
-    P-independent with closure inside the closure of ambient.
+    P-independent with closure inside the closure of ambient.  C is the
+    tail of the greedy P-basis of base followed by the rest of ambient.
     """
     base = check_point_set(frame, base)
     ambient = check_point_set(frame, ambient)
-    if not set_is_p_independent(frame, base):
+    rest = tuple(p for p in ambient if p not in base)
+    res = find_p_basis(frame, base + rest)
+    if res.basis[:len(base)] != base:
         raise InvalidInput("base set is not P-independent")
-    ambient_basis = find_p_basis(frame, ambient).basis
-    for b in base:
-        if b not in ambient_basis and is_p_independent_from(frame, b, ambient_basis):
-            raise InvalidInput("base set leaves the closure of the ambient set")
-    kept = list(base)
-    added = []
-    for p in ambient:
-        if p in kept:
-            continue
-        if is_p_independent_from(frame, p, kept):
-            kept.append(p)
-            added.append(p)
-    total = rank_of(frame, ambient)
-    if len(base) + len(added) != total:
-        raise InvalidInput(
-            f"rank split failed: {len(base)} + {len(added)} != {total}"
-        )
-    return tuple(added)
+    if res.rank != rank_of(frame, ambient):
+        raise InvalidInput("base set leaves the closure of the ambient set")
+    return res.basis[len(base):]

@@ -27,7 +27,7 @@ from .errors import (
 from .evaluation import evaluate, fundamental_table
 from .freering import from_terms, zero
 from .geometry import check_point_set, is_two_sided, vandermonde
-from .linalg import Matrix, left_null_space, rank, solve_left
+from .linalg import Matrix, echelon_insert, left_null_space, solve_left
 
 
 def separator(frame, base, b):
@@ -121,22 +121,18 @@ class DualPBasis:
 def independent_rows(A, order=None):
     """Indices of a maximal left-independent family of rows of A.
 
-    Scans rows in the given order (default: natural), keeping each row
-    that raises the rank of the kept stack.  Deterministic.
+    Scans rows in the given order (default: natural), reducing each
+    against an echelon of the rows kept so far and keeping it when it
+    leaves their span.  Deterministic.
     """
     if order is None:
         order = range(A.nrows)
     kept = []
-    kept_rows = []
-    r = 0
+    span = {}
     for idx in order:
-        cand = kept_rows + [A.rows[idx]]
-        new_rank = rank(Matrix(A.ring, cand))
-        if new_rank > r:
+        if echelon_insert(span, A.rows[idx]) is not None:
             kept.append(idx)
-            kept_rows = cand
-            r = new_rank
-            if r == A.ncols:
+            if len(kept) == A.ncols:
                 break
     return kept
 

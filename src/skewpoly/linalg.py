@@ -107,52 +107,95 @@ class ReducedForm:
     pivots: tuple
 
 
-def row_reduce_left(A):
-    """Reduced row echelon form of A under left row operations.
+def _eliminate(rows, ncols):
+    """Reduce rows in place to reduced row echelon form, pivoting only in
+    the first ncols columns, and return the pivot columns.
 
     Allowed moves: swap, row <- c * row (c nonzero), row_i <- row_i -
-    c * row_j, always with c applied on the left.  Returns the echelon
-    matrix, the accumulated transform, and the pivot column indices.
+    c * row_j, always with c applied on the left.  Entries past ncols
+    ride along, which is how row_reduce_left accumulates its transform.
     """
-    ring = A.ring
-    R = [list(r) for r in A.rows]
-    T = [list(r) for r in identity(ring, A.nrows).rows]
+    nrows = len(rows)
     pivots = []
     prow = 0
-    for col in range(A.ncols):
+    for col in range(ncols):
         src = None
-        for r in range(prow, A.nrows):
-            if not R[r][col].is_zero():
+        for r in range(prow, nrows):
+            if not rows[r][col].is_zero():
                 src = r
                 break
         if src is None:
             continue
         if src != prow:
-            R[src], R[prow] = R[prow], R[src]
-            T[src], T[prow] = T[prow], T[src]
-        c = R[prow][col].inv()
-        R[prow] = [c * x for x in R[prow]]
-        T[prow] = [c * x for x in T[prow]]
-        for r in range(A.nrows):
+            rows[src], rows[prow] = rows[prow], rows[src]
+        c = rows[prow][col].inv()
+        rows[prow] = [c * x for x in rows[prow]]
+        for r in range(nrows):
             if r == prow:
                 continue
-            f = R[r][col]
+            f = rows[r][col]
             if f.is_zero():
                 continue
-            R[r] = [x - f * y for x, y in zip(R[r], R[prow])]
-            T[r] = [x - f * y for x, y in zip(T[r], T[prow])]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[prow])]
         pivots.append(col)
         prow += 1
-        if prow == A.nrows:
+        if prow == nrows:
             break
-    return ReducedForm(R=Matrix(ring, R), T=Matrix(ring, T), pivots=tuple(pivots))
+    return tuple(pivots)
+
+
+def row_reduce_left(A):
+    """Reduced row echelon form of A under left row operations.
+
+    Runs the elimination on [A | I], so the right block ends as the
+    accumulated transform.  Returns the echelon matrix, the transform,
+    and the pivot column indices.
+    """
+    ring = A.ring
+    rows = [list(r) + list(e) for r, e in zip(A.rows, identity(ring, A.nrows).rows)]
+    pivots = _eliminate(rows, A.ncols)
+    return ReducedForm(
+        R=Matrix(ring, [r[:A.ncols] for r in rows]),
+        T=Matrix(ring, [r[A.ncols:] for r in rows]),
+        pivots=pivots,
+    )
 
 
 def rank(A):
-    """Number of pivots; over a division ring this is also the column rank."""
+    """Number of pivots; over a division ring this is also the column rank.
+
+    Eliminates A alone: no transform is built.
+    """
     if A.ncols == 0 or A.nrows == 0:
         return 0
-    return len(row_reduce_left(A).pivots)
+    return len(_eliminate([list(r) for r in A.rows], A.ncols))
+
+
+def echelon_insert(rows, vec):
+    """Grow a left span by vec.
+
+    rows maps each leading (first nonzero) column to the kept row that
+    has a 1 there, so len(rows) is the dimension of the span and the
+    leading columns are where its projections onto the first k columns
+    gain a dimension.  vec is reduced against the rows; if a nonzero
+    entry survives, the row scaled to 1 there is kept and its column
+    returned, else None (vec lies in the span).
+    """
+    v = list(vec)
+    for k in range(len(v)):
+        x = v[k]
+        if x.is_zero():
+            continue
+        row = rows.get(k)
+        if row is None:
+            c = x.inv()
+            rows[k] = [c * y for y in v]
+            return k
+        for j in range(k, len(v)):
+            y = row[j]
+            if not y.is_zero():
+                v[j] = v[j] - x * y
+    return None
 
 
 def left_null_space(A):

@@ -24,6 +24,14 @@ polynomials modulo the field's modulus; additive maps applied as their
 matrix acting on the coefficient vector; and the frame laws checked on
 every pair of field elements with that arithmetic.
 
+The module also keeps the Vandermonde-rank procedures that the
+library's image-echelon engine replaced: the two-rank independence test
+(b leaves the closure of base when appending its column raises the rank
+of the Vandermonde of degree #base + 1), the greedy P-basis, rank and
+closure built on it, and the dependent-row scan that re-ranks the kept
+stack for every candidate row.  They use the library's vandermonde()
+and rank(), and work over any division ring.
+
 For the rational quaternions the module also keeps the reference
 semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
 expressions over quaternions written as 4-tuples of ``Fraction`` parts,
@@ -35,7 +43,7 @@ common denominator; neither representation is used here.
 from fractions import Fraction
 from itertools import product
 
-from skewpoly import divide, monomial, monomials_below
+from skewpoly import Matrix, all_points, divide, monomial, monomials_below, rank, vandermonde
 
 
 def monomial_values_by_division(frame, words, points, cache=None):
@@ -293,3 +301,59 @@ def quat_map_reference(m, a):
     for sub in reversed(m.maps):
         a = quat_map_reference(sub, a)
     return a
+
+
+# ---------------------------------------------------------------------------
+# Vandermonde-rank references for the geometry engine
+# ---------------------------------------------------------------------------
+
+def is_p_independent_reference(frame, b, base):
+    """Whether appending b's column raises the rank of the Vandermonde of
+    degree #base + 1 over base."""
+    base = tuple(base)
+    d = len(base) + 1
+    r_with = rank(vandermonde(frame, base + (b,), d))
+    r_without = rank(vandermonde(frame, base, d)) if base else 0
+    return r_with == r_without + 1
+
+
+def find_p_basis_reference(frame, points):
+    """(basis, discarded) of the greedy scan in input order."""
+    kept, discarded = [], []
+    for p in points:
+        (kept if is_p_independent_reference(frame, p, kept) else discarded).append(p)
+    return tuple(kept), tuple(discarded)
+
+
+def rank_reference(frame, points):
+    """Rank of the Vandermonde of degree #points over the points."""
+    points = tuple(points)
+    return rank(vandermonde(frame, points, len(points))) if points else 0
+
+
+def closure_reference(frame, generators):
+    """Points of F^n not independent from the reference basis of the generators."""
+    if not generators:
+        return ()
+    basis = find_p_basis_reference(frame, generators)[0]
+    return tuple(
+        b for b in all_points(frame)
+        if b in basis or not is_p_independent_reference(frame, b, basis)
+    )
+
+
+def independent_rows_reference(A, order=None):
+    """Row indices kept by a scan that re-ranks the kept stack plus each
+    candidate row, keeping the row when the rank grows."""
+    if order is None:
+        order = range(A.nrows)
+    kept, kept_rows, r = [], [], 0
+    for idx in order:
+        cand = kept_rows + [A.rows[idx]]
+        new_rank = rank(Matrix(A.ring, cand))
+        if new_rank > r:
+            kept.append(idx)
+            kept_rows, r = cand, new_rank
+            if r == A.ncols:
+                break
+    return kept

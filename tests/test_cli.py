@@ -302,6 +302,38 @@ def test_long_word_eval_answers_with_one_json_line():
     assert out == {"value": gf9.element_to_json(want)}
 
 
+def test_long_word_mul_answers_with_one_json_line():
+    # 3000 letters: deeper than the default recursion limit
+    gf9 = FiniteField(3, 2)
+    frame = frobenius_frame(gf9, 2)
+    rng = random.Random(3000)
+    word = [rng.randint(1, 2) for _ in range(3000)]
+    job = {"ring": gf9.spec_to_json(), "frame": frame.to_json(),
+           "f": [{"monomial": word, "coeff": [1, 0]}],
+           "g": [{"monomial": [2], "coeff": [0, 1]}]}
+    code, out, text = invoke(["mul"], job)
+    assert code == 0 and len(text.splitlines()) == 1
+    # t passes 3000 Frobenius twists a -> a^3, whose order on GF(9) is 2
+    assert out == {"product": [{"monomial": word + [2], "coeff": [0, 1]}]}
+
+
+def test_oversized_work_is_refused_before_it_starts():
+    gf5_points = [[0, 0], [1, 2], [3, 4]]
+    gf65536 = json.loads((DATA / "gf65536_job.json").read_text())
+    cases = (
+        # (2^40 - 1) rows x 3 points
+        (["vandermonde"], gf5_job(points=gf5_points, degree=40), "3298534883325"),
+        # 65536^2 points
+        (["closure"], gf65536, "4294967296"),
+    )
+    for argv, job, size in cases:
+        start = time.perf_counter()
+        code, out, text = invoke(argv, job)
+        assert time.perf_counter() - start < 5
+        _one_error_line(text, code, want_code=1, want_error="InvalidInput")
+        assert size in out["message"]
+
+
 def test_huge_field_specs_exit_at_once():
     job = gf5_job(f=[{"monomial": [1], "coeff": 1}], point=[2, 3])
     # the last spec must not reach 0 ** -1, which raises ZeroDivisionError

@@ -6,6 +6,8 @@ random inputs exercises both the product formula and associativity of
 the expansion order.
 """
 
+import sys
+
 import pytest
 
 from skewpoly import (
@@ -15,7 +17,9 @@ from skewpoly import (
     ZeroPolynomial,
     constant,
     conventional_frame,
+    frobenius_frame,
     from_terms,
+    inner_frame,
     mono_key,
     monomial,
     mul,
@@ -25,6 +29,8 @@ from skewpoly import (
     variable,
     zero,
 )
+from skewpoly import freering
+from skewpoly.freering import word_times_constant
 from conftest import random_nonzero_poly, random_point, random_poly
 
 
@@ -166,6 +172,48 @@ def test_reference_mul_agrees(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, 
             F = random_poly(frame, rng, max_deg=3, max_terms=3)
             G = random_poly(frame, rng, max_deg=3, max_terms=3)
             assert mul(F, G) == reference_mul(F, G)
+
+
+def test_pushes_through_cut_words_match_reference(frob_gf9_2, quat_inner_2, rng, monkeypatch):
+    # cutting every 2 letters runs the sweep that keeps long words off the
+    # Python stack; prefixes longest first with one memo, as division does
+    monkeypatch.setattr(freering, "_PUSH_DEPTH", 2)
+    for frame in (frob_gf9_2, quat_inner_2):
+        memo = {}
+        word = tuple(rng.randint(1, 2) for _ in range(8))
+        for k in range(len(word), -1, -1):
+            a = random_point(frame, rng)[0]
+            got = word_times_constant(frame, word[:k], a, memo)
+            assert got == ref_word_times_constant(frame, word[:k], a)
+
+
+def test_cut_words_keep_the_stack_shallow(gf9, monkeypatch):
+    # Frobenius twist and an inner derivation over GF(9), one variable: each
+    # letter both keeps x (sigma) and drops it (delta), so prefixes are
+    # reached with several coefficients and the sweep must collect them all
+    frame = inner_frame(gf9, frobenius_frame(gf9, 1), (gf9.gen() + gf9.one(),))
+    monkeypatch.setattr(freering, "_PUSH_DEPTH", 8)
+    word, a = (1,) * 60, gf9.gen()
+    code = freering._push_recursive.__code__
+    depth = [0, 0]  # current and deepest nesting of the recursive push
+
+    def profile(f, event, arg):
+        if f.f_code is code:
+            if event == "call":
+                depth[0] += 1
+                depth[1] = max(depth)
+            elif event == "return":
+                depth[0] -= 1
+
+    sys.setprofile(profile)
+    try:
+        got = word_times_constant(frame, word, a)
+    finally:
+        sys.setprofile(None)
+    assert got == ref_word_times_constant(frame, word, a)
+    assert len(got) > 2
+    # one piece of 8 letters plus the call that finds the next prefix memoized
+    assert depth[1] <= 9
 
 
 def test_degree_additivity(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, rng):

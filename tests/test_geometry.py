@@ -1,8 +1,12 @@
 """P-closure geometry against the brute-force membership oracles."""
 
+import random
+import time
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewpoly import (
     DuplicatePoint,
@@ -11,6 +15,7 @@ from skewpoly import (
     all_points,
     closure_members,
     complementary_p_basis,
+    conjugate,
     conventional_frame,
     find_p_basis,
     frobenius_frame,
@@ -22,10 +27,19 @@ from skewpoly import (
     monomials_below,
     rank,
     rank_of,
+    row_reduce_left,
     set_is_p_independent,
     vandermonde,
 )
-from oracles import in_closure_bruteforce, separator_exists_literal
+from oracles import (
+    closure_reference,
+    find_p_basis_reference,
+    in_closure_bruteforce,
+    is_p_independent_reference,
+    rank_reference,
+    separator_exists_literal,
+    span_dimension_on,
+)
 
 
 @pytest.fixture(scope="module")
@@ -376,3 +390,125 @@ def test_complement_rejects_base_outside_ambient_closure(conv_gf3_2, gf3):
     outside_base = ((gf3(1), gf3(1)),)
     with pytest.raises(InvalidInput):
         complementary_p_basis(conv_gf3_2, outside_base, inside)
+
+
+# ---------------------------------------------------------------------------
+# The image echelon against the Vandermonde references
+# ---------------------------------------------------------------------------
+
+def _seeded_set(frame, rng, size):
+    """Distinct random points, most of them twisted conjugates of earlier
+    ones: a conjugacy class is where closures grow past their generators
+    (conjugates coincide in the conventional frames)."""
+    from conftest import random_point
+
+    pts = []
+    while len(pts) < size:
+        if pts and rng.random() < 0.75:
+            p = conjugate(frame, rng.choice(pts), frame.ring.random_nonzero(rng))
+        else:
+            p = random_point(frame, rng)
+        if p not in pts:
+            pts.append(p)
+    return tuple(pts)
+
+
+ENGINE_FRAMES = (
+    # fixture, set sizes, seeded sets
+    ("conv_gf2_2", (2, 3, 4), 12),
+    ("conv_gf3_2", (2, 3, 4, 5), 12),
+    ("frob_gf4_1", (2, 3, 4), 12),
+    ("conv_gf5_2", (3, 4, 5), 8),
+    ("frob_gf4_2", (3, 4, 5, 6), 12),
+    ("frob_gf9_2", (3, 4, 5), 8),
+    ("quat_inner_2", (3, 4, 5), 10),
+)
+
+
+@pytest.mark.parametrize("name, sizes, count", ENGINE_FRAMES)
+def test_engine_matches_vandermonde_references(name, sizes, count, request):
+    frame = request.getfixturevalue(name)
+    rng = random.Random(f"engine-{name}")
+    for _ in range(count):
+        pts = _seeded_set(frame, rng, rng.choice(sizes))
+        probe = _seeded_set(frame, rng, 1)[0]
+        if rng.random() < 0.5:
+            probe = conjugate(frame, rng.choice(pts), frame.ring.random_nonzero(rng))
+        res = find_p_basis(frame, pts)
+        assert (res.basis, res.discarded) == find_p_basis_reference(frame, pts), pts
+        assert rank_of(frame, pts) == res.rank == rank_reference(frame, pts)
+        # the leading positions are the pivot columns of the Vandermonde
+        kept = tuple(k for k, p in enumerate(pts) if p in res.basis)
+        assert row_reduce_left(vandermonde(frame, pts, len(pts))).pivots == kept
+        if probe not in pts:
+            assert is_p_independent_from(frame, probe, pts) == is_p_independent_reference(
+                frame, probe, pts
+            )
+            assert in_closure(frame, probe, pts) != is_p_independent_reference(frame, probe, pts)
+
+
+@pytest.mark.parametrize("name", ["conv_gf2_2", "frob_gf4_1", "conv_gf5_2", "frob_gf4_2",
+                                  "frob_gf9_2"])
+def test_engine_closure_matches_reference(name, request):
+    frame = request.getfixturevalue(name)
+    rng = random.Random(f"closure-{name}")
+    for size in (1, 2, 3):
+        gens = _seeded_set(frame, rng, size)
+        assert closure_members(frame, gens) == closure_reference(frame, gens), gens
+
+
+def test_readme_full_plane_p_basis_rank_eleven(frob_gf4_2):
+    # the README quick tour; the Vandermonde-rank procedures gave no result
+    # within minutes.  The rank and the kept indices match the pivot columns
+    # of the degree-12 Vandermonde (rank 11 < 12, so the rank is final).
+    pts = list(all_points(frob_gf4_2))
+    start = time.perf_counter()
+    res = find_p_basis(frob_gf4_2, pts)
+    elapsed = time.perf_counter() - start
+    assert res.rank == 11
+    assert [pts.index(p) for p in res.basis] == [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert elapsed < 1
+
+
+def test_pbasis_certificate_is_built_on_first_access(frob_gf4_1, gf4):
+    one, w = gf4.one(), gf4.gen()
+    res = find_p_basis(frob_gf4_1, ((one,), (w,), (w * w,)))
+    assert "vandermonde" not in vars(res)
+    V = res.vandermonde
+    assert V is res.vandermonde
+    assert V == vandermonde(frob_gf4_1, res.basis, 2)
+
+
+_SMALL_FRAMES = {}
+
+
+def _small_frame(key):
+    """Conventional GF(2)^2 and GF(3)^2, Frobenius GF(4)^1 and GF(4)^2."""
+    if key not in _SMALL_FRAMES:
+        from skewpoly import FiniteField
+
+        build = {
+            "conv-gf2-2": lambda: conventional_frame(FiniteField(2), 2),
+            "conv-gf3-2": lambda: conventional_frame(FiniteField(3), 2),
+            "frob-gf4-1": lambda: frobenius_frame(FiniteField(2, 2), 1),
+            "frob-gf4-2": lambda: frobenius_frame(FiniteField(2, 2), 2),
+        }[key]
+        frame = build()
+        _SMALL_FRAMES[key] = (frame, list(all_points(frame)), {})
+    return _SMALL_FRAMES[key]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    key=st.sampled_from(["conv-gf2-2", "conv-gf3-2", "frob-gf4-1", "frob-gf4-2"]),
+    picks=st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
+)
+def test_engine_matches_bruteforce_span_oracle(key, picks):
+    frame, plane, cache = _small_frame(key)
+    idx = list(dict.fromkeys(i % len(plane) for i in picks))
+    if len(idx) < 2:
+        return
+    gens, probe = tuple(plane[i] for i in idx[:-1]), plane[idx[-1]]
+    assert in_closure(frame, probe, gens) == in_closure_bruteforce(frame, probe, gens, cache=cache)
+    pts = gens + (probe,)
+    assert rank_of(frame, pts) == span_dimension_on(frame, pts, len(pts) - 1, cache=cache)

@@ -1,5 +1,7 @@
 """Separators, both interpolation paths, dual bases and quotient classes."""
 
+import random
+
 import pytest
 
 from skewpoly import (
@@ -23,10 +25,14 @@ from skewpoly import (
     reduce_mod_ideal,
     separator,
     variable,
+    vandermonde,
     zero,
 )
 from skewpoly.freering import count_monomials_below
+from skewpoly.interpolation import independent_rows
+from skewpoly.linalg import Matrix
 from conftest import random_point, random_poly
+from oracles import independent_rows_reference
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +242,28 @@ def test_different_pivot_choices_same_functions(frob_gf4_1, gf4, rng):
     for F1, F2 in zip(d1.duals, d2.duals):
         for p in closure:
             assert evaluate(F1, p) == evaluate(F2, p)
+
+
+def test_independent_rows_matches_rerank_reference(frob_gf4_2, frob_gf9_2, quat_inner_2, gf5):
+    rng = random.Random("independent-rows")
+    cases = []
+    for frame, M in ((frob_gf4_2, 5), (frob_gf9_2, 4), (quat_inner_2, 3)):
+        for _ in range(4):
+            pts = []
+            while len(pts) < M:
+                p = random_point(frame, rng)
+                if p not in pts:
+                    pts.append(p)
+            cases.append(vandermonde(frame, pts, M))
+    for _ in range(10):
+        # repeated and combined rows, so some rows are dependent
+        rows = [[gf5.random_element(rng) for _ in range(4)] for _ in range(3)]
+        rows += [[a + gf5(2) * b for a, b in zip(rows[0], rows[1])], rows[2], rows[0]]
+        rng.shuffle(rows)
+        cases.append(Matrix(gf5, rows))
+    for A in cases:
+        for order in (None, range(A.nrows - 1, -1, -1)):
+            assert independent_rows(A, order) == independent_rows_reference(A, order)
 
 
 # ---------------------------------------------------------------------------
