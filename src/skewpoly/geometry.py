@@ -8,13 +8,20 @@ is independent from b_1..b_(k-1) exactly when projecting V onto the
 first k coordinates gains a dimension over the first k - 1, i.e. when
 k is a leading (first nonzero) coordinate of V's echelon form.
 
-_image_pivots builds that echelon without Vandermonde matrices: V is
+_image_echelon builds that echelon without Vandermonde matrices: V is
 the smallest left subspace holding the all-ones row (F = 1) and closed
 under the maps (x_i F)(b) = sum_j sigma_ij(F(b)) b_j + delta_i(F(b)),
 which the frame laws give.  This is the skew analogue of Moller and
 Buchberger's construction of polynomials with preassigned zeros; it
-reduces at most 1 + nM rows of length M.  vandermonde() stays as the
-independent verifier and as the certificate of find_p_basis.
+reduces at most 1 + nM rows of length M.  The monomials whose rows
+enter the echelon are the standard monomials, the rows that
+independent_rows keeps in the Vandermonde of degree M.  Over a P-basis
+their values form an invertible square S; the rows of T = S^-1 are the
+dual polynomials, and the border relations x_i s - (values of x_i s) T,
+one per non-standard x_i s with s standard, generate the polynomials
+vanishing on the basis, so closure membership is their vanishing.
+vandermonde() stays as the independent verifier and as the certificate
+of find_p_basis.
 """
 
 from __future__ import annotations
@@ -27,11 +34,12 @@ from itertools import product as _cartesian
 from .errors import DuplicatePoint, InvalidInput, NotFinite
 from .evaluation import _extend, check_point, conjugate, fundamental_table
 from .freering import monomials_below
-from .linalg import Matrix, echelon_insert
+from .linalg import Matrix, echelon_insert, left_apply, row_reduce_left
 
 # Work budgets, checked before any work is done (docs/wire_format.md).
 VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
 CLOSURE_POINT_LIMIT = 1 << 16      # q^n points enumerated by closure_members()
+IMAGE_WORK_LIMIT = 1 << 25         # predicted n * M^3 of the image echelon of M points
 
 
 def check_point_set(frame, points):
@@ -102,32 +110,66 @@ def vandermonde(frame, points, d):
 # The image echelon
 # ---------------------------------------------------------------------------
 
-def _image_pivots(frame, points):
-    """Leading coordinates of the image space of the points, ascending.
+def _image_echelon(frame, points):
+    """Leading coordinates of the image space of the points, ascending,
+    and its standard monomials, in the global monomial order.
 
-    These are the indices the greedy P-basis keeps, and their count is
-    the rank.  A FIFO worklist starts from the all-ones row (F = 1);
-    each row that enters the echelon queues its n images
-    phi_i(v)_k = sum_j sigma_ij(v_k) b_kj + delta_i(v_k), the values of
-    x_i F where v holds the values of F.
+    The leading coordinates are the indices the greedy P-basis keeps, and
+    their count is the rank.  A FIFO worklist starts from the all-ones
+    row, labelled by the monomial 1; each row kept for a monomial m
+    queues, for every i, the label x_i m with the coordinatewise image
+    phi_i(v)_k = sum_j sigma_ij(v_k) b_kj + delta_i(v_k) of the reduced
+    row v before it is scaled.  phi_i(v) is congruent to the values of
+    x_i m modulo the rows already seen, and FIFO order is the global
+    order, so the kept labels are the rows that independent_rows keeps in
+    the Vandermonde.  (phi_i of a scaled row c v mixes in phi_j(v) for
+    every j with sigma_ij(c) != 0.)  More than IMAGE_WORK_LIMIT
+    predicted n * M^3 ring operations are refused before the first row.
     """
     M = len(points)
+    work = frame.n * M ** 3
+    if work > IMAGE_WORK_LIMIT:
+        raise InvalidInput(
+            f"the image echelon of {M} points in {frame.n} variables predicts {work} "
+            f"ring operations (n * M^3), over the limit of {IMAGE_WORK_LIMIT}"
+        )
     if not M:
-        return ()
+        return (), ()
     zero = frame.ring.zero()
     span = {}
-    queue = deque([[frame.ring.one()] * M])
+    standard = []
+    queue = deque([((), [frame.ring.one()] * M)])
     while queue and len(span) < M:
-        lead = echelon_insert(span, queue.popleft())
-        if lead is None:
+        word, row = queue.popleft()
+        v = echelon_insert(span, row)
+        if v is None:
             continue
+        standard.append(word)
         images = [[zero] * M for _ in range(frame.n)]
-        for k, (v, b) in enumerate(zip(span[lead], points)):
-            if not v.is_zero():
-                for i, x in enumerate(_extend(frame, v, b)):
-                    images[i][k] = x
-        queue.extend(images)
-    return tuple(sorted(span))
+        for k, (x, b) in enumerate(zip(v, points)):
+            if not x.is_zero():
+                for i, y in enumerate(_extend(frame, x, b)):
+                    images[i][k] = y
+        queue.extend(((i + 1,) + word, image) for i, image in enumerate(images))
+    return tuple(sorted(span)), tuple(standard)
+
+
+def _value_rows(frame, standard, points):
+    """Values (N_w(b_1), ..., N_w(b_M)) of the standard monomials w and of
+    every x_i s with s standard, each from the row of its tail."""
+    rows = {(): [frame.ring.one()] * len(points)}
+    for s in standard:
+        ext = [_extend(frame, v, b) for v, b in zip(rows[s], points)]
+        for i in range(frame.n):
+            rows[(i + 1,) + s] = [e[i] for e in ext]
+    return rows
+
+
+def _inverse_square(frame, monos, rows):
+    """T = S^-1 for the square S of the value rows of monos at P-independent
+    points: row i of T holds the coefficients, on monos, of the polynomial
+    that is 1 at point i and 0 at the others."""
+    return row_reduce_left(Matrix(frame.ring, [rows[m] for m in monos])).T
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +186,7 @@ def is_p_independent_from(frame, b, base):
     base = check_point_set(frame, base)
     if b in base:
         raise DuplicatePoint(f"{b!r} is already in the base set")
-    return len(base) in _image_pivots(frame, base + (b,))
+    return len(base) in _image_echelon(frame, base + (b,))[0]
 
 
 @dataclass
@@ -166,7 +208,7 @@ def find_p_basis(frame, points):
     """Scan points in input order, keeping each one independent from the
     kept set; the kept set is a P-basis of the closure of the input."""
     points = check_point_set(frame, points)
-    lead = set(_image_pivots(frame, points))
+    lead = set(_image_echelon(frame, points)[0])
     kept = tuple(p for k, p in enumerate(points) if k in lead)
     discarded = tuple(p for k, p in enumerate(points) if k not in lead)
     return PBasisResult(basis=kept, rank=len(kept), discarded=discarded, frame=frame)
@@ -174,7 +216,7 @@ def find_p_basis(frame, points):
 
 def rank_of(frame, points):
     """Rank of the closure of the given points."""
-    return len(_image_pivots(frame, check_point_set(frame, points)))
+    return len(_image_echelon(frame, check_point_set(frame, points))[0])
 
 
 def in_closure(frame, b, generators):
@@ -183,20 +225,21 @@ def in_closure(frame, b, generators):
     generators = check_point_set(frame, generators)
     if b in generators:
         return True
-    return len(generators) not in _image_pivots(frame, generators + (b,))
+    return len(generators) not in _image_echelon(frame, generators + (b,))[0]
 
 
 def set_is_p_independent(frame, points):
     """Whether every point lies outside the closure of the others."""
     points = check_point_set(frame, points)
-    return len(_image_pivots(frame, points)) == len(points)
+    return len(_image_echelon(frame, points)[0]) == len(points)
 
 
 def closure_members(frame, generators):
     """All points of F^n in the closure of the generators (finite fields only).
 
-    Enumerating more than CLOSURE_POINT_LIMIT points is refused before
-    the first one.
+    The points where every border relation of a P-basis of the
+    generators vanishes.  Enumerating more than CLOSURE_POINT_LIMIT
+    points is refused before the first one.
     """
     generators = check_point_set(frame, generators)
     if not frame.ring.is_finite:
@@ -208,13 +251,25 @@ def closure_members(frame, generators):
         raise InvalidInput(
             f"closure enumerates {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
         )
-    basis = find_p_basis(frame, generators).basis
-    members = set(basis)
-    M = len(basis)
-    return tuple(
-        b for b in all_points(frame)
-        if b in members or M not in _image_pivots(frame, basis + (b,))
-    )
+    # the generators and their P-basis share the standard monomials
+    lead, standard = _image_echelon(frame, generators)
+    rows = _value_rows(frame, standard, tuple(generators[k] for k in lead))
+    T = _inverse_square(frame, standard, rows)
+    is_standard = set(standard)
+    relations = [(w, left_apply(row, T)) for w, row in rows.items() if w not in is_standard]
+    zero = frame.ring.zero()
+
+    def vanish(b):
+        values = _value_rows(frame, standard, (b,))
+        for w, coeffs in relations:
+            acc = zero
+            for c, s in zip(coeffs, standard):
+                acc = acc + c * values[s][0]
+            if acc != values[w][0]:
+                return False
+        return True
+
+    return tuple(b for b in all_points(frame) if vanish(b))
 
 
 def is_two_sided(frame, points):

@@ -1,16 +1,19 @@
 """Separators, Lagrange interpolation, dual P-bases and quotient classes.
 
-Interpolants over a P-basis of M points always exist with degree below
-M, but are not unique (the Vandermonde system is non-square), so the
-two construction paths here only promise equal *evaluations*:
+Over a P-basis b_1..b_M the image echelon of geometry.py names M
+standard monomials whose values at the points form an invertible square
+S.  Row i of T = S^-1 holds the coefficients of the dual polynomial F_i
+(F_i(b_j) = 1 when i = j and 0 otherwise), the only one supported on
+the standard monomials; the interpolant of the values is values * T,
+and a separator of a base set against a point b is the last dual of a
+P-basis of the base followed by b.  All of them have degree < M.
 
-* the Newton path grows the interpolant one point at a time through
-  separator polynomials,
-* the Vandermonde path solves the left linear system of coefficients
-  directly.
-
-Coefficient-level comparisons between the two are meaningless and the
-tests never make them.
+Polynomials of degree < M with given values are not unique (the
+Vandermonde of degree M has more rows than columns), so the verifiers
+here, lagrange_via_vandermonde (the left linear system over every
+monomial of degree < M) and dual_p_basis with a row_order (the square
+picked from the Vandermonde rows in that order), only promise equal
+*evaluations* on the closure.
 """
 
 from __future__ import annotations
@@ -24,45 +27,42 @@ from .errors import (
     NotPIndependent,
     NotSeparable,
 )
-from .evaluation import evaluate, fundamental_table
+from .evaluation import check_point, evaluate
 from .freering import from_terms, zero
-from .geometry import check_point_set, is_two_sided, vandermonde
-from .linalg import Matrix, echelon_insert, left_null_space, solve_left
+from .geometry import (
+    _image_echelon,
+    _inverse_square,
+    _value_rows,
+    check_point_set,
+    find_p_basis,
+    is_two_sided,
+    vandermonde,
+)
+from .linalg import echelon_insert, left_apply, solve_left
 
 
 def separator(frame, base, b):
     """A polynomial vanishing on base but not at b, of degree <= #base.
 
-    Found as a left null vector of the Vandermonde over base (its null
-    vectors are exactly the coefficient vectors of degree <= #base
-    vanishing on base) whose pairing with b's column is nonzero.
+    The last dual of a P-basis of base followed by b: it is 1 at b and
+    vanishes on the basis, hence on its closure, which holds base.
     """
     base = check_point_set(frame, base)
-    from .evaluation import check_point
-
     b = check_point(frame, b)
-    if not base:
-        from .freering import one
-
-        return one(frame)
-    d = len(base) + 1
-    V = vandermonde(frame, base, d)
-    col = [fundamental_table(frame, b, d)[m] for m in V.row_labels]
-    for lam in left_null_space(V):
-        pair = frame.ring.zero()
-        for l, x in zip(lam, col):
-            pair = pair + l * x
-        if not pair.is_zero():
-            return from_terms(frame, zip(V.row_labels, lam))
+    if b not in base:
+        try:
+            return dual_p_basis(frame, find_p_basis(frame, base).basis + (b,)).duals[-1]
+        except NotPIndependent:
+            pass
     raise NotSeparable(f"{b!r} lies in the closure of the base set")
 
 
 def lagrange_interpolate(frame, basis, values):
-    """Newton-style interpolant: F(b_i) = values[i], degree < #basis.
+    """Interpolant F(b_i) = values[i] of degree < #basis.
 
-    Builds the answer incrementally; step i+1 adds a left multiple of a
-    separator of the first i points against point i+1, which fixes the
-    new value without disturbing the settled ones.
+    F = values * T, the left combination of the duals with the values:
+    the only interpolant supported on the standard monomials.  This is
+    the CLI's `newton` method (the name predates the construction).
     """
     basis = check_point_set(frame, basis)
     values = tuple(values)
@@ -70,20 +70,12 @@ def lagrange_interpolate(frame, basis, values):
         raise InvalidInput("need exactly one value per basis point")
     if not basis:
         return zero(frame)
-    from .freering import constant
-
-    F = constant(frame, values[0])
-    for i in range(1, len(basis)):
-        try:
-            G = separator(frame, basis[:i], basis[i])
-        except NotSeparable as exc:
-            raise NotPIndependent(
-                f"point {i + 1} lies in the closure of its predecessors"
-            ) from exc
-        g_val = evaluate(G, basis[i])
-        corr = (values[i] - evaluate(F, basis[i])) * g_val.inv()
-        F = F + G.scale_left(corr)
-    return F
+    lead, standard = _image_echelon(frame, basis)
+    if len(lead) < len(basis):
+        k = min(set(range(len(basis))) - set(lead))
+        raise NotPIndependent(f"point {k + 1} lies in the closure of its predecessors")
+    T = _inverse_square(frame, standard, _value_rows(frame, standard, basis))
+    return from_terms(frame, zip(standard, left_apply(values, T)))
 
 
 def lagrange_via_vandermonde(frame, basis, values):
@@ -140,28 +132,30 @@ def independent_rows(A, order=None):
 def dual_p_basis(frame, basis, row_order=None):
     """Dual family of a P-basis, each dual of degree < #basis.
 
-    Picks #basis monomial rows of the Vandermonde forming an invertible
-    square [via greedy left elimination in row_order], then solves one
-    unit-vector system per basis point.  Different row_order choices
-    give different duals defining the same functions on the closure.
+    The rows of T = S^-1, S the square of values at the basis of #basis
+    monomials: by default the standard monomials.  Given a row_order, the
+    verifier path reads S off the Vandermonde instead, keeping rows by
+    greedy left elimination in row_order.  Different squares give
+    different duals defining the same functions on the closure; the
+    natural row order keeps the standard monomials and so gives the
+    default duals.
     """
     basis = check_point_set(frame, basis)
     M = len(basis)
     if M == 0:
         return DualPBasis(basis=(), duals=())
-    V = vandermonde(frame, basis, M)
-    chosen = independent_rows(V, order=row_order)
-    if len(chosen) != M:
+    if row_order is None:
+        monos = _image_echelon(frame, basis)[1]
+        rows = _value_rows(frame, monos, basis)
+    else:
+        V = vandermonde(frame, basis, M)
+        monos = [V.row_labels[i] for i in independent_rows(V, order=row_order)]
+        rows = dict(zip(V.row_labels, V.rows))
+    if len(monos) != M:
         raise NotPIndependent("Vandermonde rank below #basis: points are P-dependent")
-    sub = Matrix(frame.ring, [V.rows[i] for i in chosen])
-    monos = [V.row_labels[i] for i in chosen]
-    ring = frame.ring
-    duals = []
-    for i in range(M):
-        unit = [ring.one() if j == i else ring.zero() for j in range(M)]
-        lam = solve_left(sub, unit)
-        duals.append(from_terms(frame, zip(monos, lam)))
-    return DualPBasis(basis=basis, duals=tuple(duals))
+    T = _inverse_square(frame, monos, rows)
+    duals = tuple(from_terms(frame, zip(monos, row)) for row in T.rows)
+    return DualPBasis(basis=basis, duals=duals)
 
 
 @dataclass

@@ -178,8 +178,9 @@ def echelon_insert(rows, vec):
     has a 1 there, so len(rows) is the dimension of the span and the
     leading columns are where its projections onto the first k columns
     gain a dimension.  vec is reduced against the rows; if a nonzero
-    entry survives, the row scaled to 1 there is kept and its column
-    returned, else None (vec lies in the span).
+    entry survives, the row scaled to 1 there is kept and the reduced
+    row is returned as it was before scaling, else None (vec lies in the
+    span).
     """
     v = list(vec)
     for k in range(len(v)):
@@ -190,7 +191,7 @@ def echelon_insert(rows, vec):
         if row is None:
             c = x.inv()
             rows[k] = [c * y for y in v]
-            return k
+            return v
         for j in range(k, len(v)):
             y = row[j]
             if not y.is_zero():

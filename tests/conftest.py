@@ -5,13 +5,14 @@ import pytest
 from skewpoly import (
     FiniteField,
     QuaternionRing,
+    conjugate,
     conventional_frame,
     frobenius_frame,
     from_terms,
     inner_frame,
     monomials_below,
 )
-from skewpoly.frames import QuatMap
+from skewpoly.frames import LinearMap, QuatMap
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +76,36 @@ def quat_inner_2(quat):
     return inner_frame(quat, sigma, beta)
 
 
+def _nondiagonal_gf8(with_delta):
+    """sigma(a) = P diag(a^2, a^4) P^-1 over GF(8), so every sigma_ij is
+    nonzero; delta is inner, delta(a) = sigma(a) beta - beta a, or zero."""
+    gf8 = FiniteField(2, 3)
+    w, one = gf8.gen(), gf8.one()
+    P = ((one, w), (one, one + w))
+    P_inv = ((one + w, w), (one, one))  # det P = 1 in characteristic 2
+    twists = (lambda a: a ** 2, lambda a: a ** 4)
+
+    def entry(i, j):
+        def apply(a):
+            return sum((P[i][k] * P_inv[k][j] * twists[k](a) for k in range(2)), gf8.zero())
+
+        return LinearMap.from_function(gf8, apply)
+
+    sigma = [[entry(i, j) for j in range(2)] for i in range(2)]
+    beta = (w, w * w + one) if with_delta else (gf8.zero(), gf8.zero())
+    return inner_frame(gf8, sigma, beta)
+
+
+@pytest.fixture(scope="session")
+def nondiag_gf8_2():
+    return _nondiagonal_gf8(with_delta=False)
+
+
+@pytest.fixture(scope="session")
+def nondiag_gf8_2_inner():
+    return _nondiagonal_gf8(with_delta=True)
+
+
 def random_poly(frame, rng, max_deg=3, max_terms=4, height=2):
     """Random polynomial with at most max_terms terms of degree <= max_deg."""
     monos = monomials_below(frame.n, max_deg + 1)
@@ -104,3 +135,18 @@ def random_point(frame, rng, height=2):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def seeded_set(frame, rng, size):
+    """Distinct random points, most of them twisted conjugates of earlier
+    ones: a conjugacy class is where closures grow past their generators
+    (conjugates coincide in the conventional frames)."""
+    pts = []
+    while len(pts) < size:
+        if pts and rng.random() < 0.75:
+            p = conjugate(frame, rng.choice(pts), frame.ring.random_nonzero(rng))
+        else:
+            p = random_point(frame, rng)
+        if p not in pts:
+            pts.append(p)
+    return tuple(pts)

@@ -30,7 +30,11 @@ library's image-echelon engine replaced: the two-rank independence test
 of the Vandermonde of degree #base + 1), the greedy P-basis, rank and
 closure built on it, and the dependent-row scan that re-ranks the kept
 stack for every candidate row.  They use the library's vandermonde()
-and rank(), and work over any division ring.
+and rank(), and work over any division ring.  Likewise the Vandermonde
+interpolation that the standard-monomial square replaced: the separator
+read off the left null space of the Vandermonde over the base, the
+Newton loop adding one separator multiple per point, and the duals
+solved on the first invertible square of Vandermonde rows.
 
 For the rational quaternions the module also keeps the reference
 semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
@@ -43,7 +47,26 @@ common denominator; neither representation is used here.
 from fractions import Fraction
 from itertools import product
 
-from skewpoly import Matrix, all_points, divide, monomial, monomials_below, rank, vandermonde
+from skewpoly import (
+    Matrix,
+    NotPIndependent,
+    NotSeparable,
+    all_points,
+    constant,
+    divide,
+    evaluate,
+    from_terms,
+    fundamental_table,
+    left_null_space,
+    monomial,
+    monomials_below,
+    one,
+    rank,
+    solve_left,
+    vandermonde,
+    zero,
+)
+from skewpoly.interpolation import independent_rows
 
 
 def monomial_values_by_division(frame, words, points, cache=None):
@@ -357,3 +380,60 @@ def independent_rows_reference(A, order=None):
             if r == A.ncols:
                 break
     return kept
+
+
+# ---------------------------------------------------------------------------
+# Vandermonde references for separators, interpolation and duals
+# ---------------------------------------------------------------------------
+
+def separator_reference(frame, base, b):
+    """The first left null vector of the Vandermonde of degree #base + 1
+    over base whose pairing with b's column is nonzero, as a polynomial."""
+    base = tuple(base)
+    if not base:
+        return one(frame)
+    d = len(base) + 1
+    V = vandermonde(frame, base, d)
+    col = [fundamental_table(frame, b, d)[m] for m in V.row_labels]
+    for lam in left_null_space(V):
+        pair = frame.ring.zero()
+        for l, x in zip(lam, col):
+            pair = pair + l * x
+        if not pair.is_zero():
+            return from_terms(frame, zip(V.row_labels, lam))
+    raise NotSeparable(f"{b!r} lies in the closure of the base set")
+
+
+def lagrange_interpolate_reference(frame, basis, values):
+    """Newton loop: step i adds the multiple of the reference separator of
+    the first i points against point i that fixes the new value."""
+    basis = tuple(basis)
+    if not basis:
+        return zero(frame)
+    F = constant(frame, values[0])
+    for i in range(1, len(basis)):
+        G = separator_reference(frame, basis[:i], basis[i])
+        corr = (values[i] - evaluate(F, basis[i])) * evaluate(G, basis[i]).inv()
+        F = F + G.scale_left(corr)
+    return F
+
+
+def dual_p_basis_reference(frame, basis):
+    """Duals solved one unit vector at a time on the first #basis
+    independent rows of the Vandermonde of degree #basis."""
+    basis = tuple(basis)
+    M = len(basis)
+    if not M:
+        return ()
+    V = vandermonde(frame, basis, M)
+    chosen = independent_rows(V)
+    if len(chosen) != M:
+        raise NotPIndependent("Vandermonde rank below #basis: points are P-dependent")
+    sub = Matrix(frame.ring, [V.rows[i] for i in chosen])
+    ring = frame.ring
+    monos = [V.row_labels[k] for k in chosen]
+    duals = []
+    for i in range(M):
+        unit = [ring.one() if j == i else ring.zero() for j in range(M)]
+        duals.append(from_terms(frame, zip(monos, solve_left(sub, unit))))
+    return tuple(duals)

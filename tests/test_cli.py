@@ -320,11 +320,19 @@ def test_long_word_mul_answers_with_one_json_line():
 def test_oversized_work_is_refused_before_it_starts():
     gf5_points = [[0, 0], [1, 2], [3, 4]]
     gf65536 = json.loads((DATA / "gf65536_job.json").read_text())
+    rng = random.Random(300)
+    codes = rng.sample(range(1 << 32), 300)
+    many = dict(gf65536,
+                points=[[[c >> s + d & 1 for d in range(16)] for s in (0, 16)] for c in codes],
+                values=[[rng.randrange(2) for _ in range(16)] for _ in codes])
     cases = (
         # (2^40 - 1) rows x 3 points
         (["vandermonde"], gf5_job(points=gf5_points, degree=40), "3298534883325"),
         # 65536^2 points
         (["closure"], gf65536, "4294967296"),
+        # the image echelon of 300 points: n * M^3 = 2 * 300^3
+        (["pbasis"], many, "54000000"),
+        (["interpolate"], many, "54000000"),
     )
     for argv, job, size in cases:
         start = time.perf_counter()
@@ -347,14 +355,30 @@ def test_huge_field_specs_exit_at_once():
         _one_error_line(text, code)
 
 
+GOLDEN_ARGV = {"interpolate-vandermonde": ["interpolate", "--method", "vandermonde"]}
+
+
 @pytest.mark.parametrize("ring", ["gf256", "gf65536"])
-@pytest.mark.parametrize("verb", ["mul", "eval", "divide", "pbasis", "dual-basis", "interpolate"])
+@pytest.mark.parametrize("verb", ["mul", "eval", "divide", "pbasis", "dual-basis", "interpolate",
+                                  "reduce", "interpolate-vandermonde"])
 def test_finite_field_output_matches_golden_bytes(ring, verb):
     # Frobenius GF(2^8) and an inner frame over GF(2^16); the expected bytes
-    # come from q x q tables (GF(2^8)) and digit arithmetic (GF(2^16)), so
-    # the output must not depend on how the field computes
-    _, _, text = invoke([verb, "--job", str(DATA / f"{ring}_job.json")])
+    # of the first six verbs come from q x q tables (GF(2^8)) and digit
+    # arithmetic (GF(2^16)), so the output must not depend on how the field
+    # computes; those of reduce and interpolate-vandermonde, like the GF(8)
+    # ones below, from duals solved on Vandermonde rows
+    argv = GOLDEN_ARGV.get(verb, [verb])
+    _, _, text = invoke(argv + ["--job", str(DATA / f"{ring}_job.json")])
     assert text == (DATA / f"{ring}_{verb}.out").read_text()
+
+
+@pytest.mark.parametrize("verb", ["closure", "two-sided", "dual-basis", "reduce"])
+def test_frobenius_gf8_output_matches_golden_bytes(verb):
+    # four P-independent points of the Frobenius GF(8)^2 plane whose closure
+    # holds eight; the expected bytes come from closures tested by one
+    # image echelon per enumerated point and duals solved on Vandermonde rows
+    _, _, text = invoke([verb, "--job", str(DATA / "gf8_job.json")])
+    assert text == (DATA / f"gf8_{verb}.out").read_text()
 
 
 @pytest.mark.parametrize("argv, golden", [

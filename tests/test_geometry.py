@@ -31,6 +31,9 @@ from skewpoly import (
     set_is_p_independent,
     vandermonde,
 )
+from skewpoly.geometry import _image_echelon
+from skewpoly.interpolation import independent_rows
+from conftest import seeded_set
 from oracles import (
     closure_reference,
     find_p_basis_reference,
@@ -396,23 +399,6 @@ def test_complement_rejects_base_outside_ambient_closure(conv_gf3_2, gf3):
 # The image echelon against the Vandermonde references
 # ---------------------------------------------------------------------------
 
-def _seeded_set(frame, rng, size):
-    """Distinct random points, most of them twisted conjugates of earlier
-    ones: a conjugacy class is where closures grow past their generators
-    (conjugates coincide in the conventional frames)."""
-    from conftest import random_point
-
-    pts = []
-    while len(pts) < size:
-        if pts and rng.random() < 0.75:
-            p = conjugate(frame, rng.choice(pts), frame.ring.random_nonzero(rng))
-        else:
-            p = random_point(frame, rng)
-        if p not in pts:
-            pts.append(p)
-    return tuple(pts)
-
-
 ENGINE_FRAMES = (
     # fixture, set sizes, seeded sets
     ("conv_gf2_2", (2, 3, 4), 12),
@@ -422,6 +408,8 @@ ENGINE_FRAMES = (
     ("frob_gf4_2", (3, 4, 5, 6), 12),
     ("frob_gf9_2", (3, 4, 5), 8),
     ("quat_inner_2", (3, 4, 5), 10),
+    ("nondiag_gf8_2", (3, 4, 5, 6), 10),
+    ("nondiag_gf8_2_inner", (3, 4, 5, 6), 10),
 )
 
 
@@ -430,8 +418,8 @@ def test_engine_matches_vandermonde_references(name, sizes, count, request):
     frame = request.getfixturevalue(name)
     rng = random.Random(f"engine-{name}")
     for _ in range(count):
-        pts = _seeded_set(frame, rng, rng.choice(sizes))
-        probe = _seeded_set(frame, rng, 1)[0]
+        pts = seeded_set(frame, rng, rng.choice(sizes))
+        probe = seeded_set(frame, rng, 1)[0]
         if rng.random() < 0.5:
             probe = conjugate(frame, rng.choice(pts), frame.ring.random_nonzero(rng))
         res = find_p_basis(frame, pts)
@@ -439,7 +427,11 @@ def test_engine_matches_vandermonde_references(name, sizes, count, request):
         assert rank_of(frame, pts) == res.rank == rank_reference(frame, pts)
         # the leading positions are the pivot columns of the Vandermonde
         kept = tuple(k for k, p in enumerate(pts) if p in res.basis)
-        assert row_reduce_left(vandermonde(frame, pts, len(pts))).pivots == kept
+        V = vandermonde(frame, pts, len(pts))
+        assert row_reduce_left(V).pivots == kept
+        # the standard monomials are the rows the greedy row scan keeps
+        standard = tuple(V.row_labels[i] for i in independent_rows(V))
+        assert _image_echelon(frame, pts) == (kept, standard), pts
         if probe not in pts:
             assert is_p_independent_from(frame, probe, pts) == is_p_independent_reference(
                 frame, probe, pts
@@ -448,12 +440,12 @@ def test_engine_matches_vandermonde_references(name, sizes, count, request):
 
 
 @pytest.mark.parametrize("name", ["conv_gf2_2", "frob_gf4_1", "conv_gf5_2", "frob_gf4_2",
-                                  "frob_gf9_2"])
+                                  "frob_gf9_2", "nondiag_gf8_2", "nondiag_gf8_2_inner"])
 def test_engine_closure_matches_reference(name, request):
     frame = request.getfixturevalue(name)
     rng = random.Random(f"closure-{name}")
     for size in (1, 2, 3):
-        gens = _seeded_set(frame, rng, size)
+        gens = seeded_set(frame, rng, size)
         assert closure_members(frame, gens) == closure_reference(frame, gens), gens
 
 

@@ -1,6 +1,7 @@
 """Separators, both interpolation paths, dual bases and quotient classes."""
 
 import random
+import time
 
 import pytest
 
@@ -11,10 +12,12 @@ from skewpoly import (
     all_points,
     closure_members,
     complementary_p_basis,
+    conjugate,
     constant,
     conventional_frame,
     dual_p_basis,
     evaluate,
+    find_p_basis,
     frobenius_frame,
     lagrange_interpolate,
     lagrange_via_vandermonde,
@@ -31,8 +34,13 @@ from skewpoly import (
 from skewpoly.freering import count_monomials_below
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import Matrix
-from conftest import random_point, random_poly
-from oracles import independent_rows_reference
+from conftest import random_point, random_poly, seeded_set
+from oracles import (
+    dual_p_basis_reference,
+    independent_rows_reference,
+    lagrange_interpolate_reference,
+    separator_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +272,90 @@ def test_independent_rows_matches_rerank_reference(frob_gf4_2, frob_gf9_2, quat_
     for A in cases:
         for order in (None, range(A.nrows - 1, -1, -1)):
             assert independent_rows(A, order) == independent_rows_reference(A, order)
+
+
+# ---------------------------------------------------------------------------
+# The standard-monomial square against the Vandermonde references
+# ---------------------------------------------------------------------------
+
+SQUARE_FRAMES = (
+    # fixture, set sizes, seeded sets
+    ("conv_gf5_2", (2, 3, 4), 6),
+    ("frob_gf4_1", (2, 3), 6),
+    ("frob_gf4_2", (3, 4, 5, 6), 8),
+    ("frob_gf9_2", (3, 4, 5), 6),
+    ("quat_inner_2", (2, 3, 4), 4),
+    ("nondiag_gf8_2", (3, 4, 5, 6), 8),
+    ("nondiag_gf8_2_inner", (3, 4, 5, 6), 8),
+)
+
+
+@pytest.mark.parametrize("name, sizes, count", SQUARE_FRAMES)
+def test_square_matches_vandermonde_references(name, sizes, count, request):
+    frame = request.getfixturevalue(name)
+    ring = frame.ring
+    rng = random.Random(f"square-{name}")
+    for _ in range(count):
+        basis = find_p_basis(frame, seeded_set(frame, rng, rng.choice(sizes))).basis
+        # a dual supported on the standard monomials is unique
+        assert dual_p_basis(frame, basis).duals == dual_p_basis_reference(frame, basis), basis
+        closure = closure_members(frame, basis) if ring.is_finite else basis
+        values = [random_point(frame, rng)[0] for _ in basis]
+        F = lagrange_interpolate(frame, basis, values)
+        G = lagrange_interpolate_reference(frame, basis, values)
+        assert F.is_zero() or F.degree() < len(basis)
+        assert all(evaluate(F, p) == evaluate(G, p) for p in closure), basis
+        # separate the basis minus one point, and the basis, from a probe
+        probe = seeded_set(frame, rng, 1)[0]
+        if rng.random() < 0.5:
+            probe = conjugate(frame, rng.choice(basis), ring.random_nonzero(rng))
+        for base, b in ((basis[:-1], basis[-1]), (basis, probe)):
+            if b in base:
+                continue
+            try:
+                want = separator_reference(frame, base, b)
+            except NotSeparable:
+                with pytest.raises(NotSeparable):
+                    separator(frame, base, b)
+                continue
+            got = separator(frame, base, b)
+            assert evaluate(got, b) == ring.one() and not evaluate(want, b).is_zero()
+            assert got.degree() <= len(base)
+            assert all(evaluate(got, p).is_zero() for p in base)
+
+
+def test_square_paths_build_no_vandermonde(frob_gf4_2, nondiag_gf8_2_inner, monkeypatch):
+    import skewpoly.geometry as geometry
+    import skewpoly.interpolation as interpolation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Vandermonde was built")
+
+    monkeypatch.setattr(geometry, "vandermonde", refuse)
+    monkeypatch.setattr(interpolation, "vandermonde", refuse)
+    for frame in (frob_gf4_2, nondiag_gf8_2_inner):
+        basis = find_p_basis(frame, list(all_points(frame))[:12]).basis
+        values = [frame.ring.one()] * len(basis)
+        assert len(dual_p_basis(frame, basis).duals) == len(basis)
+        F = lagrange_interpolate(frame, basis, values)
+        assert all(evaluate(F, b) == v for b, v in zip(basis, values))
+        G = separator(frame, basis[:-1], basis[-1])
+        assert evaluate(G, basis[-1]) == frame.ring.one()
+        assert set(basis[:3]) <= set(closure_members(frame, basis[:3]))
+
+
+def test_readme_interpolation_over_the_full_plane_basis(frob_gf4_2):
+    # the README quick tour: 11 points of the Frobenius GF(4)^2 plane; the
+    # Newton loop over Vandermonde separators took about 85 s here
+    gf4 = frob_gf4_2.ring
+    basis = find_p_basis(frob_gf4_2, list(all_points(frob_gf4_2))).basis
+    values = [gf4.random_element(random.Random(0)) for _ in basis]
+    start = time.perf_counter()
+    G = lagrange_interpolate(frob_gf4_2, basis, values)
+    elapsed = time.perf_counter() - start
+    assert all(evaluate(G, b) == v for b, v in zip(basis, values))
+    assert G.degree() < len(basis) == 11
+    assert elapsed < 1
 
 
 # ---------------------------------------------------------------------------
