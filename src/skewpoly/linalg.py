@@ -109,13 +109,21 @@ class ReducedForm:
 
 def _eliminate(rows, ncols):
     """Reduce rows in place to reduced row echelon form, pivoting only in
-    the first ncols columns, and return the pivot columns.
+    the first ncols columns, and return (pivots, order): the pivot
+    columns, and the original index of the row now at each position, so
+    order[:len(pivots)] names the rows that end as pivot rows.
 
     Allowed moves: swap, row <- c * row (c nonzero), row_i <- row_i -
     c * row_j, always with c applied on the left.  Entries past ncols
     ride along, which is how row_reduce_left accumulates its transform.
+    The pivot row is zero before its pivot column, so scaling it and
+    clearing the column elsewhere touch only the entries where it is
+    nonzero, in place.  Pivot rows only ever absorb multiples of pivot
+    rows, so each is a left combination of the rows named in
+    order[:len(pivots)].
     """
     nrows = len(rows)
+    order = list(range(nrows))
     pivots = []
     prow = 0
     for col in range(ncols):
@@ -128,20 +136,26 @@ def _eliminate(rows, ncols):
             continue
         if src != prow:
             rows[src], rows[prow] = rows[prow], rows[src]
-        c = rows[prow][col].inv()
-        rows[prow] = [c * x for x in rows[prow]]
+            order[src], order[prow] = order[prow], order[src]
+        piv = rows[prow]
+        support = [j for j in range(col, len(piv)) if not piv[j].is_zero()]
+        c = piv[col].inv()
+        for j in support:
+            piv[j] = c * piv[j]
         for r in range(nrows):
             if r == prow:
                 continue
-            f = rows[r][col]
+            row = rows[r]
+            f = row[col]
             if f.is_zero():
                 continue
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[prow])]
+            for j in support:
+                row[j] = row[j] - f * piv[j]
         pivots.append(col)
         prow += 1
         if prow == nrows:
             break
-    return tuple(pivots)
+    return tuple(pivots), order
 
 
 def row_reduce_left(A):
@@ -153,7 +167,7 @@ def row_reduce_left(A):
     """
     ring = A.ring
     rows = [list(r) + list(e) for r, e in zip(A.rows, identity(ring, A.nrows).rows)]
-    pivots = _eliminate(rows, A.ncols)
+    pivots = _eliminate(rows, A.ncols)[0]
     return ReducedForm(
         R=Matrix(ring, [r[:A.ncols] for r in rows]),
         T=Matrix(ring, [r[A.ncols:] for r in rows]),
@@ -168,7 +182,7 @@ def rank(A):
     """
     if A.ncols == 0 or A.nrows == 0:
         return 0
-    return len(_eliminate([list(r) for r in A.rows], A.ncols))
+    return len(_eliminate([list(r) for r in A.rows], A.ncols)[0])
 
 
 def echelon_insert(rows, vec):
@@ -219,24 +233,31 @@ def left_null_space(A):
 def solve_left(A, b):
     """Some lambda with lambda * A = b, or NoSolution.
 
-    Writing lambda = mu * T, consistency reduces to reading mu off the
-    pivot rows of the echelon form (free rows get 0, making the output
-    deterministic) and checking the reproduced right-hand side.
+    Eliminating A alone names its pivot columns P and the rows C that
+    end as pivot rows; the square S = A[C, P] is invertible.  lambda is
+    zero off C and lambda_C * S = b_P, solved on S alone, so the work is
+    O(rows * cols^2) and no rows x rows transform is built.  The
+    solution with that support is unique: it is the one the reduced
+    echelon form of A gives when every free row gets 0.  The check
+    lambda * A = b decides consistency.
     """
     b = tuple(b)
     if len(b) != A.ncols:
         raise ValueError("right-hand side length must equal the column count")
-    ring = A.ring
-    zero = ring.zero()
+    zero = A.ring.zero()
     if A.nrows == 0:
         if all(x.is_zero() for x in b):
             return ()
         raise NoSolution("empty matrix spans only zero")
-    red = row_reduce_left(A)
-    mu = [zero] * A.nrows
-    for r, col in enumerate(red.pivots):
-        mu[r] = b[col]
-    check = left_apply(tuple(mu), red.R)
-    if any(x != y for x, y in zip(check, b)):
+    pivots, order = _eliminate([list(r) for r in A.rows], A.ncols)
+    chosen = order[:len(pivots)]
+    lam = [zero] * A.nrows
+    if pivots:
+        S = Matrix(A.ring, [[A.rows[i][c] for c in pivots] for i in chosen])
+        T = row_reduce_left(S).T
+        for i, x in zip(chosen, left_apply(tuple(b[c] for c in pivots), T)):
+            lam[i] = x
+    lam = tuple(lam)
+    if any(x != y for x, y in zip(left_apply(lam, A), b)):
         raise NoSolution("right-hand side outside the left row space")
-    return left_apply(tuple(mu), red.T)
+    return lam

@@ -74,19 +74,44 @@ def _poly_mod(a, m, p):
     return a
 
 
+def _poly_gcd(a, b, p):
+    """Greatest common divisor of a and b over GF(p), monic when b is nonzero."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
 def _is_irreducible(mod, p):
-    """Trial division by every monic polynomial of degree 1..deg//2."""
+    """Rabin's test: a monic m of degree k is irreducible over GF(p) iff
+    t^(p^k) = t mod m and gcd(t^(p^(k/r)) - t, m) = 1 for every prime
+    r | k (M. O. Rabin, *Probabilistic algorithms in finite fields*,
+    1980).  It costs k p-th powers modulo m instead of a divisor search.
+    """
     k = len(mod) - 1
     if k < 1 or mod[-1] != 1:
         return False
     if k == 1:
         return True
-    for d in range(1, k // 2 + 1):
-        for idx in range(p ** d):
-            div = _digits(idx, p, d) + [1]
-            if not _poly_mod(mod, div, p):
-                return False
-    return True
+    frob = [[0, 1], _poly_pow([0, 1], p, mod, p)]  # frob[j] = t^(p^j) mod m
+    # a root in GF(p) shows at j = 1: the early exit for most reducible m
+    if not _coprime_to_frobenius_minus_t(mod, frob[1], p):
+        return False
+    for _ in range(1, k):
+        frob.append(_poly_pow(frob[-1], p, mod, p))
+    if frob[k] != [0, 1]:
+        return False
+    return all(_coprime_to_frobenius_minus_t(mod, frob[k // r], p)
+               for r in range(2, k + 1) if k % r == 0 and _is_prime(r))
+
+
+def _coprime_to_frobenius_minus_t(mod, power, p):
+    """Whether gcd(power - t, mod) = 1, power being some t^(p^j) mod mod."""
+    diff = power + [0] * (2 - len(power))
+    diff[1] = (diff[1] - 1) % p
+    return _poly_gcd(mod, diff, p) == [1]
 
 
 def _digits(val, p, k):
@@ -110,8 +135,9 @@ def _poly_pow(a, e, m, p):
     while e:
         if e & 1:
             out = _poly_mod(_poly_mul(out, a, p), m, p)
-        a = _poly_mod(_poly_mul(a, a, p), m, p)
         e >>= 1
+        if e:
+            a = _poly_mod(_poly_mul(a, a, p), m, p)
     return out
 
 
@@ -215,7 +241,8 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            # the identity test settles the common case of one shared field
+            if other.field is not self.field and other.field != self.field:
                 raise RingMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
@@ -272,7 +299,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.val == other.val and self.field == other.field
+            return self.val == other.val and (
+                other.field is self.field or self.field == other.field)
         if isinstance(other, int):
             return self == self.field.from_int(other)
         return NotImplemented
@@ -294,8 +322,8 @@ class FiniteField:
 
     ``modulus`` is the degree-k monic modulus as a little-endian
     coefficient tuple; omit it to get the library default for (p, k).
-    Sizes above 2**16 are rejected, which keeps the construction-time
-    irreducibility check (exhaustive trial division) affordable.
+    Sizes above 2**16 are rejected: the arithmetic tables hold 16-bit
+    entries.  The modulus is checked with Rabin's irreducibility test.
 
     Integer-code arithmetic reads three tables over a primitive element
     g, built at construction in O(q) time and memory (the exp/log and

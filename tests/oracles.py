@@ -36,6 +36,12 @@ read off the left null space of the Vandermonde over the base, the
 Newton loop adding one separator multiple per point, and the duals
 solved on the first invertible square of Vandermonde rows.
 
+The module keeps two more procedures that the library replaced: the
+trial-division irreducibility test (every monic divisor of degree up to
+half the degree) that Rabin's test replaced, and the elimination that
+rebuilds every row in full together with the solve read off the
+rows x rows transform of [A | I], which the pivot-square solve replaced.
+
 For the rational quaternions the module also keeps the reference
 semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
 expressions over quaternions written as 4-tuples of ``Fraction`` parts,
@@ -49,6 +55,7 @@ from itertools import product
 
 from skewpoly import (
     Matrix,
+    NoSolution,
     NotPIndependent,
     NotSeparable,
     all_points,
@@ -57,6 +64,7 @@ from skewpoly import (
     evaluate,
     from_terms,
     fundamental_table,
+    left_apply,
     left_null_space,
     monomial,
     monomials_below,
@@ -283,6 +291,36 @@ def frame_laws_hold_all_pairs(frame):
     return True
 
 
+def is_irreducible_reference(mod, p):
+    """Whether the little-endian coefficient list mod is a monic
+    irreducible over GF(p), by trial division by every monic polynomial
+    of degree 1 .. deg // 2."""
+    k = len(mod) - 1
+    if k < 1 or mod[-1] != 1:
+        return False
+    for d in range(1, k // 2 + 1):
+        for idx in range(p ** d):
+            div = [idx // p ** i % p for i in range(d)] + [1]
+            rem = list(mod)
+            for top in range(k, d - 1, -1):
+                c = rem[top] % p
+                for j in range(d + 1):
+                    rem[top - d + j] -= c * div[j]
+            if all(c % p == 0 for c in rem[:d]):
+                return False
+    return True
+
+
+def default_modulus_reference(p, k):
+    """The monic irreducible of degree k over GF(p) with the smallest
+    code (constant coefficient least significant), by trial division."""
+    for code in range(p ** k):
+        cand = [code // p ** i % p for i in range(k)] + [1]
+        if is_irreducible_reference(cand, p):
+            return tuple(cand)
+    raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+
 # ---------------------------------------------------------------------------
 # Quaternion reference: Fraction parts and the interpreted map catalog
 # ---------------------------------------------------------------------------
@@ -437,3 +475,59 @@ def dual_p_basis_reference(frame, basis):
         unit = [ring.one() if j == i else ring.zero() for j in range(M)]
         duals.append(from_terms(frame, zip(monos, solve_left(sub, unit))))
     return tuple(duals)
+
+
+# ---------------------------------------------------------------------------
+# Linear-algebra references: elimination and the solve on [A | I]
+# ---------------------------------------------------------------------------
+
+def eliminate_reference(rows, ncols):
+    """Reduce rows in place to reduced row echelon form, pivoting on the
+    first nonzero entry of the first ncols columns, every row rebuilt in
+    full at each update; return the pivot columns."""
+    nrows = len(rows)
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        src = next((r for r in range(prow, nrows) if not rows[r][col].is_zero()), None)
+        if src is None:
+            continue
+        rows[src], rows[prow] = rows[prow], rows[src]
+        c = rows[prow][col].inv()
+        rows[prow] = [c * x for x in rows[prow]]
+        for r in range(nrows):
+            f = rows[r][col]
+            if r != prow and not f.is_zero():
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == nrows:
+            break
+    return tuple(pivots)
+
+
+def row_reduce_reference(A):
+    """(R, T, pivots) with T * A = R reduced, from elimination on [A | I]."""
+    ring = A.ring
+    one, zero = ring.one(), ring.zero()
+    rows = [list(r) + [one if i == j else zero for j in range(A.nrows)]
+            for i, r in enumerate(A.rows)]
+    pivots = eliminate_reference(rows, A.ncols)
+    return (Matrix(ring, [r[:A.ncols] for r in rows]),
+            Matrix(ring, [r[A.ncols:] for r in rows]), pivots)
+
+
+def solve_left_reference(A, b):
+    """lambda = mu * T with mu = b at the pivot columns on the pivot rows
+    and 0 on the free rows, after checking mu * R = b; NoSolution when
+    the check fails."""
+    b = tuple(b)
+    if A.nrows == 0:
+        if all(x.is_zero() for x in b):
+            return ()
+        raise NoSolution("empty matrix spans only zero")
+    R, T, pivots = row_reduce_reference(A)
+    mu = [b[col] for col in pivots] + [A.ring.zero()] * (A.nrows - len(pivots))
+    if left_apply(mu, R) != b:
+        raise NoSolution("right-hand side outside the left row space")
+    return left_apply(mu, T)

@@ -11,10 +11,15 @@ import pytest
 from skewpoly import (
     FiniteField,
     QuaternionRing,
+    all_points,
     conventional_frame,
+    evaluate,
+    find_p_basis,
     frobenius_frame,
     fundamental,
     point_from_json,
+    point_to_json,
+    poly_from_json,
 )
 from skewpoly.cli import run
 
@@ -161,6 +166,29 @@ def test_interpolate_both_methods():
                 },
             )
             assert code2 == 0 and out2["value"] == val
+
+
+def test_vandermonde_interpolation_over_the_plane_basis_is_fast():
+    # the 11-point basis of the Frobenius GF(4)^2 plane: its Vandermonde
+    # has 2047 rows, and the solve must not carry a 2047 x 2047 transform
+    gf4 = FiniteField(2, 2)
+    frame = frobenius_frame(gf4, 2)
+    plane = list(all_points(frame))
+    basis = find_p_basis(frame, plane).basis
+    assert len(basis) == 11
+    job = gf4_frob_job(n=2, points=[point_to_json(frame, b) for b in basis],
+                       values=[[i % 2, i // 2 % 2] for i in range(len(basis))])
+    start = time.perf_counter()
+    code, out, _ = invoke(["interpolate", "--method", "vandermonde"], job)
+    assert code == 0
+    assert time.perf_counter() - start < 5.0
+    code2, newton, _ = invoke(["interpolate"], job)
+    assert code2 == 0
+    F = poly_from_json(frame, out["polynomial"])
+    G = poly_from_json(frame, newton["polynomial"])
+    # the basis spans the plane, so the two agree at every point of it
+    for a in plane:
+        assert evaluate(F, a) == evaluate(G, a)
 
 
 def test_dual_basis_and_reduce_verbs():

@@ -31,6 +31,7 @@ from skewpoly import (
     vandermonde,
     zero,
 )
+from skewpoly import linalg
 from skewpoly.freering import count_monomials_below
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import Matrix
@@ -204,6 +205,28 @@ def test_dependent_points_rejected(frob_gf4_1, gf4):
     # vanishes on those two but not at w^2
     with pytest.raises(NotPIndependent):
         lagrange_via_vandermonde(frob_gf4_1, dependent, (gf4(0), gf4(0), gf4(1)))
+
+
+def test_vandermonde_solve_eliminates_no_square_above_the_point_count(frob_gf4_2, gf4,
+                                                                      monkeypatch, rng):
+    # the verifier's Vandermonde has (2^M - 1) rows; only the pivot square
+    # of M rows may reach row_reduce_left
+    shapes = []
+    reduce = linalg.row_reduce_left
+
+    def recording(A):
+        shapes.append((A.nrows, A.ncols))
+        return reduce(A)
+
+    monkeypatch.setattr(linalg, "row_reduce_left", recording)
+    pts = list(all_points(frob_gf4_2))
+    for size in (4, 6):
+        basis = find_p_basis(frob_gf4_2, rng.sample(pts, size)).basis
+        values = [gf4.random_element(rng) for _ in basis]
+        F = lagrange_via_vandermonde(frob_gf4_2, basis, values)
+        assert [evaluate(F, b) for b in basis] == values
+        assert shapes and all(rows <= len(basis) for rows, _ in shapes), shapes
+        shapes.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,33 @@
-"""Left-sided exact linear algebra, checked against span-enumeration oracles."""
+"""Left-sided exact linear algebra, checked against span-enumeration oracles
+and against the reference elimination and solve."""
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewpoly import (
+    FiniteField,
     Matrix,
     NoSolution,
+    QuaternionRing,
+    all_points,
+    find_p_basis,
     left_apply,
     left_null_space,
     mat_mul,
     rank,
     row_reduce_left,
     solve_left,
+    vandermonde,
 )
-from skewpoly.linalg import identity
+from skewpoly.linalg import _eliminate, identity
+from oracles import row_reduce_reference, solve_left_reference
+
+# GF(5), GF(8), GF(2^16) and the quaternions
+REFERENCE_RINGS = (FiniteField(5), FiniteField(2, 3), FiniteField(2, 16), QuaternionRing())
 
 
 def span_size(ring, rows):
@@ -206,3 +219,108 @@ def test_empty_edge_cases(gf5):
     B = Matrix(gf5, [])
     assert rank(B) == 0
     assert solve_left(B, []) == ()
+
+
+# ---------------------------------------------------------------------------
+# Equality with the references: elimination rebuilding full rows, and the
+# solve read off the transform of [A | I]
+# ---------------------------------------------------------------------------
+
+def _outcome(solve, A, b):
+    try:
+        return solve(A, b)
+    except NoSolution:
+        return NoSolution
+
+
+def assert_matches_reference(A, rhs):
+    R, T, pivots = row_reduce_reference(A)
+    red = row_reduce_left(A)
+    assert (red.R, red.T, red.pivots) == (R, T, pivots)
+    assert rank(A) == len(pivots)
+    # the rows named first are the pivot rows: their square on the pivot
+    # columns is invertible and the transform's pivot rows live on them
+    rows = [list(r) for r in A.rows]
+    got, order = _eliminate(rows, A.ncols)
+    assert got == pivots and sorted(order) == list(range(A.nrows))
+    assert Matrix(A.ring, rows) == R
+    chosen = order[:len(pivots)]
+    square = Matrix(A.ring, [[A.rows[i][c] for c in pivots] for i in chosen])
+    assert rank(square) == len(pivots)
+    for row in T.rows[:len(pivots)]:
+        assert all(x.is_zero() for i, x in enumerate(row) if i not in chosen)
+    for b in rhs:
+        assert _outcome(solve_left, A, b) == _outcome(solve_left_reference, A, b)
+
+
+def _element(ring, rng):
+    return ring.random_element(rng) if ring.is_finite else ring.random_element(rng, 2)
+
+
+def random_deficient_matrix(ring, rng, nrows, ncols, rank_cap):
+    """Rows are left combinations of rank_cap random rows, a quarter of
+    them zero, with an occasional zero column."""
+    base = [[_element(ring, rng) for _ in range(ncols)] for _ in range(rank_cap)]
+    dead = rng.randrange(ncols) if ncols and rng.random() < 0.3 else None
+    rows = []
+    for _ in range(nrows):
+        row = [ring.zero()] * ncols
+        if rng.random() >= 0.25:
+            for b in base:
+                if rng.random() < 0.6:
+                    c = _element(ring, rng)
+                    row = [x + c * y for x, y in zip(row, b)]
+        if dead is not None:
+            row[dead] = ring.zero()
+        rows.append(row)
+    return Matrix(ring, rows)
+
+
+def right_hand_sides(A, rng):
+    """A consistent b, a random b and, when the row space misses a unit
+    vector, that unit vector (inconsistent)."""
+    ring = A.ring
+    out = [left_apply([_element(ring, rng) for _ in range(A.nrows)], A),
+           tuple(_element(ring, rng) for _ in range(A.ncols))]
+    for c in range(A.ncols):
+        unit = tuple(ring.one() if j == c else ring.zero() for j in range(A.ncols))
+        if _outcome(solve_left_reference, A, unit) is NoSolution:
+            out.append(unit)
+            break
+    return out
+
+
+def test_elimination_and_solve_match_reference_seeded(rng):
+    inconsistent = 0
+    for ring in REFERENCE_RINGS:
+        rounds = 12 if ring.is_finite else 6
+        for _ in range(rounds):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 4)
+            A = random_deficient_matrix(ring, rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            rhs = right_hand_sides(A, rng)
+            inconsistent += len(rhs) - 2
+            assert_matches_reference(A, rhs)
+    assert inconsistent > 10  # the NoSolution branch is exercised
+
+
+def test_elimination_and_solve_match_reference_on_vandermonde(frob_gf4_2, rng):
+    # tall verifier matrices: the pivot rows sit deep in the monomial order
+    pts = list(all_points(frob_gf4_2))
+    for size in (3, 5):
+        basis = find_p_basis(frob_gf4_2, rng.sample(pts, size)).basis
+        V = vandermonde(frob_gf4_2, basis, len(basis))
+        assert_matches_reference(V, right_hand_sides(V, rng))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    which=st.integers(0, 3),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(0, 4)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_elimination_and_solve_match_reference_hypothesis(which, shape, seed):
+    ring = REFERENCE_RINGS[which]
+    nrows, ncols, rank_cap = shape
+    rng = random.Random(seed)
+    A = random_deficient_matrix(ring, rng, nrows, ncols, min(rank_cap, nrows, ncols))
+    assert_matches_reference(A, right_hand_sides(A, rng))

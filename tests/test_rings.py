@@ -14,8 +14,16 @@ from skewpoly import (
     RingMismatch,
     ring_from_json,
 )
-from skewpoly.rings import default_modulus
-from oracles import digit_add, digit_mul, digit_neg, frac_parts, frac_quat_mul
+from skewpoly.rings import _is_irreducible, default_modulus
+from oracles import (
+    default_modulus_reference,
+    digit_add,
+    digit_mul,
+    digit_neg,
+    frac_parts,
+    frac_quat_mul,
+    is_irreducible_reference,
+)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 2), (2, 6)]
 
@@ -86,6 +94,26 @@ def test_default_moduli_are_irreducible_and_stable():
     assert default_modulus(3, 2) == (1, 0, 1)
     # same object from repeated construction
     assert FiniteField(2, 4).modulus == FiniteField(2, 4).modulus
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 6), (3, 4), (5, 3)])
+def test_rabin_irreducibility_matches_trial_division(p, max_deg):
+    for k in range(0, max_deg + 1):
+        for code in range(p ** k):
+            mod = [code // p ** i % p for i in range(k)] + [1]
+            assert _is_irreducible(mod, p) == is_irreducible_reference(mod, p), mod
+    # not monic: rejected by both
+    assert not _is_irreducible([1, 1, 2], 3) and not is_irreducible_reference([1, 1, 2], 3)
+
+
+# every (p, k) with k >= 2 and p^k <= 2^16 for p < 20, and larger primes
+MODULUS_GRID = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19) for k in range(2, 17)
+                if p ** k <= 1 << 16] + [(31, 3), (61, 2), (251, 2)]
+
+
+def test_default_modulus_matches_trial_division():
+    for p, k in MODULUS_GRID:
+        assert default_modulus(p, k) == default_modulus_reference(p, k), (p, k)
 
 
 def test_bad_constructions():
