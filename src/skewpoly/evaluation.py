@@ -15,14 +15,17 @@ elements of length frame.n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
+from . import freering
 from .errors import DivisionByZero, InvalidInput, RingMismatch
 from .freering import (
+    PushMemo,
     SkewPolynomial,
+    _accumulate,
+    _is_ring_element,
     constant,
-    mono_key,
     variable,
-    word_times_constant,
 )
 
 
@@ -31,8 +34,6 @@ def check_point(frame, point):
     point = tuple(point)
     if len(point) != frame.n:
         raise InvalidInput(f"point has {len(point)} coordinates, frame has n={frame.n}")
-    from .freering import _is_ring_element
-
     for a in point:
         if not _is_ring_element(frame.ring, a):
             raise RingMismatch(f"coordinate {a!r} does not belong to {frame.ring}")
@@ -69,41 +70,47 @@ class DivisionResult:
 def divide(F, point):
     """Right division of F by x_1 - a_1, ..., x_n - a_n.
 
-    Repeatedly kills the current leading monomial m x_i by moving its
+    Repeatedly kills a monomial m x_i of top degree by moving its
     coefficient times m into quotient i; every replacement term has
     strictly smaller degree, so the loop terminates with a constant.
+    The quotients and the remainder are unique, so the order within one
+    degree does not matter, and a monomial once killed never returns.
+
+    Words are nodes of one PushMemo: the prefix m of a node is its
+    parent, and the pushes through the prefixes share the memo.  The
+    monomials to kill come off a heap keyed by degree, largest first.  A
+    node enters the heap when it enters the remainder; an entry whose
+    node has since cancelled out of the remainder is stale and skipped.
     """
     frame = F.frame
     point = check_point(frame, point)
+    memo = PushMemo()
+    parent, letter, depth, spelled = memo.parent, memo.letter, memo.depth, memo.spelled
+    rem = {memo.node(w): c for w, c in F.terms.items()}
+    heap = [(-depth[v], v) for v in rem if v]
+    heapify(heap)
     quot = [dict() for _ in range(frame.n)]
-    rem = dict(F.terms)
-    memo = {}
-    while True:
-        lead = None
-        for w in rem:
-            if w and (lead is None or mono_key(w) > mono_key(lead)):
-                lead = w
-        if lead is None:
-            break
-        c = rem.pop(lead)
-        prefix, i = lead[:-1], lead[-1]
-        cur = quot[i - 1].get(prefix)
-        new = c if cur is None else cur + c
-        if new.is_zero():
-            quot[i - 1].pop(prefix, None)
-        else:
-            quot[i - 1][prefix] = new
-        # F <- F - c * prefix * (x_i - a_i); the x_i part cancelled above
-        for w, pc in word_times_constant(frame, prefix, point[i - 1], memo).items():
-            add = c * pc
-            got = rem.get(w)
-            tot = add if got is None else got + add
-            if tot.is_zero():
-                rem.pop(w, None)
-            else:
-                rem[w] = tot
-    remainder = rem.get((), frame.ring.zero())
-    return DivisionResult([SkewPolynomial(frame, q) for q in quot], remainder)
+    while heap:
+        v = heappop(heap)[1]
+        c = rem.pop(v, None)
+        if c is None:
+            continue
+        prefix, i = parent[v], letter[v] - 1
+        if spelled[prefix] is None:
+            # a slice of the killed word, not a walk up from the prefix
+            spelled[prefix] = memo.word(v)[:-1]
+        _accumulate(quot[i], prefix, c)
+        # F <- F - c * prefix * (x_i - a_i); the x_i part cancelled above.
+        # _push is looked up on its module, as in mul, so a wrapper put
+        # there (the benchmark's tracer) sees every push
+        for w, pc in freering._push(frame, prefix, point[i], memo).items():
+            if w and w not in rem:
+                heappush(heap, (-depth[w], w))
+            _accumulate(rem, w, c * pc)
+    remainder = rem.get(0, frame.ring.zero())
+    return DivisionResult(
+        [SkewPolynomial(frame, {spelled[v]: q for v, q in quo.items()}) for quo in quot],
+        remainder)
 
 
 def fundamental(frame, word, point):

@@ -9,6 +9,12 @@ order of Vandermonde matrices) is graded, then lexicographic reading
 words from their rightmost character, with x_1 < x_2 < ... < x_n.
 Appending a variable on the right preserves the order, which is what
 the division algorithm needs.
+
+The product and division both push coefficients leftward through words.
+That kernel works on words as integer nodes of a per-call hash-consed
+table (PushMemo): a node is its prefix's node plus one letter, so one
+push level costs a few dict steps whatever the length of the word, and
+a node's tuple is spelled out only when a result needs it.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from itertools import product as _cartesian
 
 from .errors import RingMismatch, ZeroPolynomial
+from .rings import FieldElement, Quaternion
 
 
 class _Bottom:
@@ -71,11 +78,77 @@ def word_times_constant(frame, word, a, memo=None):
 
         (m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a))
 
-    Degree of every emitted word is at most len(word).
+    Degree of every emitted word is at most len(word).  Pass one
+    PushMemo to several calls over the same frame to share their pushes.
     """
     if memo is None:
-        memo = {}
-    return _push(frame, word, a, memo)
+        memo = PushMemo()
+    spell = memo.word
+    return {spell(v): c for v, c in _push(frame, memo.node(word), a, memo).items()}
+
+
+class PushMemo:
+    """The pushes of one call, over a hash-consed table of its words.
+
+    Words are integer nodes: node 0 is the empty word, and node v is the
+    word of node parent[v] followed by the letter letter[v], with
+    depth[v] letters.  children[v] maps a letter i to the node of word v
+    followed by i, so appending a letter is one dict step and equal
+    words are equal nodes.  spelled[v] is the tuple of node v, or None
+    until it is first asked for; it is built at most once.  pushed maps
+    (node, coefficient) to the push result {node: nonzero coefficient}.
+
+    A memo serves one frame and lives as long as the call that made it.
+    """
+
+    __slots__ = ("parent", "letter", "depth", "children", "spelled", "pushed")
+
+    def __init__(self):
+        self.parent = [0]
+        self.letter = [0]
+        self.depth = [0]
+        self.children = [{}]
+        self.spelled = [()]
+        self.pushed = {}
+
+    def append(self, v, i):
+        """The node of word v followed by letter i."""
+        kids = self.children[v]
+        w = kids.get(i)
+        if w is None:
+            w = kids[i] = len(self.parent)
+            self.parent.append(v)
+            self.letter.append(i)
+            self.depth.append(self.depth[v] + 1)
+            self.children.append({})
+            self.spelled.append(None)
+        return w
+
+    def node(self, word):
+        """The node of a word given as a tuple of letters."""
+        children = self.children
+        v = 0
+        for i in word:
+            w = children[v].get(i)
+            v = self.append(v, i) if w is None else w
+        if self.spelled[v] is None:
+            self.spelled[v] = tuple(word)
+        return v
+
+    def word(self, v):
+        """The tuple of letters of node v."""
+        spelled = self.spelled
+        t = spelled[v]
+        if t is None:
+            # walk up to the nearest spelled ancestor, then spell the rest
+            tail = []
+            u = v
+            while spelled[u] is None:
+                tail.append(self.letter[u])
+                u = self.parent[u]
+            tail.reverse()
+            t = spelled[v] = spelled[u] + tuple(tail)
+        return t
 
 
 # Most letters one recursive push descends.  A longer word is cut every
@@ -83,21 +156,29 @@ def word_times_constant(frame, word, a, memo=None):
 _PUSH_DEPTH = 512
 
 
-def _push(frame, word, a, memo):
-    """(word) * a as a dict word -> left coefficient, memoized per
-    (prefix of word, coefficient).
+def _push(frame, v, a, memo):
+    """(word) * a for the word of node v of memo, as a dict node -> left
+    coefficient; memoized per (node, coefficient) in memo.pushed.
 
-    A word longer than _PUSH_DEPTH letters is first swept from its right
-    end, level by level, collecting the coefficients still to be pushed
-    through each prefix whose length is a multiple of _PUSH_DEPTH and
-    that the memo lacks.  Pushing those, shortest prefix first, fills the
-    memo, so the final push recurses through at most _PUSH_DEPTH letters.
+    The word of a node deeper than _PUSH_DEPTH letters is first swept
+    from its right end, level by level up the parent nodes, collecting
+    the coefficients still to be pushed through each prefix whose length
+    is a multiple of _PUSH_DEPTH and that the memo lacks.  Pushing
+    those, shortest prefix first, fills the memo, so the final push
+    recurses through at most _PUSH_DEPTH letters.
     """
-    if len(word) > _PUSH_DEPTH and (word, a) not in memo:
+    if a.is_zero():
+        return {}
+    pushed = memo.pushed
+    depth = memo.depth[v]
+    if depth > _PUSH_DEPTH and (v, a) not in pushed:
+        parent, letter = memo.parent, memo.letter
         cuts = []
         need = {a: None}
-        for k in range(len(word), _PUSH_DEPTH, -1):
-            i = word[k - 1] - 1
+        u = v
+        for k in range(depth, _PUSH_DEPTH, -1):
+            i = letter[u] - 1
+            u = parent[u]
             nxt = {}
             for c in need:
                 for s in frame.sigma_at(c)[i]:
@@ -108,40 +189,40 @@ def _push(frame, word, a, memo):
                     nxt[d] = None
             need = nxt
             if (k - 1) % _PUSH_DEPTH == 0:
-                prefix = word[:k - 1]
-                need = {c: None for c in need if (prefix, c) not in memo}
+                need = {c: None for c in need if (u, c) not in pushed}
                 if not need:
                     break
-                cuts.append((prefix, need))
-        for prefix, coeffs in reversed(cuts):
+                cuts.append((u, need))
+        for u, coeffs in reversed(cuts):
             for c in coeffs:
-                _push_recursive(frame, prefix, c, memo)
-    return _push_recursive(frame, word, a, memo)
+                _push_recursive(frame, u, c, memo)
+    return _push_recursive(frame, v, a, memo)
 
 
-def _push_recursive(frame, word, a, memo):
-    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)), recursing on m."""
-    if a.is_zero():
-        return {}
-    if not word:
-        return {word: a}
-    key = (word, a)
-    hit = memo.get(key)
+def _push_recursive(frame, v, a, memo):
+    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)) for a != 0,
+    recursing on the node of m, which is parent[v]; i is letter[v]."""
+    if not v:
+        return {0: a}
+    key = (v, a)
+    pushed = memo.pushed
+    hit = pushed.get(key)
     if hit is not None:
         return hit
-    prefix, i = word[:-1], word[-1]
+    prefix, i = memo.parent[v], memo.letter[v] - 1
     out = {}
-    sig_row = frame.sigma_at(a)[i - 1]
-    for j in range(frame.n):
-        c = sig_row[j]
+    children = memo.children
+    for j, c in enumerate(frame.sigma_at(a)[i], 1):
         if not c.is_zero():
+            # words ending in different letters differ: no sums needed
             for w, coeff in _push_recursive(frame, prefix, c, memo).items():
-                _accumulate(out, w + (j + 1,), coeff)
-    d = frame.delta_at(a)[i - 1]
+                u = children[w].get(j)
+                out[memo.append(w, j) if u is None else u] = coeff
+    d = frame.delta_at(a)[i]
     if not d.is_zero():
         for w, coeff in _push_recursive(frame, prefix, d, memo).items():
             _accumulate(out, w, coeff)
-    memo[key] = out
+    pushed[key] = out
     return out
 
 
@@ -294,10 +375,8 @@ class SkewPolynomial:
 
 
 def _is_ring_element(ring, x):
-    from .rings import FieldElement, Quaternion
-
     if isinstance(x, FieldElement):
-        if x.field != ring:
+        if x.field is not ring and x.field != ring:
             raise RingMismatch(f"{x.field} element used over {ring}")
         return True
     if isinstance(x, Quaternion):
@@ -374,9 +453,12 @@ def mul(F, G):
         raise RingMismatch("polynomials built over different frames")
     frame = F.frame
     out = {}
-    memo = {}
+    memo = PushMemo()
+    spelled = memo.spelled
     for mw, fc in F.terms.items():
+        v = memo.node(mw)
         for nw, gc in G.terms.items():
-            for w, c in _push(frame, mw, gc, memo).items():
-                _accumulate(out, w + nw, fc * c)
+            for w, c in _push(frame, v, gc, memo).items():
+                t = spelled[w]
+                _accumulate(out, (memo.word(w) if t is None else t) + nw, fc * c)
     return SkewPolynomial(frame, out)

@@ -38,6 +38,7 @@ from .linalg import Matrix, echelon_insert, left_apply, row_reduce_left
 
 # Work budgets, checked before any work is done (docs/wire_format.md).
 VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
+VERIFIER_WORK_LIMIT = 1 << 22      # predicted rows x M^2 of lagrange_via_vandermonde()
 CLOSURE_POINT_LIMIT = 1 << 16      # q^n points enumerated by closure_members()
 IMAGE_WORK_LIMIT = 1 << 25         # predicted n * M^3 of the image echelon of M points
 
@@ -77,6 +78,13 @@ def all_points(frame):
 # Skew Vandermonde matrices
 # ---------------------------------------------------------------------------
 
+def vandermonde_rows(n, d):
+    """Rows of a degree-d Vandermonde over n variables: the monomials of
+    degree < d, capped at 64 degrees, which already give more rows than
+    any work budget when n >= 2."""
+    return d if n == 1 else (n ** min(d, 64) - 1) // (n - 1)
+
+
 def vandermonde(frame, points, d):
     """Matrix of fundamental-function values.
 
@@ -89,8 +97,7 @@ def vandermonde(frame, points, d):
         raise InvalidInput("degree bound must be >= 1")
     points = tuple(check_point(frame, p) for p in points)
     n = frame.n
-    # with n >= 2, 64 degrees already give more rows than any limit
-    nrows = d if n == 1 else (n ** min(d, 64) - 1) // (n - 1)
+    nrows = vandermonde_rows(n, d)
     cells = nrows * max(len(points), 1)
     if cells > VANDERMONDE_CELL_LIMIT:
         size = cells if n == 1 or d <= 64 else f"more than {cells}"

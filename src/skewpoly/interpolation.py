@@ -30,6 +30,7 @@ from .errors import (
 from .evaluation import check_point, evaluate
 from .freering import from_terms, zero
 from .geometry import (
+    VERIFIER_WORK_LIMIT,
     _image_echelon,
     _inverse_square,
     _value_rows,
@@ -37,6 +38,7 @@ from .geometry import (
     find_p_basis,
     is_two_sided,
     vandermonde,
+    vandermonde_rows,
 )
 from .linalg import echelon_insert, left_apply, solve_left
 
@@ -83,7 +85,9 @@ def lagrange_via_vandermonde(frame, basis, values):
 
     Solves coeffs * V = values with monomials of degree < #basis; an
     inconsistent system means the points were not a P-basis of their
-    closure.
+    closure.  The solve takes about rows * M^2 ring operations for M
+    points; a job predicted to exceed VERIFIER_WORK_LIMIT is refused
+    before anything is built.
     """
     basis = check_point_set(frame, basis)
     values = tuple(values)
@@ -91,7 +95,15 @@ def lagrange_via_vandermonde(frame, basis, values):
         raise InvalidInput("need exactly one value per basis point")
     if not basis:
         return zero(frame)
-    V = vandermonde(frame, basis, len(basis))
+    M = len(basis)
+    work = vandermonde_rows(frame.n, M) * M * M
+    if work > VERIFIER_WORK_LIMIT:
+        size = work if frame.n == 1 or M <= 64 else f"more than {work}"
+        raise InvalidInput(
+            f"the Vandermonde solve over {M} points takes about {size} ring operations, "
+            f"over the limit of {VERIFIER_WORK_LIMIT}"
+        )
+    V = vandermonde(frame, basis, M)
     try:
         coeffs = solve_left(V, values)
     except NoSolution as exc:

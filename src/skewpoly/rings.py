@@ -306,7 +306,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.val))
+        # equal elements share val; __eq__ still tells the fields apart
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0

@@ -42,6 +42,13 @@ half the degree) that Rabin's test replaced, and the elimination that
 rebuilds every row in full together with the solve read off the
 rows x rows transform of [A | I], which the pivot-square solve replaced.
 
+The module keeps the product and division that the library's word
+nodes replaced: the push of a coefficient through a word given as a
+tuple, recursing on the slice word[:-1] with one memo per
+(word, coefficient) and cut every PUSH_REFERENCE_DEPTH letters, and
+the division that rescans the whole remainder for its leading monomial
+at every step.
+
 For the rational quaternions the module also keeps the reference
 semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
 expressions over quaternions written as 4-tuples of ``Fraction`` parts,
@@ -58,6 +65,7 @@ from skewpoly import (
     NoSolution,
     NotPIndependent,
     NotSeparable,
+    SkewPolynomial,
     all_points,
     constant,
     divide,
@@ -66,6 +74,7 @@ from skewpoly import (
     fundamental_table,
     left_apply,
     left_null_space,
+    mono_key,
     monomial,
     monomials_below,
     one,
@@ -74,6 +83,8 @@ from skewpoly import (
     vandermonde,
     zero,
 )
+from skewpoly.evaluation import check_point
+from skewpoly.freering import _accumulate
 from skewpoly.interpolation import independent_rows
 
 
@@ -531,3 +542,97 @@ def solve_left_reference(A, b):
     if left_apply(mu, R) != b:
         raise NoSolution("right-hand side outside the left row space")
     return left_apply(mu, T)
+
+
+# ---------------------------------------------------------------------------
+# Product and division references: words as tuples, division by rescanning
+# ---------------------------------------------------------------------------
+
+# Most letters one recursive reference push descends.
+PUSH_REFERENCE_DEPTH = 512
+
+
+def push_reference(frame, word, a, memo):
+    """(word) * a as a dict word -> left coefficient, memoized per
+    (prefix of word, coefficient) in the dict memo.
+
+    A word longer than PUSH_REFERENCE_DEPTH letters is first swept from
+    its right end, level by level, collecting the coefficients still to
+    be pushed through each prefix whose length is a multiple of
+    PUSH_REFERENCE_DEPTH and that the memo lacks; pushing those,
+    shortest prefix first, fills the memo.
+    """
+    if len(word) > PUSH_REFERENCE_DEPTH and (word, a) not in memo:
+        cuts = []
+        need = {a: None}
+        for k in range(len(word), PUSH_REFERENCE_DEPTH, -1):
+            i = word[k - 1] - 1
+            nxt = {}
+            for c in need:
+                for s in frame.sigma_at(c)[i]:
+                    if not s.is_zero():
+                        nxt[s] = None
+                d = frame.delta_at(c)[i]
+                if not d.is_zero():
+                    nxt[d] = None
+            need = nxt
+            if (k - 1) % PUSH_REFERENCE_DEPTH == 0:
+                prefix = word[:k - 1]
+                need = {c: None for c in need if (prefix, c) not in memo}
+                if not need:
+                    break
+                cuts.append((prefix, need))
+        for prefix, coeffs in reversed(cuts):
+            for c in coeffs:
+                _push_reference_recursive(frame, prefix, c, memo)
+    return _push_reference_recursive(frame, word, a, memo)
+
+
+def _push_reference_recursive(frame, word, a, memo):
+    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)), recursing on m."""
+    if a.is_zero():
+        return {}
+    if not word:
+        return {word: a}
+    key = (word, a)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    prefix, i = word[:-1], word[-1]
+    out = {}
+    sig_row = frame.sigma_at(a)[i - 1]
+    for j in range(frame.n):
+        c = sig_row[j]
+        if not c.is_zero():
+            for w, coeff in _push_reference_recursive(frame, prefix, c, memo).items():
+                _accumulate(out, w + (j + 1,), coeff)
+    d = frame.delta_at(a)[i - 1]
+    if not d.is_zero():
+        for w, coeff in _push_reference_recursive(frame, prefix, d, memo).items():
+            _accumulate(out, w, coeff)
+    memo[key] = out
+    return out
+
+
+def divide_reference(F, point):
+    """(quotients, remainder) of right division by {x_i - a_i}, taking the
+    leading monomial by a scan of the whole remainder at every step."""
+    frame = F.frame
+    point = check_point(frame, point)
+    quot = [dict() for _ in range(frame.n)]
+    rem = dict(F.terms)
+    memo = {}
+    while True:
+        lead = None
+        for w in rem:
+            if w and (lead is None or mono_key(w) > mono_key(lead)):
+                lead = w
+        if lead is None:
+            break
+        c = rem.pop(lead)
+        prefix, i = lead[:-1], lead[-1]
+        _accumulate(quot[i - 1], prefix, c)
+        for w, pc in push_reference(frame, prefix, point[i - 1], memo).items():
+            _accumulate(rem, w, c * pc)
+    remainder = rem.get((), frame.ring.zero())
+    return [SkewPolynomial(frame, q) for q in quot], remainder

@@ -345,6 +345,44 @@ def test_long_word_mul_answers_with_one_json_line():
     assert out == {"product": [{"monomial": word + [2], "coeff": [0, 1]}]}
 
 
+def test_long_word_divide_answers_with_one_json_line():
+    # 3000 letters: the first pushes go through prefixes deeper than the
+    # default recursion limit
+    gf9 = FiniteField(3, 2)
+    frame = frobenius_frame(gf9, 2)
+    rng = random.Random(3000)
+    word = [rng.randint(1, 2) for _ in range(3000)]
+    point = [[rng.randrange(3), rng.randrange(3)] for _ in range(2)]
+    job = {"ring": gf9.spec_to_json(), "frame": frame.to_json(),
+           "f": [{"monomial": word, "coeff": [1, 0]}], "point": point}
+    code, out, text = invoke(["divide"], job)
+    assert code == 0 and len(text.splitlines()) == 1
+    want = fundamental(frame, tuple(word), point_from_json(frame, point))
+    assert out["remainder"] == gf9.element_to_json(want)
+    # a diagonal frame keeps words: quotient i holds the prefixes followed by x_i
+    for i, quotient in enumerate(out["quotients"], 1):
+        assert sorted(t["monomial"] for t in quotient) == sorted(
+            word[:k] for k in range(len(word)) if word[k] == i)
+
+
+def test_univariate_vandermonde_interpolation_is_refused_by_its_work():
+    # 512 points of conventional GF(2^16): under VANDERMONDE_CELL_LIMIT
+    # (512 x 512 cells), but the solve takes about 512^3 ring operations
+    gf = FiniteField(2, 16)
+    frame = conventional_frame(gf, 1)
+    rng = random.Random(512)
+    codes = rng.sample(range(1 << 16), 512)
+    digits = lambda c: [c >> d & 1 for d in range(16)]
+    job = {"ring": gf.spec_to_json(), "frame": frame.to_json(),
+           "points": [[digits(c)] for c in codes],
+           "values": [digits(rng.randrange(1 << 16)) for _ in codes]}
+    start = time.perf_counter()
+    code, out, text = invoke(["interpolate", "--method", "vandermonde"], job)
+    assert time.perf_counter() - start < 5
+    _one_error_line(text, code, want_code=1, want_error="InvalidInput")
+    assert "134217728" in out["message"]
+
+
 def test_oversized_work_is_refused_before_it_starts():
     gf5_points = [[0, 0], [1, 2], [3, 4]]
     gf65536 = json.loads((DATA / "gf65536_job.json").read_text())

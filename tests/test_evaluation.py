@@ -1,6 +1,10 @@
 """Division, evaluation paths, fundamental functions, conjugacy, product rule."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewpoly import (
     DivisionByZero,
@@ -21,8 +25,10 @@ from skewpoly import (
     variable,
     zero,
 )
+from skewpoly import freering
 from skewpoly.frames import block_frame
 from conftest import random_point, random_poly
+from oracles import divide_reference
 
 
 def all_frames(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2):
@@ -76,6 +82,56 @@ def test_divide_reconstruction_and_uniqueness(
 
             bad = DivisionResult(res.quotients, res.remainder + frame.ring.one())
             assert bad.reconstruct(frame, a) != F
+
+
+DIVIDE_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondiag_gf8_2",
+                 "nondiag_gf8_2_inner")
+
+
+def _assert_division_matches_reference(F, point):
+    res = divide(F, point)
+    quotients, remainder = divide_reference(F, point)
+    assert res.quotients == quotients and res.remainder == remainder
+
+
+@pytest.mark.parametrize("depth", [512, 2])
+@pytest.mark.parametrize("name", DIVIDE_FRAMES)
+def test_divide_matches_reference(name, depth, request, monkeypatch):
+    # depth 2 cuts the longer quotient prefixes, so the node sweep runs too
+    monkeypatch.setattr(freering, "_PUSH_DEPTH", depth)
+    frame = request.getfixturevalue(name)
+    rng = random.Random(f"divide:{name}")
+    max_deg = 6 if name.startswith("nondiag") or name.startswith("quat") else 9
+    for k in range(12):
+        F = random_poly(frame, rng, max_deg=max_deg if k % 3 == 0 else 3, max_terms=5)
+        a = random_point(frame, rng)
+        _assert_division_matches_reference(F, a)
+        # a product by x_i - a_i: its remainder cancels to F's value at a
+        i = rng.randint(1, frame.n)
+        _assert_division_matches_reference(
+            F + mul(F, variable(frame, i) - constant(frame, a[i - 1])), a)
+
+
+def test_long_word_division_matches_reference(frob_gf9_2, gf9):
+    # 600 letters: the longest quotient prefixes are cut at the default depth
+    rng = random.Random(600)
+    word = tuple(rng.randint(1, 2) for _ in range(600))
+    F = monomial(frob_gf9_2, word, gf9.gen()) + random_poly(frob_gf9_2, rng)
+    _assert_division_matches_reference(F, random_point(frob_gf9_2, rng))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(index=st.integers(0, len(DIVIDE_FRAMES) - 1), seed=st.integers(0, 2 ** 32),
+       max_deg=st.integers(0, 5), max_terms=st.integers(1, 6))
+def test_divide_matches_reference_on_drawn_polynomials(conv_gf5_2, frob_gf4_2, frob_gf9_2,
+                                                       quat_inner_2, nondiag_gf8_2,
+                                                       nondiag_gf8_2_inner, index, seed,
+                                                       max_deg, max_terms):
+    frame = (conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, nondiag_gf8_2,
+             nondiag_gf8_2_inner)[index]
+    rng = random.Random(seed)
+    F = random_poly(frame, rng, max_deg=max_deg, max_terms=max_terms)
+    _assert_division_matches_reference(F, random_point(frame, rng))
 
 
 # ---------------------------------------------------------------------------

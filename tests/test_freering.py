@@ -6,9 +6,12 @@ random inputs exercises both the product formula and associativity of
 the expansion order.
 """
 
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewpoly import (
     BOTTOM,
@@ -30,8 +33,9 @@ from skewpoly import (
     zero,
 )
 from skewpoly import freering
-from skewpoly.freering import word_times_constant
+from skewpoly.freering import PushMemo, word_times_constant
 from conftest import random_nonzero_poly, random_point, random_poly
+from oracles import push_reference
 
 
 def ref_word_times_constant(frame, word, a):
@@ -179,7 +183,7 @@ def test_pushes_through_cut_words_match_reference(frob_gf9_2, quat_inner_2, rng,
     # Python stack; prefixes longest first with one memo, as division does
     monkeypatch.setattr(freering, "_PUSH_DEPTH", 2)
     for frame in (frob_gf9_2, quat_inner_2):
-        memo = {}
+        memo = PushMemo()
         word = tuple(rng.randint(1, 2) for _ in range(8))
         for k in range(len(word), -1, -1):
             a = random_point(frame, rng)[0]
@@ -214,6 +218,76 @@ def test_cut_words_keep_the_stack_shallow(gf9, monkeypatch):
     assert len(got) > 2
     # one piece of 8 letters plus the call that finds the next prefix memoized
     assert depth[1] <= 9
+
+
+PUSH_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondiag_gf8_2",
+               "nondiag_gf8_2_inner")
+
+
+def _assert_pushes_match_reference(frame, cases):
+    """Push every (word, coefficient) through one shared memo, as mul and
+    divide do, and compare with the tuple reference sharing one dict."""
+    memo, ref_memo = PushMemo(), {}
+    for word, a in cases:
+        got = freering._push(frame, memo.node(word), a, memo)
+        assert {memo.word(v): c for v, c in got.items()} == push_reference(frame, word, a, ref_memo)
+
+
+@pytest.mark.parametrize("depth", [512, 3])
+@pytest.mark.parametrize("name", PUSH_FRAMES)
+def test_node_pushes_match_reference(name, depth, request, monkeypatch):
+    # depth 3 cuts the 4- to 8-letter words, so the node sweep runs too
+    monkeypatch.setattr(freering, "_PUSH_DEPTH", depth)
+    frame = request.getfixturevalue(name)
+    rng = random.Random(f"push:{name}")
+    words = [tuple(rng.randint(1, frame.n) for _ in range(rng.randint(0, 8))) for _ in range(12)]
+    # prefixes of the drawn words, longest first, and repeats, as in division
+    words += [w[:k] for w in words[:3] for k in range(len(w), -1, -1)]
+    cases = [(w, random_point(frame, rng)[0]) for w in words]
+    cases += [(w, frame.ring.zero()) for w in words[:2]]
+    _assert_pushes_match_reference(frame, cases)
+
+
+def test_long_node_pushes_match_reference(frob_gf9_2, gf9):
+    # past the default depth: 700 and 1100 letters, cut once and twice
+    rng = random.Random(700)
+    cases = []
+    for length in (700, 1100):
+        word = tuple(rng.randint(1, 2) for _ in range(length))
+        cases += [(word, gf9.gen()), (word[:-1], gf9.gen() + gf9.one()), (word, gf9.one())]
+    _assert_pushes_match_reference(frob_gf9_2, cases)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(index=st.integers(0, len(PUSH_FRAMES) - 1),
+       words=st.lists(st.lists(st.integers(1, 2), max_size=7), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32), depth=st.sampled_from([512, 2]))
+def test_node_pushes_match_reference_on_drawn_words(conv_gf5_2, frob_gf4_2, frob_gf9_2,
+                                                     quat_inner_2, nondiag_gf8_2,
+                                                     nondiag_gf8_2_inner, index, words,
+                                                     seed, depth):
+    frame = (conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, nondiag_gf8_2,
+             nondiag_gf8_2_inner)[index]
+    rng = random.Random(seed)
+    saved = freering._PUSH_DEPTH
+    freering._PUSH_DEPTH = depth
+    try:
+        _assert_pushes_match_reference(
+            frame, [(tuple(w), random_point(frame, rng)[0]) for w in words])
+    finally:
+        freering._PUSH_DEPTH = saved
+
+
+def test_push_memo_hash_conses_words():
+    memo = PushMemo()
+    v = memo.node((1, 2, 1))
+    assert memo.node((1, 2, 1)) == v and memo.append(memo.node((1, 2)), 1) == v
+    assert memo.depth[v] == 3 and memo.letter[v] == 1 and memo.word(memo.parent[v]) == (1, 2)
+    assert memo.node(()) == 0 and memo.word(0) == ()
+    # a node reached only by appends is spelled on demand, once
+    u = memo.append(memo.append(v, 2), 2)
+    assert memo.spelled[u] is None
+    assert memo.word(u) == (1, 2, 1, 2, 2) and memo.word(u) is memo.word(u)
 
 
 def test_degree_additivity(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, rng):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from skewpoly import (
+    FiniteField,
     NotARing,
     NotPIndependent,
     NotSeparable,
@@ -31,7 +32,8 @@ from skewpoly import (
     vandermonde,
     zero,
 )
-from skewpoly import linalg
+from skewpoly import interpolation, linalg
+from skewpoly.errors import InvalidInput
 from skewpoly.freering import count_monomials_below
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import Matrix
@@ -493,3 +495,32 @@ def test_kernel_splits_into_global_ideal_plus_complementary_duals(conv_gf2_2, gf
             G = G + dual_poly.scale_left(evaluate(K, c))
         rest = K - G
         assert all(evaluate(rest, p).is_zero() for p in everything)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_verifier_work_budget_admits_the_largest_jobs(gf5, monkeypatch):
+    # the budget (VERIFIER_WORK_LIMIT = 2^22) is checked before the
+    # Vandermonde is built: a stub in its place tells admitted jobs from
+    # refused ones without solving any
+    def stub(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(interpolation, "vandermonde", stub)
+    gf = FiniteField(2, 16)
+    line = conventional_frame(gf, 1)
+    elements = list(gf.elements())
+    plane = list(all_points(conventional_frame(gf5, 2)))
+    admitted = (
+        # 14 points of GF(5)^2: 16383 rows x 14^2
+        (conventional_frame(gf5, 2), plane[:14]),
+        # 161 univariate points: 161^3 = 4173281
+        (line, [(e,) for e in elements[:161]]),
+    )
+    for frame, pts in admitted:
+        with pytest.raises(_Admitted):
+            lagrange_via_vandermonde(frame, pts, [frame.ring.one()] * len(pts))
+    with pytest.raises(InvalidInput, match="4251528"):
+        lagrange_via_vandermonde(line, [(e,) for e in elements[:162]], [gf.one()] * 162)
