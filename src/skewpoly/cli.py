@@ -27,7 +27,7 @@ from .evaluation import (
     point_to_json,
 )
 from .frames import Frame, frame_from_json
-from .freering import mul, poly_from_json, variable
+from .freering import monomial_from_json, mul, poly_from_json, variable
 from .geometry import (
     closure_members,
     find_p_basis,
@@ -45,7 +45,7 @@ from .interpolation import (
     reduce_mod_ideal,
 )
 from .linalg import rank
-from .rings import ring_from_json
+from .rings import _is_json_int, ring_from_json
 
 DEFAULT_SEED = 1729
 
@@ -113,7 +113,7 @@ def _verb_eval(job, fmt, seed):
 
 def _verb_norm(job, fmt, seed):
     ws = _load_workspace(job)
-    word = tuple(int(i) for i in _need(job, "monomial"))
+    word = monomial_from_json(ws.frame, _need(job, "monomial"))
     a = point_from_json(ws.frame, _need(job, "point"))
     return {"value": _element_out(ws, fundamental(ws.frame, word, a), fmt)}
 
@@ -128,7 +128,9 @@ def _verb_conjugate(job, fmt, seed):
 def _verb_vandermonde(job, fmt, seed):
     ws = _load_workspace(job)
     pts = points_from_json(ws.frame, _need(job, "points"))
-    d = int(_need(job, "degree"))
+    d = _need(job, "degree")
+    if not _is_json_int(d):
+        raise ValueError(f"degree must be an integer, got {d!r}")
     V = vandermonde(ws.frame, pts, d)
     return {
         "matrix": V.to_json(),

@@ -24,6 +24,7 @@ from .freering import (
     SkewPolynomial,
     _accumulate,
     _is_ring_element,
+    check_word,
     constant,
     variable,
 )
@@ -120,6 +121,7 @@ def fundamental(frame, word, point):
     fundamental function of an ever longer suffix.
     """
     point = check_point(frame, point)
+    word = check_word(frame, word)
     val = frame.ring.one()
     for idx in range(len(word) - 1, -1, -1):
         val = _extend(frame, val, point)[word[idx] - 1]
@@ -193,20 +195,13 @@ def evaluate(F, point):
 
 
 def conjugate(frame, point, c):
-    """The twisted conjugate sigma(c) a c^(-1) + delta(c) c^(-1) of a point."""
+    """The twisted conjugate sigma(c) a c^(-1) + delta(c) c^(-1) of a point:
+    the values N_(x_i)(a) extended by c, scaled by c^(-1) on the right."""
     point = check_point(frame, point)
     if c.is_zero():
         raise DivisionByZero("conjugation by zero")
     cinv = c.inv()
-    sig = frame.sigma_at(c)
-    dlt = frame.delta_at(c)
-    out = []
-    for i in range(frame.n):
-        acc = frame.ring.zero()
-        for j in range(frame.n):
-            acc = acc + sig[i][j] * point[j]
-        out.append(acc * cinv + dlt[i] * cinv)
-    return tuple(out)
+    return tuple(y * cinv for y in _extend(frame, c, point))
 
 
 @dataclass

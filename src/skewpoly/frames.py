@@ -89,16 +89,16 @@ class LinearMap:
     @classmethod
     def from_function(cls, fld, fn):
         """Matrix of the additive extension of fn, read off the power basis."""
-        return cls.from_images(fld, [fn(_basis_el(fld, j)) for j in range(fld.k)])
+        return cls.from_images(fld, [fn(e) for e in fld.additive_basis()])
 
     @classmethod
     def frobenius(cls, fld, power=1):
-        return cls.from_images(fld, [_basis_el(fld, j) ** (fld.p ** power) for j in range(fld.k)])
+        return cls.from_images(fld, [e ** (fld.p ** power) for e in fld.additive_basis()])
 
     @classmethod
     def scalar(cls, fld, c):
         """The map a -> c * a."""
-        return cls.from_images(fld, [c * _basis_el(fld, j) for j in range(fld.k)])
+        return cls.from_images(fld, [c * e for e in fld.additive_basis()])
 
     def is_zero_map(self):
         return all(all(x == 0 for x in row) for row in self.mat)
@@ -114,10 +114,6 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap({self.mat})"
-
-
-def _basis_el(fld, j):
-    return fld.element(fld.p ** j)
 
 
 class QuatMap:
@@ -345,9 +341,8 @@ def frame_from_json(ring, obj):
 
 def _probe_elements(ring):
     if isinstance(ring, FiniteField):
-        return [_basis_el(ring, j) for j in range(ring.k)]
-    one = ring.one()
-    return [one, ring.i(), ring.j(), ring.k(), ring.element("1/2"), one + ring.i()]
+        return ring.additive_basis()
+    return ring.additive_basis() + [ring.element("1/2"), ring.one() + ring.i()]
 
 
 def _validation_pairs(ring):
@@ -485,7 +480,7 @@ def inner_frame(ring, sigma, beta):
                 for j in range(n):
                     acc = acc + sigma[i][j].apply(a) * beta[j]
                 return acc
-            delta.append(LinearMap.from_images(ring, [der(_basis_el(ring, j)) for j in range(ring.k)]))
+            delta.append(LinearMap.from_images(ring, [der(e) for e in ring.additive_basis()]))
     else:
         delta = []
         for i in range(n):

@@ -409,28 +409,44 @@ def variable(frame, i):
     return SkewPolynomial(frame, {(i,): frame.ring.one()})
 
 
+def check_word(frame, word):
+    """The word as a tuple of variable indices, each an int (not a bool)
+    in 1..n."""
+    word = tuple(word)
+    n = frame.n
+    for i in word:
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"variable index {i!r} is not an integer in 1..{n}")
+    return word
+
+
 def monomial(frame, word, coeff=None):
-    word = tuple(int(i) for i in word)
-    if any(not 1 <= i <= frame.n for i in word):
-        raise ValueError("variable index out of range")
     if coeff is None:
         coeff = frame.ring.one()
-    return SkewPolynomial(frame, {word: coeff})
+    return SkewPolynomial(frame, {check_word(frame, word): coeff})
 
 
 def from_terms(frame, pairs):
     """Polynomial from (word, coeff) pairs; repeated words accumulate."""
-    out = zero(frame)
+    terms = {}
     for w, c in pairs:
-        out = out + monomial(frame, w, c)
-    return out
+        _accumulate(terms, check_word(frame, w), c)
+    return SkewPolynomial(frame, terms)
+
+
+def monomial_from_json(frame, obj):
+    """A job monomial: a list of JSON integers, each in 1..n."""
+    if not isinstance(obj, list):
+        raise ValueError(f"monomial must be a list of variable indices, got {obj!r}")
+    return check_word(frame, obj)
 
 
 def poly_from_json(frame, obj):
     if not isinstance(obj, list):
         raise ValueError("polynomial must be a list of term objects")
     dec = frame.ring.element_from_json
-    return from_terms(frame, ((tuple(t["monomial"]), dec(t["coeff"])) for t in obj))
+    return from_terms(frame, ((monomial_from_json(frame, t["monomial"]), dec(t["coeff"]))
+                              for t in obj))
 
 
 # ---------------------------------------------------------------------------

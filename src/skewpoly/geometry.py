@@ -39,7 +39,7 @@ from .linalg import Matrix, echelon_insert, left_apply, row_reduce_left
 # Work budgets, checked before any work is done (docs/wire_format.md).
 VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
 VERIFIER_WORK_LIMIT = 1 << 22      # predicted rows x M^2 of lagrange_via_vandermonde()
-CLOSURE_POINT_LIMIT = 1 << 16      # q^n points enumerated by closure_members()
+CLOSURE_POINT_LIMIT = 1 << 16      # q^n points of F^n, which bound closure_members()
 IMAGE_WORK_LIMIT = 1 << 25         # predicted n * M^3 of the image echelon of M points
 
 
@@ -92,6 +92,8 @@ def vandermonde(frame, points, d):
     order, columns over the given points.  Row count is d for n = 1
     and (n^d - 1)/(n - 1) otherwise; a matrix predicted to exceed
     VANDERMONDE_CELL_LIMIT cells (rows x points) is refused unbuilt.
+    For n = 1 the row labels x1^e, e < d, spell d(d - 1)/2 letters,
+    which outgrow the d M cells, so they count as cells too.
     """
     if d < 1:
         raise InvalidInput("degree bound must be >= 1")
@@ -99,6 +101,8 @@ def vandermonde(frame, points, d):
     n = frame.n
     nrows = vandermonde_rows(n, d)
     cells = nrows * max(len(points), 1)
+    if n == 1:
+        cells += d * (d - 1) // 2
     if cells > VANDERMONDE_CELL_LIMIT:
         size = cells if n == 1 or d <= 64 else f"more than {cells}"
         raise InvalidInput(
@@ -179,21 +183,50 @@ def _inverse_square(frame, monos, rows):
     return row_reduce_left(Matrix(frame.ring, [rows[m] for m in monos])).T
 
 
+def _closure_test(frame, generators):
+    """A P-basis of the generators and the closure membership predicate.
+
+    The basis is the one find_p_basis keeps.  The predicate tells whether
+    every border relation of the basis vanishes at a point b; those
+    relations generate the polynomials vanishing on the basis, so this is
+    exactly whether b lies in the closure.  Each test costs the values of
+    the standard monomials at b and one dot product per relation.
+    """
+    lead, standard = _image_echelon(frame, generators)
+    basis = tuple(generators[k] for k in lead)
+    if not basis:
+        return basis, lambda b: False
+    # the generators and their P-basis share the standard monomials
+    rows = _value_rows(frame, standard, basis)
+    T = _inverse_square(frame, standard, rows)
+    is_standard = set(standard)
+    relations = [(w, left_apply(row, T)) for w, row in rows.items() if w not in is_standard]
+    zero = frame.ring.zero()
+
+    def vanish(b):
+        values = _value_rows(frame, standard, (b,))
+        for w, coeffs in relations:
+            acc = zero
+            for c, s in zip(coeffs, standard):
+                acc = acc + c * values[s][0]
+            if acc != values[w][0]:
+                return False
+        return True
+
+    return basis, vanish
+
+
 # ---------------------------------------------------------------------------
 # Independence and bases
 # ---------------------------------------------------------------------------
 
 def is_p_independent_from(frame, b, base):
-    """Whether b lies outside the closure of the set base.
-
-    True exactly when b's index leads in the image echelon of base
-    followed by b, i.e. appending b raises the rank.
-    """
+    """Whether b lies outside the closure of the set base."""
     b = check_point(frame, b)
     base = check_point_set(frame, base)
     if b in base:
         raise DuplicatePoint(f"{b!r} is already in the base set")
-    return len(base) in _image_echelon(frame, base + (b,))[0]
+    return not _closure_test(frame, base)[1](b)
 
 
 @dataclass
@@ -229,10 +262,7 @@ def rank_of(frame, points):
 def in_closure(frame, b, generators):
     """Closure membership for arbitrary (possibly dependent) generators."""
     b = check_point(frame, b)
-    generators = check_point_set(frame, generators)
-    if b in generators:
-        return True
-    return len(generators) not in _image_echelon(frame, generators + (b,))[0]
+    return _closure_test(frame, check_point_set(frame, generators))[1](b)
 
 
 def set_is_p_independent(frame, points):
@@ -242,60 +272,60 @@ def set_is_p_independent(frame, points):
 
 
 def closure_members(frame, generators):
-    """All points of F^n in the closure of the generators (finite fields only).
+    """All points of F^n in the closure of the generators (finite fields only),
+    in all_points order.
 
-    The points where every border relation of a P-basis of the
-    generators vanishes.  Enumerating more than CLOSURE_POINT_LIMIT
-    points is refused before the first one.
+    Only the twisted conjugates a^c (c != 0) of the points a of a P-basis
+    B are tested: the closure lies in the conjugacy classes of any
+    generating set, the multivariate form of Lam and Leroy (1988).
+    Proof, by induction on |B|, that a point b conjugate to no point of B
+    has some F vanishing on B with F(b) != 0.  For B empty take F = 1.
+    Otherwise B = B' + {a}, and by induction some F' vanishes on B' with
+    d = F'(b) != 0.  If F'(a) = 0, F' serves.  Else let c = F'(a) and
+    G = (x_i - (a^c)_i) F' for an i with (b^d)_i != (a^c)_i; such an i
+    exists, since b^d = a^c would make b = a^(d^-1 c) conjugate to a, by
+    (a^c)^e = a^(ec).  The product rule (FG)(p) = F(p^G(p)) G(p), and
+    (FG)(p) = 0 where G(p) = 0, gives G = 0 on B', G(a) =
+    ((a^c)_i - (a^c)_i) c = 0 and G(b) = ((b^d)_i - (a^c)_i) d != 0.
+
+    Conjugacy classes partition F^n (a^1 = a), so a basis point already
+    among the listed conjugates adds no class.  The q^n points of F^n
+    are bounded by CLOSURE_POINT_LIMIT before any work is done.
     """
     generators = check_point_set(frame, generators)
     if not frame.ring.is_finite:
-        raise NotFinite("closure enumeration needs a finite coefficient field")
+        raise NotFinite("closure listing needs a finite coefficient field")
     if not generators:
         return ()
     count = frame.ring.size ** frame.n
     if count > CLOSURE_POINT_LIMIT:
         raise InvalidInput(
-            f"closure enumerates {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
+            f"closure lists up to {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
         )
-    # the generators and their P-basis share the standard monomials
-    lead, standard = _image_echelon(frame, generators)
-    rows = _value_rows(frame, standard, tuple(generators[k] for k in lead))
-    T = _inverse_square(frame, standard, rows)
-    is_standard = set(standard)
-    relations = [(w, left_apply(row, T)) for w, row in rows.items() if w not in is_standard]
-    zero = frame.ring.zero()
-
-    def vanish(b):
-        values = _value_rows(frame, standard, (b,))
-        for w, coeffs in relations:
-            acc = zero
-            for c, s in zip(coeffs, standard):
-                acc = acc + c * values[s][0]
-            if acc != values[w][0]:
-                return False
-        return True
-
-    return tuple(b for b in all_points(frame) if vanish(b))
+    basis, test = _closure_test(frame, generators)
+    units = [c for c in frame.ring.elements() if not c.is_zero()]
+    candidates = set()
+    for a in basis:
+        if a not in candidates:
+            candidates.update(conjugate(frame, a, c) for c in units)
+    return tuple(sorted(filter(test, candidates), key=lambda b: [x.val for x in b]))
 
 
 def is_two_sided(frame, points):
     """Whether the ideal of polynomials vanishing on the points is two-sided.
 
-    Equivalent to: every conjugate a^c of every listed point stays
-    inside the closure, with c over all nonzero constants.
+    That holds exactly when the closure is closed under conjugation.  By
+    the proof in closure_members every closure point is a conjugate a^e of
+    a basis point a, and (a^e)^c = a^(ce), so it is enough that every a^c
+    with c != 0 lies in the closure, that is, that (R c)(a) = R(a^c) c
+    vanishes for every border relation R.  c -> (R c)(a) is additive, so
+    its kernel is a subspace over the prime field and it suffices to test
+    c over an additive basis of the ring: M k tests, over the quaternions
+    too.
     """
-    points = check_point_set(frame, points)
-    if not frame.ring.is_finite:
-        raise NotFinite("two-sidedness check enumerates all nonzero constants")
-    closure = set(closure_members(frame, points))
-    for a in points:
-        for c in frame.ring.elements():
-            if c.is_zero():
-                continue
-            if conjugate(frame, a, c) not in closure:
-                return False
-    return True
+    basis, test = _closure_test(frame, check_point_set(frame, points))
+    spanning = frame.ring.additive_basis()
+    return all(test(conjugate(frame, a, e)) for a in basis for e in spanning)
 
 
 # ---------------------------------------------------------------------------

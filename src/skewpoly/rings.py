@@ -439,6 +439,10 @@ class FiniteField:
         for v in range(self.q):
             yield FieldElement(self, v)
 
+    def additive_basis(self):
+        """The power basis 1, t, ..., t^(k-1): a basis of GF(p^k) over GF(p)."""
+        return [FieldElement(self, self.p ** j) for j in range(self.k)]
+
     def random_element(self, rng):
         return FieldElement(self, rng.randrange(self.q))
 
@@ -713,6 +717,10 @@ class QuaternionRing:
 
     def elements(self):
         raise NotFinite("the rational quaternions are infinite")
+
+    def additive_basis(self):
+        """1, i, j, k: a basis of the quaternions over Q."""
+        return [self.one(), self.i(), self.j(), self.k()]
 
     def random_element(self, rng, height=4):
         """Small random quaternion: numerators in [-height, height], denominators in [1, 3]."""

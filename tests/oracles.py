@@ -28,8 +28,11 @@ The module also keeps the Vandermonde-rank procedures that the
 library's image-echelon engine replaced: the two-rank independence test
 (b leaves the closure of base when appending its column raises the rank
 of the Vandermonde of degree #base + 1), the greedy P-basis, rank and
-closure built on it, and the dependent-row scan that re-ranks the kept
-stack for every candidate row.  They use the library's vandermonde()
+closure built on it, the two-sidedness check that conjugates every
+listed point by every nonzero constant and looks the conjugate, summed
+from sigma(c) and delta(c) coordinate by coordinate, up in that
+closure, and the dependent-row scan that re-ranks the kept stack
+for every candidate row.  They use the library's vandermonde()
 and rank(), and work over any division ring.  Likewise the Vandermonde
 interpolation that the standard-monomial square replaced: the separator
 read off the left null space of the Vandermonde over the base, the
@@ -412,6 +415,27 @@ def closure_reference(frame, generators):
         b for b in all_points(frame)
         if b in basis or not is_p_independent_reference(frame, b, basis)
     )
+
+
+def conjugate_reference(frame, a, c):
+    """sigma(c) a c^-1 + delta(c) c^-1, coordinate by coordinate."""
+    cinv = c.inv()
+    sig, dlt = frame.sigma_at(c), frame.delta_at(c)
+    out = []
+    for i in range(frame.n):
+        acc = frame.ring.zero()
+        for j in range(frame.n):
+            acc = acc + sig[i][j] * a[j]
+        out.append(acc * cinv + dlt[i] * cinv)
+    return tuple(out)
+
+
+def is_two_sided_reference(frame, points):
+    """Whether every conjugate a^c of every listed point, c over all nonzero
+    constants, lies in the reference closure of the points."""
+    closure = set(closure_reference(frame, points))
+    units = [c for c in frame.ring.elements() if not c.is_zero()]
+    return all(conjugate_reference(frame, a, c) in closure for a in points for c in units)
 
 
 def independent_rows_reference(A, order=None):

@@ -17,6 +17,7 @@ from skewpoly import (
     find_p_basis,
     frobenius_frame,
     fundamental,
+    monomials_below,
     point_from_json,
     point_to_json,
     poly_from_json,
@@ -231,6 +232,30 @@ def test_domain_error_exit_code():
     assert out["error"] == "NotFinite"
 
 
+def test_two_sided_answers_over_the_quaternions():
+    ring = QuaternionRing()
+    i, j = (ring.element_to_json(x) for x in (ring.i(), ring.j()))
+    base = {"ring": ring.spec_to_json(), "frame": conventional_frame(ring, 1).to_json()}
+    # i^j = -i escapes the closure of {i}; the closure of {i, j} is the class of i
+    for points, want in (([[i]], False), ([[i], [j]], True)):
+        code, out, _ = invoke(["two-sided"], dict(base, points=points))
+        assert code == 0 and out == {"two_sided": want}
+
+
+@pytest.mark.parametrize("verb, want", [
+    ("closure", '{"closure":[[[0,1,0,0,0,1,1,0],[0,1,1,0,1,0,0,0]],'
+                '[[0,0,1,0,1,1,1,0],[1,0,1,1,1,1,0,1]],[[0,0,0,0,0,0,1,1],[0,0,0,0,0,0,1,0]]]}\n'),
+    ("two-sided", '{"two_sided":false}\n'),
+])
+def test_gf256_closure_and_two_sidedness_answer_at_once(verb, want):
+    # three points of the Frobenius GF(2^8)^2 plane (65536 points): the
+    # expected bytes come from testing the border relations at every point
+    start = time.perf_counter()
+    _, _, text = invoke([verb, "--job", str(DATA / "gf256_job.json")])
+    assert time.perf_counter() - start < 0.5
+    assert text == want
+
+
 def test_malformed_json_exit_code():
     code, out, _ = invoke(["eval"], "{not json")
     assert code == 2
@@ -301,6 +326,28 @@ def test_prime_field_spec_with_k_other_than_one_is_rejected():
         _one_error_line(text, code)
 
 
+@pytest.mark.parametrize("verb, extra", [
+    # norm read [0] as x2 and [-1] as x1, and [3] raised IndexError
+    ("norm", {"monomial": [0]}),
+    ("norm", {"monomial": [-1]}),
+    ("norm", {"monomial": [3]}),
+    ("norm", {"monomial": [True]}),
+    ("norm", {"monomial": "12"}),
+    # terms read 1.7 and true as x1 and "12" as x1.x2
+    ("eval", {"f": [{"monomial": [1.7], "coeff": 1}]}),
+    ("eval", {"f": [{"monomial": "12", "coeff": 1}]}),
+    ("eval", {"f": [{"monomial": [True], "coeff": 1}]}),
+    ("mul", {"f": [{"monomial": [1], "coeff": 1}], "g": [{"monomial": ["2"], "coeff": 1}]}),
+    # the degree went through int()
+    ("vandermonde", {"points": [[1, 2]], "degree": "3"}),
+    ("vandermonde", {"points": [[1, 2]], "degree": 2.5}),
+    ("vandermonde", {"points": [[1, 2]], "degree": True}),
+])
+def test_job_monomials_and_degree_are_strict(verb, extra):
+    code, _, text = invoke([verb], gf5_job(point=[2, 3], **extra))
+    _one_error_line(text, code)
+
+
 def test_boolean_elements_are_rejected():
     quat = QuaternionRing()
     qjob = {"ring": quat.spec_to_json(), "frame": conventional_frame(quat, 1).to_json(),
@@ -363,6 +410,38 @@ def test_long_word_divide_answers_with_one_json_line():
     for i, quotient in enumerate(out["quotients"], 1):
         assert sorted(t["monomial"] for t in quotient) == sorted(
             word[:k] for k in range(len(word)) if word[k] == i)
+
+
+def test_twenty_thousand_term_eval_answers_at_once():
+    # the terms were added one polynomial at a time, copying every term
+    # each time: 16000 terms took 30 s
+    gf9 = FiniteField(3, 2)
+    frame = frobenius_frame(gf9, 2)
+    rng = random.Random(20000)
+    words = monomials_below(2, 15)[:20000]
+    f = [{"monomial": list(w), "coeff": [rng.randrange(1, 3), rng.randrange(3)]} for w in words]
+    job = {"ring": gf9.spec_to_json(), "frame": frame.to_json(), "f": f, "point": [[1, 2], [0, 1]]}
+    start = time.perf_counter()
+    code, out, _ = invoke(["eval"], job)
+    assert time.perf_counter() - start < 2
+    F = poly_from_json(frame, f)
+    assert len(F.terms) == 20000
+    assert code == 0
+    assert out == {"value": gf9.element_to_json(evaluate(F, point_from_json(frame, job["point"])))}
+
+
+def test_univariate_vandermonde_labels_count_against_the_cell_limit():
+    # the row labels of a degree-d Vandermonde in one variable spell
+    # d(d - 1)/2 letters: degree 8000 printed 64 MB in 8 s, and degree
+    # 262144 fit d x M cells under the limit
+    gf5 = FiniteField(5)
+    job = {"ring": gf5.spec_to_json(), "frame": conventional_frame(gf5, 1).to_json(),
+           "points": [[2]], "degree": 262144}
+    start = time.perf_counter()
+    code, out, text = invoke(["vandermonde"], job)
+    assert time.perf_counter() - start < 5
+    _one_error_line(text, code, want_code=1, want_error="InvalidInput")
+    assert str(262144 + 262144 * 262143 // 2) in out["message"]
 
 
 def test_univariate_vandermonde_interpolation_is_refused_by_its_work():

@@ -1,0 +1,39 @@
+"""docs/wire_format.md against the code it documents: the verb table and
+the work-budget table."""
+
+import pathlib
+import re
+
+from skewpoly import cli, geometry
+
+DOC = (pathlib.Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
+
+
+def _table(heading):
+    """Body rows of the first table under the heading, as lists of cells;
+    an escaped pipe (\\|) stays inside its cell."""
+    rows = []
+    for line in DOC.split(f"\n{heading}\n", 1)[1].splitlines():
+        if line.startswith("|"):
+            rows.append([c.strip() for c in re.split(r"(?<!\\)\|", line.strip())[1:-1]])
+        elif rows:
+            break
+    return rows[2:]
+
+
+def _name(cell):
+    match = re.fullmatch(r"`([^`]+)`", cell)
+    assert match, cell
+    return match.group(1)
+
+
+def test_verb_table_names_exactly_the_cli_verbs():
+    assert sorted(_name(row[0]) for row in _table("## Verbs")) == sorted(cli._VERBS)
+
+
+def test_budget_table_names_every_limit_with_its_value():
+    limits = {name: value for name, value in vars(geometry).items() if name.endswith("_LIMIT")}
+    rows = {_name(row[0]): row[1] for row in _table("## Work budgets")}
+    assert sorted(rows) == sorted(limits)
+    for name, value in limits.items():
+        assert re.search(rf"(?<![\d^]){value}(?!\d)", rows[name]), (name, value, rows[name])

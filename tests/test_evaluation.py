@@ -28,7 +28,7 @@ from skewpoly import (
 from skewpoly import freering
 from skewpoly.frames import block_frame
 from conftest import random_point, random_poly
-from oracles import divide_reference
+from oracles import conjugate_reference, divide_reference
 
 
 def all_frames(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2):
@@ -248,6 +248,13 @@ def test_conjugate_by_zero_raises(conv_gf5_2):
     gf5 = conv_gf5_2.ring
     with pytest.raises(DivisionByZero):
         conjugate(conv_gf5_2, (gf5(1), gf5(2)), gf5.zero())
+
+
+def test_conjugate_matches_reference(frob_gf9_2, quat_inner_2, nondiag_gf8_2_inner, rng):
+    for frame in (frob_gf9_2, quat_inner_2, nondiag_gf8_2_inner):
+        for _ in range(20):
+            a, c = random_point(frame, rng), frame.ring.random_nonzero(rng)
+            assert conjugate(frame, a, c) == conjugate_reference(frame, a, c)
 
 
 def test_conjugacy_composes(frob_gf9_2, quat_inner_2, rng):

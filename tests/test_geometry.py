@@ -31,14 +31,16 @@ from skewpoly import (
     set_is_p_independent,
     vandermonde,
 )
+from skewpoly import geometry
 from skewpoly.geometry import _image_echelon
 from skewpoly.interpolation import independent_rows
-from conftest import seeded_set
+from conftest import random_point, seeded_set
 from oracles import (
     closure_reference,
     find_p_basis_reference,
     in_closure_bruteforce,
     is_p_independent_reference,
+    is_two_sided_reference,
     rank_reference,
     separator_exists_literal,
     span_dimension_on,
@@ -323,6 +325,50 @@ def test_frobenius_singleton_not_two_sided(frob_gf4_1, gf4):
     assert not is_two_sided(frob_gf4_1, ((gf4.one(),),))
 
 
+def _conjugates_stay_in_closure(frame, pts, rng, count=6):
+    return all(
+        in_closure(frame, conjugate(frame, rng.choice(pts), frame.ring.random_nonzero(rng)), pts)
+        for _ in range(count)
+    )
+
+
+def test_quaternion_two_sidedness_conventional(quat):
+    frame = conventional_frame(quat, 1)
+    i, j = quat.i(), quat.j()
+    rng = random.Random("quaternion-conventional")
+    # i^j = j i j^-1 = -i, and x - i does not vanish at -i
+    assert conjugate(frame, (i,), j) == (-i,)
+    assert not in_closure(frame, (-i,), ((i,),))
+    assert not is_two_sided(frame, ((i,),))
+    # rational points are central; x^2 + 1 vanishes on i and j, so their
+    # closure is the whole class {q : q^2 = -1}
+    for pts in (((quat(2),), (quat("-1/3"),)), ((i,), (j,))):
+        assert is_two_sided(frame, pts)
+        assert _conjugates_stay_in_closure(frame, pts, rng)
+
+
+def test_quaternion_two_sidedness_inner_frame(quat_inner_2, quat):
+    # the fixture's sigma_i(c) = u_i c u_i^-1 and delta(c) = sigma(c) beta -
+    # beta c give a^c = sigma(c) (a + beta) c^-1 - beta, so the points
+    # a = u z - beta conjugate as z does: z -> c z c^-1 in each coordinate
+    u = (quat(1, 1, 0, 0), quat.j())
+    beta = (quat.i(), quat(0, 0, 1, 1))
+    i, j, k, zero = quat.i(), quat.j(), quat.k(), quat.zero()
+
+    def point(*z):
+        return tuple(u_ * z_ - b_ for u_, z_, b_ in zip(u, z, beta))
+
+    rng = random.Random("quaternion-inner")
+    for pts in ((point(zero, zero), point(quat(1), quat(2)), point(quat(3), quat(-1))),
+                (point(i, i), point(j, j), point(k, k)),
+                (point(i, zero), point(j, zero))):
+        assert is_two_sided(quat_inner_2, pts)
+        assert _conjugates_stay_in_closure(quat_inner_2, pts, rng)
+    for pts in ((point(i, zero),), (point(i, j),)):
+        assert not is_two_sided(quat_inner_2, pts)
+        assert not _conjugates_stay_in_closure(quat_inner_2, pts, rng)
+
+
 # ---------------------------------------------------------------------------
 # Matroid structure
 # ---------------------------------------------------------------------------
@@ -439,14 +485,81 @@ def test_engine_matches_vandermonde_references(name, sizes, count, request):
             assert in_closure(frame, probe, pts) != is_p_independent_reference(frame, probe, pts)
 
 
-@pytest.mark.parametrize("name", ["conv_gf2_2", "frob_gf4_1", "conv_gf5_2", "frob_gf4_2",
-                                  "frob_gf9_2", "nondiag_gf8_2", "nondiag_gf8_2_inner"])
+FINITE_FRAMES = ("conv_gf2_2", "conv_gf3_2", "frob_gf4_1", "conv_gf5_2", "frob_gf4_2",
+                 "frob_gf9_2", "nondiag_gf8_2", "nondiag_gf8_2_inner")
+
+
+def class_set(frame, rng, size=None):
+    """Distinct conjugates of one random point: up to size of them, or its
+    whole conjugacy class when size is None (a two-sided set)."""
+    a = random_point(frame, rng)
+    units = [c for c in frame.ring.elements() if not c.is_zero()]
+    if size is not None:
+        units = rng.sample(units, min(len(units), 2 * size))
+    return tuple(dict.fromkeys(conjugate(frame, a, c) for c in units))[:size]
+
+
+def _closure_sets(frame, rng):
+    sets = [seeded_set(frame, rng, size) for size in (1, 2, 3, 4) for _ in range(2)]
+    sets += [class_set(frame, rng, size) for size in (2, 3, 4)]
+    sets += [class_set(frame, rng) for _ in range(3)]
+    return sets
+
+
+def _check_against_references(frame, gens, rng):
+    closure = closure_members(frame, gens)
+    assert closure == closure_reference(frame, gens), gens
+    two_sided = is_two_sided(frame, gens)
+    assert two_sided == is_two_sided_reference(frame, gens), gens
+    if two_sided:
+        for _ in range(4):
+            c = frame.ring.random_nonzero(rng)
+            assert conjugate(frame, rng.choice(closure), c) in closure
+    if len(gens) <= 2:
+        probes = {conjugate(frame, rng.choice(gens), frame.ring.random_nonzero(rng)),
+                  random_point(frame, rng)}
+        for b in probes:
+            assert in_closure(frame, b, gens) == in_closure_bruteforce(frame, b, gens)
+
+
+@pytest.mark.parametrize("name", FINITE_FRAMES)
 def test_engine_closure_matches_reference(name, request):
+    # closure_members, is_two_sided and in_closure against their references
     frame = request.getfixturevalue(name)
     rng = random.Random(f"closure-{name}")
-    for size in (1, 2, 3):
-        gens = seeded_set(frame, rng, size)
-        assert closure_members(frame, gens) == closure_reference(frame, gens), gens
+    for gens in _closure_sets(frame, rng):
+        _check_against_references(frame, gens, rng)
+
+
+@pytest.fixture(scope="module")
+def finite_frames(request):
+    return {name: request.getfixturevalue(name) for name in FINITE_FRAMES}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(name=st.sampled_from(FINITE_FRAMES), seed=st.integers(0, 1 << 32),
+       size=st.integers(1, 4), one_class=st.booleans())
+def test_closure_and_two_sidedness_match_references_on_drawn_sets(
+    finite_frames, name, seed, size, one_class
+):
+    frame = finite_frames[name]
+    rng = random.Random(seed)
+    gens = class_set(frame, rng, size) if one_class else seeded_set(frame, rng, size)
+    _check_against_references(frame, gens, rng)
+
+
+def test_closure_and_two_sidedness_enumerate_no_points(monkeypatch, frob_gf9_2,
+                                                       nondiag_gf8_2_inner):
+    rng = random.Random("no-scan")
+    cases = [(frame, _closure_sets(frame, rng)) for frame in (frob_gf9_2, nondiag_gf8_2_inner)]
+    want = [[(closure_members(f, g), is_two_sided(f, g)) for g in sets] for f, sets in cases]
+
+    def refuse(*args):
+        raise AssertionError("F^n enumerated")
+
+    monkeypatch.setattr(geometry, "all_points", refuse)
+    assert [[(closure_members(f, g), is_two_sided(f, g)) for g in sets]
+            for f, sets in cases] == want
 
 
 def test_readme_full_plane_p_basis_rank_eleven(frob_gf4_2):

@@ -468,6 +468,26 @@ def test_quotient_mul_refuses_one_sided_ideal(frob_gf4_1, gf4, rng):
         quotient_mul(u, u, frob_gf4_1)
 
 
+def test_quaternion_quotient_of_rational_points_is_pointwise(quat, rng):
+    # rational points are central, so they are their own conjugates: the
+    # ideal is two-sided and (FG)(b) = F(b^G(b)) G(b) = F(b) G(b)
+    frame = conventional_frame(quat, 2)
+    pts = ((quat(1), quat(2)), (quat(3), quat("1/2")), (quat(0), quat(-1)))
+    dual = dual_p_basis(frame, pts)
+    for _ in range(5):
+        u = reduce_mod_ideal(random_poly(frame, rng), dual)
+        v = reduce_mod_ideal(random_poly(frame, rng), dual)
+        w = quotient_mul(u, v, frame)
+        assert w.coords == tuple(a * b for a, b in zip(u.coords, v.coords))
+
+
+def test_quaternion_quotient_refuses_one_sided_ideal(quat, rng):
+    frame = conventional_frame(quat, 1)
+    u = reduce_mod_ideal(random_poly(frame, rng), dual_p_basis(frame, ((quat.i(),),)))
+    with pytest.raises(NotARing):
+        quotient_mul(u, u, frame)
+
+
 # ---------------------------------------------------------------------------
 # Kernel decomposition at desk scale
 # ---------------------------------------------------------------------------
