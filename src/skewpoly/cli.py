@@ -3,7 +3,9 @@
 Every verb reads one JSON job object (from --job PATH or stdin) and
 writes one JSON result object to stdout.  Exit codes: 0 success, 1
 domain error (the error name comes from the library exception), 2
-malformed input.  Identical job files produce byte-identical output.
+malformed input, 3 internal error (any other exception, MemoryError and
+RecursionError included).  Identical job files produce byte-identical
+output.
 
 The job and result schemas are documented in docs/wire_format.md.
 """
@@ -403,7 +405,16 @@ def run(argv=None, stdin=None, stdout=None):
             p.add_argument("--method", choices=("newton", "vandermonde"), default="newton")
 
     args = parser.parse_args(argv)
+    try:
+        return _execute(args, stdin, stdout)
+    except Exception as exc:
+        # the last resort: MemoryError and RecursionError are Exceptions too
+        _emit({"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"}, stdout)
+        return 3
 
+
+def _execute(args, stdin, stdout):
+    """Read the job, run the verb's handler and emit its one JSON line."""
     job = {}
     if args.verb != "selftest":
         try:
@@ -411,7 +422,8 @@ def run(argv=None, stdin=None, stdout=None):
             job = json.loads(raw)
             if not isinstance(job, dict):
                 raise ValueError("job must be a JSON object")
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # RecursionError: JSON nested deeper than the decoder recurses
             _emit({"error": "MalformedInput", "message": str(exc)}, stdout)
             return 2
 

@@ -6,10 +6,17 @@ provided: the division algorithm itself, and the recursion on the
 per-monomial fundamental functions
 
     N_empty(a) = 1
-    N_(x_i m)(a) = row i of  sigma(N_m(a)) a + delta(N_m(a))
+    N_(x_i m)(a) = T_i(N_m(a)),  T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v)
 
-which the evaluate() fast path uses.  Points are plain tuples of ring
-elements of length frame.n.
+which the evaluate() fast path uses.  For a fixed point a every T_i is
+additive in v (Leroy's pseudo-linear map of a, in n variables), so
+Frame.point_map compiles the n maps of a once, and caches them per
+frame: one step of the recursion is then one table lookup per chunk of
+the argument's digits over GF(p^k) (a single lookup when q <= 16) and
+one 4 x 4 integer product per variable over the quaternions.  evaluate,
+fundamental, fundamental_table and conjugate all step through the
+compiled maps.  Points are plain tuples of ring elements of length
+frame.n.
 """
 
 from __future__ import annotations
@@ -122,41 +129,29 @@ def fundamental(frame, word, point):
     """
     point = check_point(frame, point)
     word = check_word(frame, word)
+    phi = frame.point_map(point)
     val = frame.ring.one()
     for idx in range(len(word) - 1, -1, -1):
-        val = _extend(frame, val, point)[word[idx] - 1]
+        val = phi(val)[word[idx] - 1]
     return val
-
-
-def _extend(frame, val, point):
-    """The n values N_(x_i m)(a) given N_m(a) = val."""
-    sig = frame.sigma_at(val)
-    dlt = frame.delta_at(val)
-    out = []
-    for i in range(frame.n):
-        acc = dlt[i]
-        row = sig[i]
-        for j in range(frame.n):
-            acc = acc + row[j] * point[j]
-        out.append(acc)
-    return out
 
 
 def fundamental_table(frame, point, d):
     """Fundamental values of every monomial of degree < d at one point.
 
     Walks words by increasing degree; each word of degree e is obtained
-    by prepending one variable to a degree e-1 word, so a single
-    sigma/delta application per shorter word yields all n extensions.
-    Results match the naive recursion exactly.
+    by prepending one variable to a degree e-1 word, so one compiled-map
+    application per shorter word yields all n extensions.  Results match
+    the naive recursion exactly.
     """
     point = check_point(frame, point)
+    phi = frame.point_map(point)
     table = {(): frame.ring.one()}
     level = [()]
     for _ in range(1, d):
         nxt = []
         for w in level:
-            ext = _extend(frame, table[w], point)
+            ext = phi(table[w])
             for i in range(frame.n):
                 nw = (i + 1,) + w
                 table[nw] = ext[i]
@@ -171,13 +166,14 @@ def evaluate(F, point):
     Agrees with divide(F, point).remainder; the division path is kept
     as an independent cross-check.  The fundamental values are cached in
     a trie of word suffixes: each word walks down its longest cached
-    suffix from the right, then extends leftwards, one sigma/delta
+    suffix from the right, then extends leftwards, one compiled-map
     application per new suffix giving all n of its one-letter
     extensions.  The walk is iterative, so word length is bounded by
     memory only.
     """
     frame = F.frame
     point = check_point(frame, point)
+    phi = frame.point_map(point)
     ring = frame.ring
     total = ring.zero()
     # node = (N_suffix(a), {variable index: node of the suffix extended by it})
@@ -187,7 +183,7 @@ def evaluate(F, point):
         for i in reversed(w):
             children = node[1]
             if not children:
-                for j, val in enumerate(_extend(frame, node[0], point)):
+                for j, val in enumerate(phi(node[0])):
                     children[j + 1] = (val, {})
             node = children[i]
         total = total + c * node[0]
@@ -196,12 +192,15 @@ def evaluate(F, point):
 
 def conjugate(frame, point, c):
     """The twisted conjugate sigma(c) a c^(-1) + delta(c) c^(-1) of a point:
-    the values N_(x_i)(a) extended by c, scaled by c^(-1) on the right."""
+    the compiled maps of the point applied to c, scaled by c^(-1) on the
+    right."""
     point = check_point(frame, point)
+    if not _is_ring_element(frame.ring, c):
+        raise RingMismatch(f"constant {c!r} does not belong to {frame.ring}")
     if c.is_zero():
         raise DivisionByZero("conjugation by zero")
     cinv = c.inv()
-    return tuple(y * cinv for y in _extend(frame, c, point))
+    return tuple(y * cinv for y in frame.point_map(point)(c))
 
 
 @dataclass

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import xor
 
 from .errors import InvalidFrame, RingMismatch
 from .linalg import Matrix, mat_mul
-from .rings import FieldElement, FiniteField, Quaternion, quaternion_from_ints
+from .rings import FieldElement, FiniteField, Quaternion, _span_codes, quaternion_from_ints
 
 # Fixed seed for the sampled part of quaternion-frame validation.
 _QUAT_SAMPLE_SEED = 0x5EED
@@ -31,6 +32,10 @@ _QUAT_SAMPLE_PAIRS = 256
 
 # Entries a sigma or delta memo of one frame holds before it is emptied.
 _MEMO_LIMIT = 1 << 14
+# Compiled points one frame keeps before its point cache is emptied.
+_POINT_MEMO_LIMIT = 1 << 10
+# Entries of one chunk table of a compiled finite-field point map.
+_CHUNK_ENTRIES = 16
 
 
 class LinearMap:
@@ -270,12 +275,13 @@ class Frame:
     Frames are immutable after construction; application results are
     memoized per frame, so sharing one frame across calls is cheap.  Each
     memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its
-    memory.
+    memory.  The compiled point maps of point_map are cached the same way,
+    up to _POINT_MEMO_LIMIT points.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
 
-    __slots__ = ("ring", "n", "sigma", "delta", "_sig_cache", "_del_cache")
+    __slots__ = ("ring", "n", "sigma", "delta", "_sig_cache", "_del_cache", "_point_cache")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -287,6 +293,7 @@ class Frame:
         self.delta = tuple(delta)
         self._sig_cache = {}
         self._del_cache = {}
+        self._point_cache = {}
 
     def sigma_at(self, a):
         """The n x n matrix sigma(a), rows/cols as nested tuples."""
@@ -312,6 +319,30 @@ class Frame:
             cache[a] = out
             return out
 
+    def point_map(self, point):
+        """phi_a: v -> (T_1(v), ..., T_n(v)), T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v),
+        for a point a (a tuple of n ring elements), compiled on first use.
+
+        T_i is additive in v: it is the multivariate form of Leroy's
+        pseudo-linear map of a (Leroy, *Pseudo-linear transformations and
+        evaluation in Ore extensions*, 1995), and it maps N_m(a) to
+        N_(x_i m)(a).  Over GF(p^k) one application is a lookup per chunk
+        table (one in all when q <= 16), over the quaternions one 4 x 4
+        integer product per i.
+        """
+        cache = self._point_cache
+        try:
+            return cache[point]
+        except KeyError:
+            if isinstance(self.ring, FiniteField):
+                out = _field_point_map(self, point)
+            else:
+                out = _quat_point_map(self, point)
+            if len(cache) >= _POINT_MEMO_LIMIT:
+                cache.clear()
+            cache[point] = out
+            return out
+
     def to_json(self):
         return {
             "n": self.n,
@@ -321,6 +352,82 @@ class Frame:
 
     def __repr__(self):
         return f"Frame(ring={self.ring!r}, n={self.n})"
+
+
+class _ScaledColumn(dict):
+    """Chunk table of one base-p digit when p > 16: entry d, the n codes of
+    d times the column, is computed on first lookup."""
+
+    __slots__ = ("col", "mul")
+
+    def __init__(self, col, mul):
+        super().__init__()
+        self.col, self.mul = col, mul
+
+    def __missing__(self, d):
+        out = self[d] = tuple(self.mul(d, c) for c in self.col)
+        return out
+
+
+def _field_point_map(frame, point):
+    """phi_a over GF(p^k), compiled from the codes of T_i(t^c) on the power
+    basis (n^2 k code operations: the point folded into the frame's images
+    of t^c).  The base-p digits of an argument are cut into chunks of at
+    most _CHUNK_ENTRIES values; each chunk's table, filled one digit
+    column at a time, holds the n image codes of every digit pattern, and
+    an image is the sum of one entry per chunk.  When q <= _CHUNK_ENTRIES
+    the single table holds the n images themselves.  For p > 16 each
+    chunk is one digit, whose entries are scaled columns made on first use.
+    """
+    fld, n = frame.ring, frame.n
+    p, k = fld.p, fld.k
+    add, mul = (xor if p == 2 else fld.add_val), fld.mul_val
+    rows = []  # rows[i][c] = the code of T_i(t^c)
+    for sigma_row, delta in zip(frame.sigma, frame.delta):
+        row = delta._cols
+        for m, a in zip(sigma_row, point):
+            if a.val and any(m._cols):
+                row = list(map(add, row, [mul(x, a.val) for x in m._cols]))
+        rows.append(row)
+
+    width = 0  # base-p digits per chunk
+    while p ** (width + 1) <= _CHUNK_ENTRIES:
+        width += 1
+    if not width:
+        tables, base = [_ScaledColumn(col, mul) for col in zip(*rows)], p
+    else:
+        base = p ** width
+        tables = [[_span_codes(row[start:start + width], p, add) for row in rows]
+                  for start in range(0, k, width)]
+        if len(tables) == 1:
+            elements = [FieldElement(fld, v) for v in range(fld.q)]
+            images = list(zip(*[[elements[y] for y in coord] for coord in tables[0]]))
+            return lambda v: images[v.val]
+        tables = [list(zip(*coords)) for coords in tables]
+    first, rest = tables[0], tables[1:]
+
+    def apply(v):
+        x, r = divmod(v.val, base)
+        out = first[r]
+        for table in rest:
+            if not x:
+                break
+            x, r = divmod(x, base)
+            if r:
+                out = tuple(map(add, out, table[r]))
+        return tuple([FieldElement(fld, y) for y in out])
+
+    return apply
+
+
+def _quat_point_map(frame, point):
+    """phi_a over the quaternions: each T_i is compiled as the QuatMap sum
+    of the maps v -> sigma_ij(v) a_j and delta_i, one 4 x 4 integer matrix."""
+    ring = frame.ring
+    maps = [QuatMap(ring, "sum", maps=[QuatMap(ring, "compose", maps=(QuatMap(ring, "rmul", a), s))
+                                       for s, a in zip(row, point) if not s.is_zero_map()] + [d])
+            for row, d in zip(frame.sigma, frame.delta)]
+    return lambda v: tuple([m.apply(v) for m in maps])
 
 
 def frame_from_json(ring, obj):

@@ -32,15 +32,17 @@ from functools import cached_property
 from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import _extend, check_point, conjugate, fundamental_table
+from .evaluation import check_point, fundamental_table
 from .freering import monomials_below
 from .linalg import Matrix, echelon_insert, left_apply, row_reduce_left
+from .rings import _span_codes
 
 # Work budgets, checked before any work is done (docs/wire_format.md).
 VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
 VERIFIER_WORK_LIMIT = 1 << 22      # predicted rows x M^2 of lagrange_via_vandermonde()
 CLOSURE_POINT_LIMIT = 1 << 16      # q^n points of F^n, which bound closure_members()
 IMAGE_WORK_LIMIT = 1 << 25         # predicted n * M^3 of the image echelon of M points
+MEMBERSHIP_WORK_LIMIT = 1 << 22    # predicted tests x n * M^2 of the membership tests over M points
 
 
 def check_point_set(frame, points):
@@ -130,12 +132,13 @@ def _image_echelon(frame, points):
     row, labelled by the monomial 1; each row kept for a monomial m
     queues, for every i, the label x_i m with the coordinatewise image
     phi_i(v)_k = sum_j sigma_ij(v_k) b_kj + delta_i(v_k) of the reduced
-    row v before it is scaled.  phi_i(v) is congruent to the values of
-    x_i m modulo the rows already seen, and FIFO order is the global
-    order, so the kept labels are the rows that independent_rows keeps in
-    the Vandermonde.  (phi_i of a scaled row c v mixes in phi_j(v) for
-    every j with sigma_ij(c) != 0.)  More than IMAGE_WORK_LIMIT
-    predicted n * M^3 ring operations are refused before the first row.
+    row v before it is scaled, through the compiled maps of each point.
+    phi_i(v) is congruent to the values of x_i m modulo the rows already
+    seen, and FIFO order is the global order, so the kept labels are the
+    rows that independent_rows keeps in the Vandermonde.  (phi_i of a
+    scaled row c v mixes in phi_j(v) for every j with sigma_ij(c) != 0.)
+    More than IMAGE_WORK_LIMIT predicted n * M^3 ring operations are
+    refused before the first row.
     """
     M = len(points)
     work = frame.n * M ** 3
@@ -147,6 +150,7 @@ def _image_echelon(frame, points):
     if not M:
         return (), ()
     zero = frame.ring.zero()
+    maps = [frame.point_map(b) for b in points]
     span = {}
     standard = []
     queue = deque([((), [frame.ring.one()] * M)])
@@ -157,9 +161,9 @@ def _image_echelon(frame, points):
             continue
         standard.append(word)
         images = [[zero] * M for _ in range(frame.n)]
-        for k, (x, b) in enumerate(zip(v, points)):
+        for k, (x, phi) in enumerate(zip(v, maps)):
             if not x.is_zero():
-                for i, y in enumerate(_extend(frame, x, b)):
+                for i, y in enumerate(phi(x)):
                     images[i][k] = y
         queue.extend(((i + 1,) + word, image) for i, image in enumerate(images))
     return tuple(sorted(span)), tuple(standard)
@@ -168,9 +172,10 @@ def _image_echelon(frame, points):
 def _value_rows(frame, standard, points):
     """Values (N_w(b_1), ..., N_w(b_M)) of the standard monomials w and of
     every x_i s with s standard, each from the row of its tail."""
+    maps = [frame.point_map(b) for b in points]
     rows = {(): [frame.ring.one()] * len(points)}
     for s in standard:
-        ext = [_extend(frame, v, b) for v, b in zip(rows[s], points)]
+        ext = [phi(v) for phi, v in zip(maps, rows[s])]
         for i in range(frame.n):
             rows[(i + 1,) + s] = [e[i] for e in ext]
     return rows
@@ -183,42 +188,67 @@ def _inverse_square(frame, monos, rows):
     return row_reduce_left(Matrix(frame.ring, [rows[m] for m in monos])).T
 
 
-def _closure_test(frame, generators):
-    """A P-basis of the generators and the closure membership predicate.
+def _check_membership_work(frame, M, tests):
+    """Refuse tests closure membership tests over M points, each about
+    n * M^2 ring operations, when they predict more than
+    MEMBERSHIP_WORK_LIMIT; M bounds the basis, so this runs before the
+    closure test is set up."""
+    work = tests * frame.n * M ** 2
+    if work > MEMBERSHIP_WORK_LIMIT:
+        raise InvalidInput(
+            f"{tests} closure membership tests over {M} points predict {work} ring "
+            f"operations (tests x n * M^2), over the limit of {MEMBERSHIP_WORK_LIMIT}"
+        )
 
-    The basis is the one find_p_basis keeps.  The predicate tells whether
-    every border relation of the basis vanishes at a point b; those
-    relations generate the polynomials vanishing on the basis, so this is
-    exactly whether b lies in the closure.  Each test costs the values of
-    the standard monomials at b and one dot product per relation.
+
+def _conjugates(frame, a, constants):
+    """The twisted conjugates a^c of one point by nonzero constants c,
+    through the compiled maps of a."""
+    phi = frame.point_map(a)
+    return [tuple(y * c.inv() for y in phi(c)) for c in constants]
+
+
+def _closure_test(frame, generators):
+    """A P-basis of the generators and the residues of a point b.
+
+    The basis is the one find_p_basis keeps.  The residues of b, yielded
+    one at a time, are the values R(b) of the border relations R of the
+    basis; those relations generate the polynomials vanishing on the
+    basis, so b lies in the closure exactly when every residue is zero.
+    One call costs the values of the standard monomials at b and one dot
+    product per relation, about n M^2 ring operations.
     """
     lead, standard = _image_echelon(frame, generators)
     basis = tuple(generators[k] for k in lead)
     if not basis:
-        return basis, lambda b: False
+        # the constant 1 generates the polynomials vanishing on no point
+        return basis, lambda b: iter([frame.ring.one()])
     # the generators and their P-basis share the standard monomials
     rows = _value_rows(frame, standard, basis)
     T = _inverse_square(frame, standard, rows)
     is_standard = set(standard)
     relations = [(w, left_apply(row, T)) for w, row in rows.items() if w not in is_standard]
-    zero = frame.ring.zero()
 
-    def vanish(b):
+    def residues(b):
         values = _value_rows(frame, standard, (b,))
         for w, coeffs in relations:
-            acc = zero
+            acc = values[w][0]
             for c, s in zip(coeffs, standard):
-                acc = acc + c * values[s][0]
-            if acc != values[w][0]:
-                return False
-        return True
+                acc = acc - c * values[s][0]
+            yield acc
 
-    return basis, vanish
+    return basis, residues
 
 
 # ---------------------------------------------------------------------------
 # Independence and bases
 # ---------------------------------------------------------------------------
+
+def _probe_leads(frame, b, generators):
+    """Whether b, appended to the generators, leads a coordinate of their
+    image echelon, that is, lies outside their closure."""
+    return len(generators) in _image_echelon(frame, generators + (b,))[0]
+
 
 def is_p_independent_from(frame, b, base):
     """Whether b lies outside the closure of the set base."""
@@ -226,7 +256,7 @@ def is_p_independent_from(frame, b, base):
     base = check_point_set(frame, base)
     if b in base:
         raise DuplicatePoint(f"{b!r} is already in the base set")
-    return not _closure_test(frame, base)[1](b)
+    return _probe_leads(frame, b, base)
 
 
 @dataclass
@@ -262,7 +292,8 @@ def rank_of(frame, points):
 def in_closure(frame, b, generators):
     """Closure membership for arbitrary (possibly dependent) generators."""
     b = check_point(frame, b)
-    return _closure_test(frame, check_point_set(frame, generators))[1](b)
+    generators = check_point_set(frame, generators)
+    return b in generators or not _probe_leads(frame, b, generators)
 
 
 def set_is_p_independent(frame, points):
@@ -276,7 +307,7 @@ def closure_members(frame, generators):
     in all_points order.
 
     Only the twisted conjugates a^c (c != 0) of the points a of a P-basis
-    B are tested: the closure lies in the conjugacy classes of any
+    B are decided: the closure lies in the conjugacy classes of any
     generating set, the multivariate form of Lam and Leroy (1988).
     Proof, by induction on |B|, that a point b conjugate to no point of B
     has some F vanishing on B with F(b) != 0.  For B empty take F = 1.
@@ -288,27 +319,43 @@ def closure_members(frame, generators):
     (FG)(p) = 0 where G(p) = 0, gives G = 0 on B', G(a) =
     ((a^c)_i - (a^c)_i) c = 0 and G(b) = ((b^d)_i - (a^c)_i) d != 0.
 
-    Conjugacy classes partition F^n (a^1 = a), so a basis point already
-    among the listed conjugates adds no class.  The q^n points of F^n
-    are bounded by CLOSURE_POINT_LIMIT before any work is done.
+    a^c lies in the closure exactly when every border relation R gives
+    R(a^c) = 0, that is (R c)(a) = R(a^c) c = 0 by the product rule.  The
+    map c -> (R c)(a) is additive, so its values at the k power-basis
+    elements t^j, one residue computation at each conjugate a^(t^j), give
+    its value at every c as a GF(p)-combination; the q - 1 conjugates
+    are decided from that table of sums.  Conjugacy classes partition
+    F^n (a^1 = a), so a basis point already listed adds no class.  The
+    q^n points of F^n are bounded by CLOSURE_POINT_LIMIT, and the
+    (q - 1) M conjugates decided over M generators, each counted as one
+    membership test, by MEMBERSHIP_WORK_LIMIT, before any work is done.
     """
     generators = check_point_set(frame, generators)
-    if not frame.ring.is_finite:
+    ring = frame.ring
+    if not ring.is_finite:
         raise NotFinite("closure listing needs a finite coefficient field")
     if not generators:
         return ()
-    count = frame.ring.size ** frame.n
+    count = ring.size ** frame.n
     if count > CLOSURE_POINT_LIMIT:
         raise InvalidInput(
             f"closure lists up to {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
         )
-    basis, test = _closure_test(frame, generators)
-    units = [c for c in frame.ring.elements() if not c.is_zero()]
-    candidates = set()
+    _check_membership_work(frame, len(generators), (ring.size - 1) * len(generators))
+    basis, residues = _closure_test(frame, generators)
+    spanning = ring.additive_basis()
+    members = set()
     for a in basis:
-        if a not in candidates:
-            candidates.update(conjugate(frame, a, c) for c in units)
-    return tuple(sorted(filter(test, candidates), key=lambda b: [x.val for x in b]))
+        if a in members:
+            continue
+        # (R c)(a) = R(a^c) c is additive in c for every border relation R:
+        # its codes at the power basis give its code at every constant
+        at_basis = [[(r * e).val for r in residues(b)]
+                    for b, e in zip(_conjugates(frame, a, spanning), spanning)]
+        values = [_span_codes(col, ring.p, ring.add_val) for col in zip(*at_basis)]
+        units = [ring.element(v) for v in range(1, ring.size) if not any(t[v] for t in values)]
+        members.update(_conjugates(frame, a, units))
+    return tuple(sorted(members, key=lambda b: [x.val for x in b]))
 
 
 def is_two_sided(frame, points):
@@ -321,11 +368,13 @@ def is_two_sided(frame, points):
     vanishes for every border relation R.  c -> (R c)(a) is additive, so
     its kernel is a subspace over the prime field and it suffices to test
     c over an additive basis of the ring: M k tests, over the quaternions
-    too.
+    too, bounded by MEMBERSHIP_WORK_LIMIT before any work is done.
     """
-    basis, test = _closure_test(frame, check_point_set(frame, points))
+    points = check_point_set(frame, points)
     spanning = frame.ring.additive_basis()
-    return all(test(conjugate(frame, a, e)) for a in basis for e in spanning)
+    _check_membership_work(frame, len(points), len(points) * len(spanning))
+    basis, residues = _closure_test(frame, points)
+    return not any(any(residues(b)) for a in basis for b in _conjugates(frame, a, spanning))
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,10 @@ def _span_codes(cols, p, add):
     sending digit position j to the code cols[j]."""
     out = [0]
     for col in cols:
-        multiples = [0]
+        block = out
         for _ in range(p - 1):
-            multiples.append(add(multiples[-1], col))
-        out = [add(v, m) for m in multiples for v in out]
+            block = [add(v, col) for v in block]
+            out = out + block
     return out
 
 

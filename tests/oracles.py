@@ -45,6 +45,11 @@ half the degree) that Rabin's test replaced, and the elimination that
 rebuilds every row in full together with the solve read off the
 rows x rows transform of [A | I], which the pivot-square solve replaced.
 
+The module keeps the uncompiled step of evaluation, N_(x_i m)(a) =
+sum_j sigma_ij(N_m(a)) a_j + delta_i(N_m(a)) applied map by map through
+the frame's sigma/delta memos, which the library's compiled point maps
+replaced, with the fundamental table and the evaluation built on it.
+
 The module keeps the product and division that the library's word
 nodes replaced: the push of a coefficient through a word given as a
 tuple, recursing on the slice word[:-1] with one memo per
@@ -660,3 +665,48 @@ def divide_reference(F, point):
             _accumulate(rem, w, c * pc)
     remainder = rem.get((), frame.ring.zero())
     return [SkewPolynomial(frame, q) for q in quot], remainder
+
+
+# ---------------------------------------------------------------------------
+# The uncompiled recursion step of evaluation
+# ---------------------------------------------------------------------------
+
+def extend_reference(frame, val, point):
+    """The n values N_(x_i m)(a) = sum_j sigma_ij(val) a_j + delta_i(val)
+    given N_m(a) = val, applying every sigma/delta map to val through the
+    frame's memos: the step that the library's compiled point maps replace."""
+    sig = frame.sigma_at(val)
+    dlt = frame.delta_at(val)
+    out = []
+    for i in range(frame.n):
+        acc = dlt[i]
+        for j in range(frame.n):
+            acc = acc + sig[i][j] * point[j]
+        out.append(acc)
+    return out
+
+
+def fundamental_table_reference(frame, point, d):
+    """N_w(a) for every word w of degree < d, each from its tail by extend_reference."""
+    table = {(): frame.ring.one()}
+    level = [()]
+    for _ in range(1, d):
+        nxt = []
+        for w in level:
+            for i, val in enumerate(extend_reference(frame, table[w], point)):
+                table[(i + 1,) + w] = val
+                nxt.append((i + 1,) + w)
+        level = nxt
+    return table
+
+
+def evaluate_reference(F, point):
+    """sum_w F_w N_w(a), every N_w(a) by extend_reference from the right end of w."""
+    frame = F.frame
+    total = frame.ring.zero()
+    for w, c in F.terms.items():
+        val = frame.ring.one()
+        for i in reversed(w):
+            val = extend_reference(frame, val, point)[i - 1]
+        total = total + c * val
+    return total

@@ -22,6 +22,7 @@ from skewpoly import (
     point_to_json,
     poly_from_json,
 )
+from skewpoly import cli
 from skewpoly.cli import run
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -485,6 +486,41 @@ def test_oversized_work_is_refused_before_it_starts():
         assert time.perf_counter() - start < 5
         _one_error_line(text, code, want_code=1, want_error="InvalidInput")
         assert size in out["message"]
+
+
+def test_two_sided_of_many_points_is_refused_by_its_membership_work():
+    # 128 random points of Frobenius GF(2^16)^2: M k = 2048 membership tests
+    # of n M^2 ring operations each, 15 s when every test ran
+    gf = FiniteField(2, 16)
+    frame = frobenius_frame(gf, 2)
+    rng = random.Random(128)
+    points = [[[c >> s + d & 1 for d in range(16)] for s in (0, 16)]
+              for c in rng.sample(range(1 << 32), 128)]
+    job = {"ring": gf.spec_to_json(), "frame": frame.to_json(), "points": points}
+    start = time.perf_counter()
+    code, out, text = invoke(["two-sided"], job)
+    assert time.perf_counter() - start < 5
+    _one_error_line(text, code, want_code=1, want_error="InvalidInput")
+    assert str(128 * 16 * 2 * 128 ** 2) in out["message"]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError(), RecursionError("deep")])
+def test_any_other_exception_is_one_internal_error_line(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    for verb in ("eval", "closure", "selftest"):
+        monkeypatch.setitem(cli._VERBS, verb, fail)
+        code, out, text = invoke([verb], gf5_job(f=[], point=[0, 0], points=[]))
+        _one_error_line(text, code, want_code=3, want_error="InternalError")
+        assert out["message"].startswith(type(exc).__name__)
+
+
+def test_deeply_nested_job_is_malformed_input():
+    # the JSON decoder recurses once per nesting level
+    for raw in ("[" * 100000, '{"ring": ' + "[" * 100000 + "]" * 100000 + "}"):
+        code, _, text = invoke(["eval"], raw)
+        _one_error_line(text, code)
 
 
 def test_huge_field_specs_exit_at_once():

@@ -1,10 +1,13 @@
 """docs/wire_format.md against the code it documents: the verb table and
 the work-budget table."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 
-from skewpoly import cli, geometry
+import skewpoly
+from skewpoly import cli
 
 DOC = (pathlib.Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
 
@@ -31,8 +34,21 @@ def test_verb_table_names_exactly_the_cli_verbs():
     assert sorted(_name(row[0]) for row in _table("## Verbs")) == sorted(cli._VERBS)
 
 
+def _public_limits():
+    """Every public *_LIMIT constant of every skewpoly module, by name; a
+    name imported into several modules must keep one value."""
+    limits = {}
+    for info in pkgutil.iter_modules(skewpoly.__path__):
+        module = importlib.import_module(f"skewpoly.{info.name}")
+        for name, value in vars(module).items():
+            if name.endswith("_LIMIT") and not name.startswith("_"):
+                assert limits.setdefault(name, value) == value, (info.name, name)
+    return limits
+
+
 def test_budget_table_names_every_limit_with_its_value():
-    limits = {name: value for name, value in vars(geometry).items() if name.endswith("_LIMIT")}
+    limits = _public_limits()
+    assert "MEMBERSHIP_WORK_LIMIT" in limits
     rows = {_name(row[0]): row[1] for row in _table("## Work budgets")}
     assert sorted(rows) == sorted(limits)
     for name, value in limits.items():

@@ -617,3 +617,41 @@ def test_engine_matches_bruteforce_span_oracle(key, picks):
     assert in_closure(frame, probe, gens) == in_closure_bruteforce(frame, probe, gens, cache=cache)
     pts = gens + (probe,)
     assert rank_of(frame, pts) == span_dimension_on(frame, pts, len(pts) - 1, cache=cache)
+
+
+@pytest.mark.parametrize("name", ["conv_gf3_2", "frob_gf4_2", "nondiag_gf8_2_inner"])
+def test_single_probe_membership_builds_no_inverse_square(monkeypatch, name, request):
+    # one probe is decided by the image echelon of the generators plus the
+    # probe, not by the border relations of the generators
+    frame = request.getfixturevalue(name)
+    rng = random.Random(f"single-probe-{name}")
+
+    def refuse(*args):
+        raise AssertionError("inverse square built for one probe")
+
+    monkeypatch.setattr(geometry, "_inverse_square", refuse)
+    for size in (1, 2, 2, 3):
+        gens = seeded_set(frame, rng, size)
+        probes = [conjugate(frame, rng.choice(gens), frame.ring.random_nonzero(rng)),
+                  random_point(frame, rng)]
+        for b in probes:
+            want = in_closure_bruteforce(frame, b, gens)
+            assert in_closure(frame, b, gens) == want
+            if b not in gens:
+                assert is_p_independent_from(frame, b, gens) != want
+        # a probe among the generators lies in their closure
+        assert in_closure(frame, gens[-1], gens)
+        with pytest.raises(DuplicatePoint):
+            is_p_independent_from(frame, gens[0], gens)
+
+
+def test_closure_is_refused_by_its_membership_work():
+    from skewpoly import FiniteField
+
+    frame = frobenius_frame(FiniteField(2, 8), 2)
+    rng = random.Random(40)
+    points = [random_point(frame, rng) for _ in range(40)]
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match=str(255 * 40 * 2 * 40 ** 2)):
+        closure_members(frame, dict.fromkeys(points))
+    assert time.perf_counter() - start < 1
