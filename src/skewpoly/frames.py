@@ -354,21 +354,6 @@ class Frame:
         return f"Frame(ring={self.ring!r}, n={self.n})"
 
 
-class _ScaledColumn(dict):
-    """Chunk table of one base-p digit when p > 16: entry d, the n codes of
-    d times the column, is computed on first lookup."""
-
-    __slots__ = ("col", "mul")
-
-    def __init__(self, col, mul):
-        super().__init__()
-        self.col, self.mul = col, mul
-
-    def __missing__(self, d):
-        out = self[d] = tuple(self.mul(d, c) for c in self.col)
-        return out
-
-
 def _field_point_map(frame, point):
     """phi_a over GF(p^k), compiled from the codes of T_i(t^c) on the power
     basis (n^2 k code operations: the point folded into the frame's images
@@ -376,8 +361,10 @@ def _field_point_map(frame, point):
     most _CHUNK_ENTRIES values; each chunk's table, filled one digit
     column at a time, holds the n image codes of every digit pattern, and
     an image is the sum of one entry per chunk.  When q <= _CHUNK_ENTRIES
-    the single table holds the n images themselves.  For p > 16 each
-    chunk is one digit, whose entries are scaled columns made on first use.
+    the single table holds the n images themselves, which spares building
+    n elements per application.  For p > 16 no digit
+    fits a table, and each nonzero digit scales its column (n code
+    products).
     """
     fld, n = frame.ring, frame.n
     p, k = fld.p, fld.k
@@ -394,17 +381,27 @@ def _field_point_map(frame, point):
     while p ** (width + 1) <= _CHUNK_ENTRIES:
         width += 1
     if not width:
-        tables, base = [_ScaledColumn(col, mul) for col in zip(*rows)], p
-    else:
-        base = p ** width
-        tables = [[_span_codes(row[start:start + width], p, add) for row in rows]
-                  for start in range(0, k, width)]
-        if len(tables) == 1:
-            elements = [FieldElement(fld, v) for v in range(fld.q)]
-            images = list(zip(*[[elements[y] for y in coord] for coord in tables[0]]))
-            return lambda v: images[v.val]
-        tables = [list(zip(*coords)) for coords in tables]
-    first, rest = tables[0], tables[1:]
+        columns, zero = list(zip(*rows)), (0,) * n
+
+        def scaled(v):
+            x, out = v.val, zero
+            for col in columns:
+                if not x:
+                    break
+                x, r = divmod(x, p)
+                if r:
+                    out = tuple(map(add, out, [mul(r, c) for c in col]))
+            return tuple([FieldElement(fld, y) for y in out])
+
+        return scaled
+    base = p ** width
+    tables = [[_span_codes(row[start:start + width], p, add) for row in rows]
+              for start in range(0, k, width)]
+    if len(tables) == 1:
+        elements = [FieldElement(fld, v) for v in range(fld.q)]
+        images = list(zip(*[[elements[y] for y in coord] for coord in tables[0]]))
+        return lambda v: images[v.val]
+    first, *rest = [list(zip(*coords)) for coords in tables]
 
     def apply(v):
         x, r = divmod(v.val, base)

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import check_point, fundamental_table
+from .evaluation import check_point, conjugate, fundamental_table
 from .freering import monomials_below
 from .linalg import Matrix, echelon_insert, left_apply, row_reduce_left
 from .rings import _span_codes
@@ -188,24 +188,20 @@ def _inverse_square(frame, monos, rows):
     return row_reduce_left(Matrix(frame.ring, [rows[m] for m in monos])).T
 
 
-def _check_membership_work(frame, M, tests):
-    """Refuse tests closure membership tests over M points, each about
-    n * M^2 ring operations, when they predict more than
-    MEMBERSHIP_WORK_LIMIT; M bounds the basis, so this runs before the
-    closure test is set up."""
-    work = tests * frame.n * M ** 2
+def _check_membership_work(frame, M, rows, table=0):
+    """Refuse membership work over M points predicted above
+    MEMBERSHIP_WORK_LIMIT.  For each of at most M basis points it counts
+    rows residue computations of about n M^2 ring operations each (the
+    values at one point and one dot product per border relation) and a
+    span table of table codes for each of the at most n M relations:
+    n M^2 (rows M + table) in all.  M bounds the basis, so this runs
+    before the closure test is set up."""
+    work = frame.n * M ** 2 * (rows * M + table)
     if work > MEMBERSHIP_WORK_LIMIT:
         raise InvalidInput(
-            f"{tests} closure membership tests over {M} points predict {work} ring "
-            f"operations (tests x n * M^2), over the limit of {MEMBERSHIP_WORK_LIMIT}"
+            f"membership tests over {M} points predict {work} ring operations "
+            f"(n * M^2 * ({rows} M + {table})), over the limit of {MEMBERSHIP_WORK_LIMIT}"
         )
-
-
-def _conjugates(frame, a, constants):
-    """The twisted conjugates a^c of one point by nonzero constants c,
-    through the compiled maps of a."""
-    phi = frame.point_map(a)
-    return [tuple(y * c.inv() for y in phi(c)) for c in constants]
 
 
 def _closure_test(frame, generators):
@@ -326,9 +322,10 @@ def closure_members(frame, generators):
     its value at every c as a GF(p)-combination; the q - 1 conjugates
     are decided from that table of sums.  Conjugacy classes partition
     F^n (a^1 = a), so a basis point already listed adds no class.  The
-    q^n points of F^n are bounded by CLOSURE_POINT_LIMIT, and the
-    (q - 1) M conjugates decided over M generators, each counted as one
-    membership test, by MEMBERSHIP_WORK_LIMIT, before any work is done.
+    q^n points of F^n are bounded by CLOSURE_POINT_LIMIT, and the k residue
+    computations and the q-entry span tables of at most M basis points, M
+    the number of generators, by MEMBERSHIP_WORK_LIMIT, before any work is
+    done.
     """
     generators = check_point_set(frame, generators)
     ring = frame.ring
@@ -341,7 +338,7 @@ def closure_members(frame, generators):
         raise InvalidInput(
             f"closure lists up to {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
         )
-    _check_membership_work(frame, len(generators), (ring.size - 1) * len(generators))
+    _check_membership_work(frame, len(generators), ring.k, ring.size)
     basis, residues = _closure_test(frame, generators)
     spanning = ring.additive_basis()
     members = set()
@@ -350,11 +347,10 @@ def closure_members(frame, generators):
             continue
         # (R c)(a) = R(a^c) c is additive in c for every border relation R:
         # its codes at the power basis give its code at every constant
-        at_basis = [[(r * e).val for r in residues(b)]
-                    for b, e in zip(_conjugates(frame, a, spanning), spanning)]
+        at_basis = [[(r * e).val for r in residues(conjugate(frame, a, e))] for e in spanning]
         values = [_span_codes(col, ring.p, ring.add_val) for col in zip(*at_basis)]
         units = [ring.element(v) for v in range(1, ring.size) if not any(t[v] for t in values)]
-        members.update(_conjugates(frame, a, units))
+        members.update(conjugate(frame, a, c) for c in units)
     return tuple(sorted(members, key=lambda b: [x.val for x in b]))
 
 
@@ -372,9 +368,9 @@ def is_two_sided(frame, points):
     """
     points = check_point_set(frame, points)
     spanning = frame.ring.additive_basis()
-    _check_membership_work(frame, len(points), len(points) * len(spanning))
+    _check_membership_work(frame, len(points), len(spanning))
     basis, residues = _closure_test(frame, points)
-    return not any(any(residues(b)) for a in basis for b in _conjugates(frame, a, spanning))
+    return not any(any(residues(conjugate(frame, a, c))) for a in basis for c in spanning)
 
 
 # ---------------------------------------------------------------------------

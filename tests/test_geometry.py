@@ -646,12 +646,30 @@ def test_single_probe_membership_builds_no_inverse_square(monkeypatch, name, req
 
 
 def test_closure_is_refused_by_its_membership_work():
+    # 64 points of Frobenius GF(2^8)^2: k = 8 residue computations of about
+    # n M^2 ring operations and a q = 256 entry span table per relation, for
+    # each of up to M basis points, n M^2 (k M + q) in all; 60 points
+    # (5299200) take about 4 s when the work is done
     from skewpoly import FiniteField
 
     frame = frobenius_frame(FiniteField(2, 8), 2)
-    rng = random.Random(40)
-    points = [random_point(frame, rng) for _ in range(40)]
+    rng = random.Random(64)
+    points = list(dict.fromkeys(random_point(frame, rng) for _ in range(64)))
+    M = len(points)
     start = time.perf_counter()
-    with pytest.raises(InvalidInput, match=str(255 * 40 * 2 * 40 ** 2)):
-        closure_members(frame, dict.fromkeys(points))
+    with pytest.raises(InvalidInput, match=str(2 * M ** 2 * (8 * M + 256))):
+        closure_members(frame, points)
     assert time.perf_counter() - start < 1
+
+
+def test_closure_budget_admits_what_closure_can_do():
+    # 21 points of Frobenius GF(2^8)^2 predict 373968 ring operations, well
+    # under the budget: each point's conjugacy class is listed
+    from skewpoly import FiniteField
+
+    frame = frobenius_frame(FiniteField(2, 8), 2)
+    rng = random.Random(21)
+    points = list(dict.fromkeys(random_point(frame, rng) for _ in range(21)))
+    members = closure_members(frame, points)
+    assert set(points) <= set(members)
+    assert rank_of(frame, members) == rank_of(frame, points)

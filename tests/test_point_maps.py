@@ -6,7 +6,7 @@ quaternions into one 4 x 4 integer matrix per variable.  Every frame
 shape is covered: k = 1 (GF(5)), odd p (GF(9), and GF(27), whose digits
 fill two chunks), both non-diagonal GF(8) frames, with and without delta,
 the quaternion inner frame, GF(2^8) and GF(2^16) (two and four chunks,
-the latter with an inner delta) and GF(17^2) (p > 16, one digit a chunk).
+the latter with an inner delta) and GF(17^2) (p > 16, each digit scaling its column).
 """
 
 import json
