@@ -42,7 +42,7 @@ VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
 VERIFIER_WORK_LIMIT = 1 << 22      # predicted rows x M^2 of lagrange_via_vandermonde()
 CLOSURE_POINT_LIMIT = 1 << 16      # q^n points of F^n, which bound closure_members()
 IMAGE_WORK_LIMIT = 1 << 25         # predicted n * M^3 of the image echelon of M points
-MEMBERSHIP_WORK_LIMIT = 1 << 22    # predicted tests x n * M^2 of the membership tests over M points
+MEMBERSHIP_WORK_LIMIT = 1 << 22    # predicted n * M^2 * (k M + t) of the membership tests over M points
 
 
 def check_point_set(frame, points):
