@@ -30,9 +30,11 @@ from .freering import (
     PushMemo,
     SkewPolynomial,
     _accumulate,
-    _is_ring_element,
+    _check_push_budget,
+    _divide_words,
     check_word,
     constant,
+    mul,
     variable,
 )
 
@@ -43,8 +45,7 @@ def check_point(frame, point):
     if len(point) != frame.n:
         raise InvalidInput(f"point has {len(point)} coordinates, frame has n={frame.n}")
     for a in point:
-        if not _is_ring_element(frame.ring, a):
-            raise RingMismatch(f"coordinate {a!r} does not belong to {frame.ring}")
+        frame.ring.unwrap(a)
     return point
 
 
@@ -89,12 +90,20 @@ def divide(F, point):
     monomials to kill come off a heap keyed by degree, largest first.  A
     node enters the heap when it enters the remainder; an entry whose
     node has since cancelled out of the remainder is stale and skipped.
+    The remainder and the quotients hold ring values until the end.
+
+    A division whose pushes _divide_words predicts to make more than
+    PUSH_TERM_LIMIT words is refused before the first push.
     """
     frame = F.frame
     point = check_point(frame, point)
+    ring = frame.ring
+    _check_push_budget(_divide_words(frame, F.terms), "the division")
+    unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
+    point = [unwrap(a) for a in point]
     memo = PushMemo()
     parent, letter, depth, spelled = memo.parent, memo.letter, memo.depth, memo.spelled
-    rem = {memo.node(w): c for w, c in F.terms.items()}
+    rem = {memo.node(w): unwrap(c) for w, c in F.terms.items()}
     heap = [(-depth[v], v) for v in rem if v]
     heapify(heap)
     quot = [dict() for _ in range(frame.n)]
@@ -107,18 +116,19 @@ def divide(F, point):
         if spelled[prefix] is None:
             # a slice of the killed word, not a walk up from the prefix
             spelled[prefix] = memo.word(v)[:-1]
-        _accumulate(quot[i], prefix, c)
+        _accumulate(quot[i], prefix, c, add)
         # F <- F - c * prefix * (x_i - a_i); the x_i part cancelled above.
         # _push is looked up on its module, as in mul, so a wrapper put
         # there (the benchmark's tracer) sees every push
         for w, pc in freering._push(frame, prefix, point[i], memo).items():
             if w and w not in rem:
                 heappush(heap, (-depth[w], w))
-            _accumulate(rem, w, c * pc)
-    remainder = rem.get(0, frame.ring.zero())
+            _accumulate(rem, w, times(c, pc), add)
+    wrap = ring.wrap
+    remainder = rem.get(0)
     return DivisionResult(
-        [SkewPolynomial(frame, {spelled[v]: q for v, q in quo.items()}) for quo in quot],
-        remainder)
+        [SkewPolynomial(frame, {spelled[v]: wrap(q) for v, q in quo.items()}) for quo in quot],
+        ring.zero() if remainder is None else wrap(remainder))
 
 
 def fundamental(frame, word, point):
@@ -195,8 +205,7 @@ def conjugate(frame, point, c):
     the compiled maps of the point applied to c, scaled by c^(-1) on the
     right."""
     point = check_point(frame, point)
-    if not _is_ring_element(frame.ring, c):
-        raise RingMismatch(f"constant {c!r} does not belong to {frame.ring}")
+    frame.ring.unwrap(c)
     if c.is_zero():
         raise DivisionByZero("conjugation by zero")
     cinv = c.inv()
@@ -223,8 +232,6 @@ def check_product_rule(F, G, point):
         raise RingMismatch("polynomials built over different frames")
     frame = F.frame
     point = check_point(frame, point)
-    from .freering import mul
-
     lhs = evaluate(mul(F, G), point)
     c = evaluate(G, point)
     if c.is_zero():

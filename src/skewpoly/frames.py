@@ -61,18 +61,20 @@ class LinearMap:
         self._cols = tuple(fld.from_coeffs([row[c] for row in mat]).val for c in range(k))
 
     def apply(self, a):
+        return FieldElement(self.fld, self.apply_val(self.fld.unwrap(a)))
+
+    def apply_val(self, v):
+        """The map on the integer code v of an element."""
         fld = self.fld
-        if a.field != fld:
-            raise RingMismatch(f"{a.field} element fed to a {fld} map")
         p, add, mul = fld.p, fld.add_val, fld.mul_val
-        v, out = a.val, 0
+        out = 0
         for col in self._cols:
             if not v:
                 break
             v, d = divmod(v, p)
             if d:
                 out = add(out, mul(d, col))
-        return FieldElement(fld, out)
+        return out
 
     @classmethod
     def identity(cls, fld):
@@ -106,7 +108,7 @@ class LinearMap:
         return cls.from_images(fld, [c * e for e in fld.additive_basis()])
 
     def is_zero_map(self):
-        return all(all(x == 0 for x in row) for row in self.mat)
+        return not any(self._cols)
 
     def to_json(self):
         return {"matrix": [list(row) for row in self.mat]}
@@ -169,6 +171,9 @@ class QuatMap:
             m30 * w + m31 * x + m32 * y + m33 * z,
             self.den * a.den,
         )
+
+    # a quaternion is its own value (QuaternionRing.wrap is the identity)
+    apply_val = apply
 
     @classmethod
     def identity(cls, ring):
@@ -272,16 +277,20 @@ class FrameReport:
 class Frame:
     """A validated (sigma, delta) pair over a coefficient ring.
 
-    Frames are immutable after construction; application results are
-    memoized per frame, so sharing one frame across calls is cheap.  Each
-    memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its
-    memory.  The compiled point maps of point_map are cached the same way,
-    up to _POINT_MEMO_LIMIT points.
+    Frames are immutable after construction; sigma and delta at a ring
+    value (the code of a field element, a quaternion itself) are memoized
+    per frame, so sharing one frame across calls is cheap.  Each memo is
+    emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
+    The compiled point maps of point_map are cached the same way, up to
+    _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
+    step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
+    delta_i is not zero.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
 
-    __slots__ = ("ring", "n", "sigma", "delta", "_sig_cache", "_del_cache", "_point_cache")
+    __slots__ = ("ring", "n", "sigma", "delta", "branching", "_sig_cache", "_del_cache",
+                 "_point_cache")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -291,33 +300,57 @@ class Frame:
         self.n = n
         self.sigma = tuple(tuple(row) for row in sigma)
         self.delta = tuple(delta)
+        self.branching = tuple(sum(not m.is_zero_map() for m in row) + (not d.is_zero_map())
+                               for row, d in zip(self.sigma, self.delta))
         self._sig_cache = {}
         self._del_cache = {}
         self._point_cache = {}
 
-    def sigma_at(self, a):
-        """The n x n matrix sigma(a), rows/cols as nested tuples."""
+    def sigma_val(self, v):
+        """sigma at the ring value v (see the ring's unwrap), by rows: row i
+        holds the pairs (j, sigma_ij(v)) whose value is not zero, j from 1,
+        so a push reads no zero entries."""
         cache = self._sig_cache
         try:
-            return cache[a]
+            return cache[v]
         except KeyError:
-            out = tuple(tuple(m.apply(a) for m in row) for row in self.sigma)
+            out = []
+            for row in self.sigma:
+                images = [(j, m.apply_val(v)) for j, m in enumerate(row, 1)]
+                out.append(tuple((j, c) for j, c in images if c))
+            out = tuple(out)
             if len(cache) >= _MEMO_LIMIT:
                 cache.clear()
-            cache[a] = out
+            cache[v] = out
             return out
 
-    def delta_at(self, a):
-        """The length-n vector delta(a)."""
+    def delta_val(self, v):
+        """delta at the ring value v, as a length-n tuple of ring values."""
         cache = self._del_cache
         try:
-            return cache[a]
+            return cache[v]
         except KeyError:
-            out = tuple(m.apply(a) for m in self.delta)
+            out = tuple(m.apply_val(v) for m in self.delta)
             if len(cache) >= _MEMO_LIMIT:
                 cache.clear()
-            cache[a] = out
+            cache[v] = out
             return out
+
+    def sigma_at(self, a):
+        """The n x n matrix sigma(a) of ring elements, rows/cols as nested tuples."""
+        ring = self.ring
+        zero, rows = ring.zero(), []
+        for pairs in self.sigma_val(ring.unwrap(a)):
+            row = [zero] * self.n
+            for j, c in pairs:
+                row[j - 1] = ring.wrap(c)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def delta_at(self, a):
+        """The length-n vector delta(a) of ring elements."""
+        ring = self.ring
+        return tuple(map(ring.wrap, self.delta_val(ring.unwrap(a))))
 
     def point_map(self, point):
         """phi_a: v -> (T_1(v), ..., T_n(v)), T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v),

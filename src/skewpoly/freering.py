@@ -14,14 +14,21 @@ The product and division both push coefficients leftward through words.
 That kernel works on words as integer nodes of a per-call hash-consed
 table (PushMemo): a node is its prefix's node plus one letter, so one
 push level costs a few dict steps whatever the length of the word, and
-a node's tuple is spelled out only when a result needs it.
+a node's tuple is spelled out only when a result needs it.  Coefficients
+are ring values there, not elements (the code over GF(p^k), the
+quaternion itself over H): the ring's unwrap checks each one where it
+enters, its *_val arithmetic combines them, and its wrap builds each
+result element once.  When sigma is not diagonal or delta is not zero,
+one push can make exponentially many words, so mul and divide refuse a
+job predicted past PUSH_TERM_LIMIT words before the first push.
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
+from operator import add as _add
 
-from .errors import RingMismatch, ZeroPolynomial
+from .errors import InvalidInput, RingMismatch, ZeroPolynomial
 from .rings import FieldElement, Quaternion
 
 
@@ -83,8 +90,75 @@ def word_times_constant(frame, word, a, memo=None):
     """
     if memo is None:
         memo = PushMemo()
-    spell = memo.word
-    return {spell(v): c for v, c in _push(frame, memo.node(word), a, memo).items()}
+    ring, spell = frame.ring, memo.word
+    pushed = _push(frame, memo.node(word), ring.unwrap(a), memo)
+    return {spell(v): ring.wrap(c) for v, c in pushed.items()}
+
+
+# Most words the pushes of one mul or divide may produce, as predicted
+# before the first push.
+PUSH_TERM_LIMIT = 1 << 22
+
+
+def _push_words(frame, word):
+    """The most words one push through word can make: the product of
+    frame.branching over its letters, and no more than the words of at
+    most len(word) letters.  Once past PUSH_TERM_LIMIT the product stops,
+    a lower bound that is still over the limit."""
+    branching, words = frame.branching, 1
+    for i in word:
+        words *= branching[i - 1]
+        if words > PUSH_TERM_LIMIT:
+            break
+    return min(words, _words_up_to(frame.n, len(word)))
+
+
+def _product_words(F, G):
+    """The most words the pushes of F * G can make: _push_words of each
+    term of F, once per term of G.  The bound at F's degree with the
+    largest branching is tried first, sparing the per-letter products
+    when it is within PUSH_TERM_LIMIT."""
+    frame, pairs = F.frame, len(F.terms) * len(G.terms)
+    top = max(frame.branching)
+    if top == 1 or not pairs:
+        return pairs
+    degree = max(map(len, F.terms))
+    words = pairs * min(top ** degree, _words_up_to(frame.n, degree))
+    if words <= PUSH_TERM_LIMIT:
+        return words
+    return len(G.terms) * sum(_push_words(frame, u) for u in F.terms)
+
+
+def _words_up_to(n, length):
+    """The number of words of at most length letters over n variables."""
+    return length + 1 if n == 1 else (n ** (length + 1) - 1) // (n - 1)
+
+
+def _divide_words(frame, terms):
+    """The most words the pushes of dividing the given terms can make.
+
+    A kill of a word of l letters pushes through its prefix, and no word
+    is killed twice.  When every branching is 1, each push makes one word
+    and a term u is killed once per length: |u| words.  Otherwise at most
+    all n^l words of l letters are killed, each push making at most
+    min(b^(l-1), words of at most l - 1 letters), b the largest branching:
+    the sum over l up to the largest degree, stopped once past the limit.
+    """
+    top, n = max(frame.branching), frame.n
+    if top == 1:
+        return sum(map(len, terms))
+    words = 0
+    for length in range(1, max(map(len, terms), default=0) + 1):
+        words += n ** length * min(top ** (length - 1), _words_up_to(n, length - 1))
+        if words > PUSH_TERM_LIMIT:
+            break
+    return words
+
+
+def _check_push_budget(words, what):
+    if words > PUSH_TERM_LIMIT:
+        raise InvalidInput(
+            f"{what} predicts at least {words} pushed words, over the limit of {PUSH_TERM_LIMIT}")
 
 
 class PushMemo:
@@ -96,7 +170,8 @@ class PushMemo:
     followed by i, so appending a letter is one dict step and equal
     words are equal nodes.  spelled[v] is the tuple of node v, or None
     until it is first asked for; it is built at most once.  pushed maps
-    (node, coefficient) to the push result {node: nonzero coefficient}.
+    (node, ring value) to the push result {node: nonzero ring value}, the
+    values being those of the frame's ring (see its unwrap).
 
     A memo serves one frame and lives as long as the call that made it.
     """
@@ -157,8 +232,9 @@ _PUSH_DEPTH = 512
 
 
 def _push(frame, v, a, memo):
-    """(word) * a for the word of node v of memo, as a dict node -> left
-    coefficient; memoized per (node, coefficient) in memo.pushed.
+    """(word) * a for the word of node v of memo and a ring value a, as a
+    dict node -> left coefficient (a ring value); memoized per (node,
+    value) in memo.pushed.
 
     The word of a node deeper than _PUSH_DEPTH letters is first swept
     from its right end, level by level up the parent nodes, collecting
@@ -167,7 +243,7 @@ def _push(frame, v, a, memo):
     those, shortest prefix first, fills the memo, so the final push
     recurses through at most _PUSH_DEPTH letters.
     """
-    if a.is_zero():
+    if not a:
         return {}
     pushed = memo.pushed
     depth = memo.depth[v]
@@ -181,11 +257,10 @@ def _push(frame, v, a, memo):
             u = parent[u]
             nxt = {}
             for c in need:
-                for s in frame.sigma_at(c)[i]:
-                    if not s.is_zero():
-                        nxt[s] = None
-                d = frame.delta_at(c)[i]
-                if not d.is_zero():
+                for _, s in frame.sigma_val(c)[i]:
+                    nxt[s] = None
+                d = frame.delta_val(c)[i]
+                if d:
                     nxt[d] = None
             need = nxt
             if (k - 1) % _PUSH_DEPTH == 0:
@@ -200,8 +275,9 @@ def _push(frame, v, a, memo):
 
 
 def _push_recursive(frame, v, a, memo):
-    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)) for a != 0,
-    recursing on the node of m, which is parent[v]; i is letter[v]."""
+    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)) for a ring
+    value a != 0, recursing on the node of m, which is parent[v]; i is
+    letter[v]."""
     if not v:
         return {0: a}
     key = (v, a)
@@ -212,28 +288,29 @@ def _push_recursive(frame, v, a, memo):
     prefix, i = memo.parent[v], memo.letter[v] - 1
     out = {}
     children = memo.children
-    for j, c in enumerate(frame.sigma_at(a)[i], 1):
-        if not c.is_zero():
-            # words ending in different letters differ: no sums needed
-            for w, coeff in _push_recursive(frame, prefix, c, memo).items():
-                u = children[w].get(j)
-                out[memo.append(w, j) if u is None else u] = coeff
-    d = frame.delta_at(a)[i]
-    if not d.is_zero():
+    for j, c in frame.sigma_val(a)[i]:
+        # words ending in different letters differ: no sums needed
+        for w, coeff in _push_recursive(frame, prefix, c, memo).items():
+            u = children[w].get(j)
+            out[memo.append(w, j) if u is None else u] = coeff
+    d = frame.delta_val(a)[i]
+    if d:
+        add = frame.ring.add_val
         for w, coeff in _push_recursive(frame, prefix, d, memo).items():
-            _accumulate(out, w, coeff)
+            _accumulate(out, w, coeff, add)
     pushed[key] = out
     return out
 
 
-def _accumulate(terms, w, c):
-    """terms[w] += c, dropping the entry when the sum is zero."""
+def _accumulate(terms, w, c, add=_add):
+    """terms[w] = add(terms[w], c), dropping the entry when the sum is zero;
+    on elements by default, on ring values with the ring's add_val."""
     cur = terms.get(w)
-    new = c if cur is None else cur + c
-    if new.is_zero():
-        terms.pop(w, None)
-    else:
+    new = c if cur is None else add(cur, c)
+    if new:
         terms[w] = new
+    else:
+        terms.pop(w, None)
 
 
 class SkewPolynomial:
@@ -375,13 +452,10 @@ class SkewPolynomial:
 
 
 def _is_ring_element(ring, x):
-    if isinstance(x, FieldElement):
-        if x.field is not ring and x.field != ring:
-            raise RingMismatch(f"{x.field} element used over {ring}")
-        return True
-    if isinstance(x, Quaternion):
-        if x.ring != ring:
-            raise RingMismatch("quaternion from a different ring")
+    """Whether x is a ring element at all; RingMismatch (from the ring's
+    unwrap) when it is an element of another ring."""
+    if isinstance(x, (FieldElement, Quaternion)):
+        ring.unwrap(x)
         return True
     return False
 
@@ -463,18 +537,26 @@ def mul(F, G):
 
     Each left coefficient of G is pushed through the corresponding
     monomial of F, and G's monomial is appended on the right; on bare
-    monomials this is concatenation.
+    monomials this is concatenation.  A product whose pushes
+    _product_words predicts to make more than PUSH_TERM_LIMIT words is
+    refused before the first push.
     """
     if F.frame is not G.frame:
         raise RingMismatch("polynomials built over different frames")
     frame = F.frame
+    ring = frame.ring
+    unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
+    g_terms = [(nw, unwrap(gc)) for nw, gc in G.terms.items()]
+    _check_push_budget(_product_words(F, G), "the product")
     out = {}
     memo = PushMemo()
     spelled = memo.spelled
     for mw, fc in F.terms.items():
+        fc = unwrap(fc)
         v = memo.node(mw)
-        for nw, gc in G.terms.items():
+        for nw, gc in g_terms:
             for w, c in _push(frame, v, gc, memo).items():
                 t = spelled[w]
-                _accumulate(out, (memo.word(w) if t is None else t) + nw, fc * c)
-    return SkewPolynomial(frame, out)
+                _accumulate(out, (memo.word(w) if t is None else t) + nw, times(fc, c), add)
+    wrap = ring.wrap
+    return SkewPolynomial(frame, {w: wrap(c) for w, c in out.items()})

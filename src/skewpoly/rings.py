@@ -386,6 +386,16 @@ class FiniteField:
             raise DivisionByZero("inverse of 0")
         return self._exp[self._units - self._log[a]]
 
+    def unwrap(self, a):
+        """The code of an element of this field; RingMismatch for any other value."""
+        if isinstance(a, FieldElement) and (a.field is self or a.field == self):
+            return a.val
+        raise RingMismatch(f"{a!r} does not belong to {self}")
+
+    def wrap(self, val):
+        """The element of the code val."""
+        return FieldElement(self, val)
+
     # -- element constructors ----------------------------------------------
 
     def element(self, val):
@@ -515,6 +525,29 @@ def quaternion_from_ints(ring, w, x, y, z, den):
     return q
 
 
+def _quat_add(a, b):
+    aw, ax, ay, az = a.num
+    bw, bx, by, bz = b.num
+    da, db = a.den, b.den
+    return quaternion_from_ints(
+        a.ring, aw * db + bw * da, ax * db + bx * da, ay * db + by * da,
+        az * db + bz * da, da * db,
+    )
+
+
+def _quat_mul(a, b):
+    aw, ax, ay, az = a.num
+    bw, bx, by, bz = b.num
+    return quaternion_from_ints(
+        a.ring,
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+        a.den * b.den,
+    )
+
+
 class Quaternion:
     """A rational quaternion (w + x i + y j + z k) / den.
 
@@ -559,17 +592,11 @@ class Quaternion:
             return Quaternion(self.ring, other, 0, 0, 0)
         return None
 
+    # the operand is mostly a Quaternion; _coerce takes ints and Fractions
+
     def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        aw, ax, ay, az = self.num
-        bw, bx, by, bz = b.num
-        da, db = self.den, b.den
-        return quaternion_from_ints(
-            self.ring, aw * db + bw * da, ax * db + bx * da, ay * db + by * da,
-            az * db + bz * da, da * db,
-        )
+        b = other if type(other) is Quaternion else self._coerce(other)
+        return NotImplemented if b is None else _quat_add(self, b)
 
     __radd__ = __add__
 
@@ -592,25 +619,12 @@ class Quaternion:
         return b - self
 
     def __mul__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        aw, ax, ay, az = self.num
-        bw, bx, by, bz = b.num
-        return quaternion_from_ints(
-            self.ring,
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-            self.den * b.den,
-        )
+        b = other if type(other) is Quaternion else self._coerce(other)
+        return NotImplemented if b is None else _quat_mul(self, b)
 
     def __rmul__(self, other):
         b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return b * self
+        return NotImplemented if b is None else _quat_mul(b, self)
 
     def __neg__(self):
         w, x, y, z = self.num
@@ -677,7 +691,25 @@ class Quaternion:
 
 
 class QuaternionRing:
-    """The rational quaternions: the stock noncommutative division ring."""
+    """The rational quaternions: the stock noncommutative division ring.
+
+    A quaternion is its own value: add_val and mul_val, named as in
+    FiniteField's code arithmetic, take and return Quaternions, and wrap
+    is the identity.
+    """
+
+    add_val = staticmethod(_quat_add)
+    mul_val = staticmethod(_quat_mul)
+
+    def unwrap(self, a):
+        """a itself when it is a quaternion; RingMismatch for any other value."""
+        if isinstance(a, Quaternion) and (a.ring is self or a.ring == self):
+            return a
+        raise RingMismatch(f"{a!r} does not belong to {self}")
+
+    @staticmethod
+    def wrap(a):
+        return a
 
     def element(self, w, x=0, y=0, z=0):
         return Quaternion(self, w, x, y, z)
@@ -686,10 +718,10 @@ class QuaternionRing:
         return Quaternion(self, w, x, y, z)
 
     def zero(self):
-        return Quaternion(self, 0, 0, 0, 0)
+        return quaternion_from_ints(self, 0, 0, 0, 0, 1)
 
     def one(self):
-        return Quaternion(self, 1, 0, 0, 0)
+        return quaternion_from_ints(self, 1, 0, 0, 0, 1)
 
     def i(self):
         return Quaternion(self, 0, 1, 0, 0)

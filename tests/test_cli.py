@@ -7,6 +7,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewpoly import (
     FiniteField,
@@ -24,6 +26,7 @@ from skewpoly import (
 )
 from skewpoly import cli
 from skewpoly.cli import run
+from skewpoly.freering import PUSH_TERM_LIMIT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -413,6 +416,22 @@ def test_long_word_divide_answers_with_one_json_line():
             word[:k] for k in range(len(word)) if word[k] == i)
 
 
+@pytest.mark.parametrize("verb, length", [("mul", 26), ("divide", 16)])
+def test_push_blowup_is_refused_before_any_push(nondiag_gf8_2_inner, verb, length):
+    # every sigma_ij and delta_i is nonzero: each letter a push passes makes
+    # three words of it, and without the budget the 26-letter product took
+    # 26 s and 2.4 GB, the 16-letter division 90 s
+    frame = nondiag_gf8_2_inner
+    job = {"ring": frame.ring.spec_to_json(), "frame": frame.to_json(),
+           "f": [{"monomial": [1, 2] * (length // 2), "coeff": [1, 0, 0]}],
+           "g": [{"monomial": [], "coeff": [0, 1, 0]}], "point": [[0, 1, 0], [1, 1, 0]]}
+    start = time.perf_counter()
+    code, out, text = invoke([verb], job)
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out["error"] == "InvalidInput" and len(text.splitlines()) == 1
+    assert f"over the limit of {PUSH_TERM_LIMIT}" in out["message"]
+
+
 def test_twenty_thousand_term_eval_answers_at_once():
     # the terms were added one polynomial at a time, copying every term
     # each time: 16000 terms took 30 s
@@ -574,3 +593,66 @@ def test_quaternion_output_matches_golden_bytes(argv, golden):
     # interpreted map catalog: the output must not depend on the representation
     _, _, text = invoke(argv + ["--job", str(DATA / "quat_job.json")])
     assert text == (DATA / golden).read_text()
+
+
+# ---------------------------------------------------------------------------
+# The contract on arbitrary jobs: one line, a documented exit code and the
+# same bytes on a rerun, for every verb
+# ---------------------------------------------------------------------------
+
+_FUZZ_RINGS = (FiniteField(2), FiniteField(2, 2), FiniteField(5), QuaternionRing())
+
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=8)
+
+
+def _fuzz_element(ring):
+    if not ring.is_finite:
+        part = st.builds(lambda a, b: f"{a}/{b}", st.integers(-3, 3), st.integers(1, 3))
+        return st.lists(part, min_size=4, max_size=4)
+    if ring.k == 1:
+        return st.integers(-2 * ring.p, 2 * ring.p)
+    return st.lists(st.integers(0, ring.p - 1), min_size=ring.k, max_size=ring.k)
+
+
+@st.composite
+def _fuzz_jobs(draw):
+    """A job around one small ring: every field well formed for the ring,
+    except at most two that hold any JSON value or are missing."""
+    ring = draw(st.sampled_from(_FUZZ_RINGS))
+    n = draw(st.integers(1, 2))
+    if ring.is_finite and draw(st.booleans()):
+        frame = frobenius_frame(ring, n)
+    else:
+        frame = conventional_frame(ring, n)
+    elem = _fuzz_element(ring)
+    point = st.lists(elem, min_size=n, max_size=n)
+    word = st.lists(st.integers(1, n), max_size=5)
+    poly = st.lists(st.fixed_dictionaries({"monomial": word, "coeff": elem}), max_size=3)
+    fields = {"ring": st.just(ring.spec_to_json()), "frame": st.just(frame.to_json()),
+              "f": poly, "g": poly, "point": point, "c": elem, "monomial": word,
+              "points": st.lists(point, max_size=4), "values": st.lists(elem, max_size=4),
+              "degree": st.integers(-1, 4)}
+    broken = draw(st.lists(st.sampled_from(sorted(fields)), max_size=2))
+    job = {key: draw(good) for key, good in fields.items()}
+    for key in broken:
+        if draw(st.booleans()):
+            job[key] = draw(_any_json)
+        else:
+            job.pop(key, None)
+    return job
+
+
+@pytest.mark.parametrize("verb", sorted(cli._VERBS))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(job=_fuzz_jobs(), fmt=st.sampled_from(("json", "text")))
+def test_every_job_gets_one_line_a_documented_code_and_the_same_bytes(verb, job, fmt):
+    argv = [verb, "--format", fmt]
+    first = invoke(argv, job)
+    code, _, text = first
+    assert code in (0, 1, 2), text  # 3 is the last resort, which no job should reach
+    assert text.endswith("\n") and len(text.splitlines()) == 1
+    assert invoke(argv, job) == first

@@ -15,11 +15,15 @@ from hypothesis import strategies as st
 
 from skewpoly import (
     BOTTOM,
+    FieldElement,
+    FiniteField,
+    QuaternionRing,
     RingMismatch,
     SkewPolynomial,
     ZeroPolynomial,
     constant,
     conventional_frame,
+    divide,
     frobenius_frame,
     from_terms,
     inner_frame,
@@ -226,11 +230,15 @@ PUSH_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondia
 
 def _assert_pushes_match_reference(frame, cases):
     """Push every (word, coefficient) through one shared memo, as mul and
-    divide do, and compare with the tuple reference sharing one dict."""
+    divide do, and compare with the tuple reference sharing one dict.  The
+    push runs on ring values, so each coefficient is unwrapped on the way
+    in and each result wrapped on the way out."""
+    ring = frame.ring
     memo, ref_memo = PushMemo(), {}
     for word, a in cases:
-        got = freering._push(frame, memo.node(word), a, memo)
-        assert {memo.word(v): c for v, c in got.items()} == push_reference(frame, word, a, ref_memo)
+        got = freering._push(frame, memo.node(word), ring.unwrap(a), memo)
+        assert ({memo.word(v): ring.wrap(c) for v, c in got.items()}
+                == push_reference(frame, word, a, ref_memo))
 
 
 @pytest.mark.parametrize("depth", [512, 3])
@@ -354,3 +362,76 @@ def test_json_round_trip(conv_gf5_2, frob_gf9_2, quat_inner_2, rng):
     obj = random_poly(conv_gf5_2, rng).to_json()
     for term in obj:
         assert set(term) == {"monomial", "coeff"}
+
+
+# ---------------------------------------------------------------------------
+# Ring values at the boundary, and the push budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["nondiag_gf8_2", "quat_inner_2"])
+def test_coefficients_of_another_ring_are_refused(name, request):
+    frame = request.getfixturevalue(name)
+    ring = frame.ring
+    foreign = [FiniteField(3, 2).gen()]  # GF(9) against GF(8), and against H
+    if ring.is_finite:
+        foreign.append(QuaternionRing().i())
+    x1, point = variable(frame, 1), (ring.one(),) * frame.n
+    for c in foreign:
+        bad = SkewPolynomial(frame, {(1, 2): c})
+        for job in (lambda: mul(x1, bad), lambda: mul(bad, x1), lambda: divide(bad, point),
+                    lambda: word_times_constant(frame, (1, 2), c)):
+            with pytest.raises(RingMismatch):
+                job()
+    if ring.is_finite:
+        # an equal field built apart passes the check
+        twin = FiniteField(ring.p, ring.k, ring.modulus).gen()
+        assert word_times_constant(frame, (1,), twin) == word_times_constant(frame, (1,), ring.gen())
+
+
+def test_branching_counts_nonzero_sigma_and_delta(conv_gf5_2, frob_gf9_2, quat_inner_2,
+                                                  nondiag_gf8_2, nondiag_gf8_2_inner):
+    assert conv_gf5_2.branching == frob_gf9_2.branching == (1, 1)
+    # diagonal sigma, delta != 0: a letter stays or goes
+    assert quat_inner_2.branching == (2, 2)
+    assert nondiag_gf8_2.branching == (2, 2)
+    assert nondiag_gf8_2_inner.branching == (3, 3)
+
+
+def test_push_predictions(frob_gf9_2, quat_inner_2, nondiag_gf8_2_inner):
+    word = (1, 2) * 8
+    # one word per push on a frame whose every branching is 1
+    assert freering._push_words(frob_gf9_2, word) == 1
+    assert freering._divide_words(frob_gf9_2, [word, (1,), ()]) == 17
+    assert freering._push_words(quat_inner_2, word[:5]) == 2 ** 5
+    # 3^5 words, but the words of at most 5 letters over 2 variables are 63
+    assert freering._push_words(nondiag_gf8_2_inner, word[:5]) == 63
+    # sum over l of 2^l min(3^(l-1), 2^l - 1)
+    assert freering._divide_words(nondiag_gf8_2_inner, [word[:3], (2,)]) == 2 * 1 + 4 * 3 + 8 * 7
+    # four terms at the bound of degree 20 would pass the limit; word by
+    # word the product stays under it
+    one = nondiag_gf8_2_inner.ring.one()
+    F = from_terms(nondiag_gf8_2_inner, [((1, 2) * 10, one), ((1,), one), ((1, 2), one), ((2, 1), one)])
+    assert freering._product_words(F, constant(nondiag_gf8_2_inner, one)) == (2 ** 21 - 1) + 3 + 7 + 7
+
+
+def test_products_and_divisions_build_elements_per_term_not_per_push(monkeypatch):
+    gf = FiniteField(2, 16)
+    frame = frobenius_frame(gf, 2)
+    rng = random.Random(16)
+    word = tuple(rng.randint(1, 2) for _ in range(40))
+    F = from_terms(frame, [(word, gf.random_nonzero(rng)), ((1, 2), gf.random_nonzero(rng))])
+    G = from_terms(frame, [((), gf.random_nonzero(rng)), ((2,), gf.random_nonzero(rng))])
+    point = (gf.random_nonzero(rng), gf.random_nonzero(rng))
+    made, init = [0], FieldElement.__init__
+
+    def counted(self, field, val):
+        made[0] += 1
+        init(self, field, val)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    P = mul(F, G)
+    # the pushes pass about 80 letters; one element is built per term out
+    assert made[0] == len(P.terms) == 4
+    made[0] = 0
+    res = divide(F, point)
+    assert made[0] == sum(len(q.terms) for q in res.quotients) + 1
