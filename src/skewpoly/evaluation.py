@@ -10,13 +10,13 @@ per-monomial fundamental functions
 
 which the evaluate() fast path uses.  For a fixed point a every T_i is
 additive in v (Leroy's pseudo-linear map of a, in n variables), so
-Frame.point_map compiles the n maps of a once, and caches them per
-frame: one step of the recursion is then one table lookup per chunk of
-the argument's digits over GF(p^k) (a single lookup when q <= 16) and
-one 4 x 4 integer product per variable over the quaternions.  evaluate,
-fundamental, fundamental_table and conjugate all step through the
-compiled maps.  Points are plain tuples of ring elements of length
-frame.n.
+Frame.point_map_val compiles the n maps of a once, on ring values, and
+caches them per frame: one step of the recursion is then one table
+lookup per chunk of the argument's digits over GF(p^k) (a single lookup
+when q <= 16) and one 4 x 4 integer product per variable over the
+quaternions.  evaluate, fundamental, fundamental_table and conjugate all
+step through the compiled maps.  Points are plain tuples of ring
+elements of length frame.n.
 """
 
 from __future__ import annotations
@@ -139,11 +139,27 @@ def fundamental(frame, word, point):
     """
     point = check_point(frame, point)
     word = check_word(frame, word)
-    phi = frame.point_map(point)
-    val = frame.ring.one()
+    phi, ring = frame.point_map_val(point), frame.ring
+    val = ring.unwrap(ring.one())
     for idx in range(len(word) - 1, -1, -1):
         val = phi(val)[word[idx] - 1]
-    return val
+    return ring.wrap(val)
+
+
+def _fundamental_values(frame, point, d):
+    """fundamental_table on ring values."""
+    phi, ring = frame.point_map_val(point), frame.ring
+    table = {(): ring.unwrap(ring.one())}
+    level = [()]
+    for _ in range(1, d):
+        nxt = []
+        for w in level:
+            for i, val in enumerate(phi(table[w]), 1):
+                nw = (i,) + w
+                table[nw] = val
+                nxt.append(nw)
+        level = nxt
+    return table
 
 
 def fundamental_table(frame, point, d):
@@ -155,19 +171,8 @@ def fundamental_table(frame, point, d):
     the naive recursion exactly.
     """
     point = check_point(frame, point)
-    phi = frame.point_map(point)
-    table = {(): frame.ring.one()}
-    level = [()]
-    for _ in range(1, d):
-        nxt = []
-        for w in level:
-            ext = phi(table[w])
-            for i in range(frame.n):
-                nw = (i + 1,) + w
-                table[nw] = ext[i]
-                nxt.append(nw)
-        level = nxt
-    return table
+    wrap = frame.ring.wrap
+    return {w: wrap(v) for w, v in _fundamental_values(frame, point, d).items()}
 
 
 def evaluate(F, point):
@@ -179,25 +184,27 @@ def evaluate(F, point):
     suffix from the right, then extends leftwards, one compiled-map
     application per new suffix giving all n of its one-letter
     extensions.  The walk is iterative, so word length is bounded by
-    memory only.
+    memory only.  It runs on ring values and builds one element, the
+    value.
     """
     frame = F.frame
     point = check_point(frame, point)
-    phi = frame.point_map(point)
+    phi = frame.point_map_val(point)
     ring = frame.ring
-    total = ring.zero()
+    unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
+    total = unwrap(ring.zero())
     # node = (N_suffix(a), {variable index: node of the suffix extended by it})
-    root = (ring.one(), {})
+    root = (unwrap(ring.one()), {})
     for w, c in F.terms.items():
         node = root
         for i in reversed(w):
             children = node[1]
             if not children:
-                for j, val in enumerate(phi(node[0])):
-                    children[j + 1] = (val, {})
+                for j, val in enumerate(phi(node[0]), 1):
+                    children[j] = (val, {})
             node = children[i]
-        total = total + c * node[0]
-    return total
+        total = add(total, times(unwrap(c), node[0]))
+    return ring.wrap(total)
 
 
 def conjugate(frame, point, c):
@@ -205,11 +212,12 @@ def conjugate(frame, point, c):
     the compiled maps of the point applied to c, scaled by c^(-1) on the
     right."""
     point = check_point(frame, point)
-    frame.ring.unwrap(c)
-    if c.is_zero():
+    ring = frame.ring
+    c = ring.unwrap(c)
+    if not c:
         raise DivisionByZero("conjugation by zero")
-    cinv = c.inv()
-    return tuple(y * cinv for y in frame.point_map(point)(c))
+    cinv, times, wrap = ring.inv_val(c), ring.mul_val, ring.wrap
+    return tuple([wrap(times(y, cinv)) for y in frame.point_map_val(point)(c)])
 
 
 @dataclass

@@ -281,7 +281,7 @@ class Frame:
     value (the code of a field element, a quaternion itself) are memoized
     per frame, so sharing one frame across calls is cheap.  Each memo is
     emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
-    The compiled point maps of point_map are cached the same way, up to
+    The compiled point maps of point_map_val are cached the same way, up to
     _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
     step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
     delta_i is not zero.
@@ -352,9 +352,10 @@ class Frame:
         ring = self.ring
         return tuple(map(ring.wrap, self.delta_val(ring.unwrap(a))))
 
-    def point_map(self, point):
+    def point_map_val(self, point):
         """phi_a: v -> (T_1(v), ..., T_n(v)), T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v),
-        for a point a (a tuple of n ring elements), compiled on first use.
+        on ring values (see the ring's unwrap), for a point a (a tuple of n
+        ring elements), compiled on first use.
 
         T_i is additive in v: it is the multivariate form of Leroy's
         pseudo-linear map of a (Leroy, *Pseudo-linear transformations and
@@ -367,14 +368,18 @@ class Frame:
         try:
             return cache[point]
         except KeyError:
-            if isinstance(self.ring, FiniteField):
-                out = _field_point_map(self, point)
-            else:
-                out = _quat_point_map(self, point)
+            out = (_field_point_map if isinstance(self.ring, FiniteField)
+                   else _quat_point_map)(self, point)
             if len(cache) >= _POINT_MEMO_LIMIT:
                 cache.clear()
             cache[point] = out
             return out
+
+    def point_map(self, point):
+        """phi_a on elements: point_map_val's map, unwrapping its argument and
+        wrapping its images as LinearMap.apply wraps apply_val."""
+        phi, unwrap, wrap = self.point_map_val(point), self.ring.unwrap, self.ring.wrap
+        return lambda a: tuple(map(wrap, phi(unwrap(a))))
 
     def to_json(self):
         return {
@@ -388,14 +393,13 @@ class Frame:
 
 
 def _field_point_map(frame, point):
-    """phi_a over GF(p^k), compiled from the codes of T_i(t^c) on the power
-    basis (n^2 k code operations: the point folded into the frame's images
-    of t^c).  The base-p digits of an argument are cut into chunks of at
-    most _CHUNK_ENTRIES values; each chunk's table, filled one digit
-    column at a time, holds the n image codes of every digit pattern, and
-    an image is the sum of one entry per chunk.  When q <= _CHUNK_ENTRIES
-    the single table holds the n images themselves, which spares building
-    n elements per application.  For p > 16 no digit
+    """phi_a over GF(p^k) on codes, compiled from the codes of T_i(t^c) on
+    the power basis (n^2 k code operations: the point folded into the
+    frame's images of t^c).  The base-p digits of an argument are cut into
+    chunks of at most _CHUNK_ENTRIES values; each chunk's table, filled one
+    digit column at a time, holds the n image codes of every digit
+    pattern, and an image is the sum of one entry per chunk.  When
+    q <= _CHUNK_ENTRIES the single table is the map.  For p > 16 no digit
     fits a table, and each nonzero digit scales its column (n code
     products).
     """
@@ -416,28 +420,26 @@ def _field_point_map(frame, point):
     if not width:
         columns, zero = list(zip(*rows)), (0,) * n
 
-        def scaled(v):
-            x, out = v.val, zero
+        def scaled(x):
+            out = zero
             for col in columns:
                 if not x:
                     break
                 x, r = divmod(x, p)
                 if r:
                     out = tuple(map(add, out, [mul(r, c) for c in col]))
-            return tuple([FieldElement(fld, y) for y in out])
+            return out
 
         return scaled
     base = p ** width
     tables = [[_span_codes(row[start:start + width], p, add) for row in rows]
               for start in range(0, k, width)]
-    if len(tables) == 1:
-        elements = [FieldElement(fld, v) for v in range(fld.q)]
-        images = list(zip(*[[elements[y] for y in coord] for coord in tables[0]]))
-        return lambda v: images[v.val]
     first, *rest = [list(zip(*coords)) for coords in tables]
+    if not rest:
+        return first.__getitem__
 
     def apply(v):
-        x, r = divmod(v.val, base)
+        x, r = divmod(v, base)
         out = first[r]
         for table in rest:
             if not x:
@@ -445,7 +447,7 @@ def _field_point_map(frame, point):
             x, r = divmod(x, base)
             if r:
                 out = tuple(map(add, out, table[r]))
-        return tuple([FieldElement(fld, y) for y in out])
+        return out
 
     return apply
 

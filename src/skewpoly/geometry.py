@@ -32,9 +32,9 @@ from functools import cached_property
 from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import check_point, conjugate, fundamental_table
+from .evaluation import _fundamental_values, check_point, conjugate
 from .freering import monomials_below
-from .linalg import Matrix, echelon_insert, left_apply, row_reduce_left
+from .linalg import Matrix, _combine, _reduce_with_transform, echelon_insert
 from .rings import _span_codes
 
 # Work budgets, checked before any work is done (docs/wire_format.md).
@@ -87,16 +87,9 @@ def vandermonde_rows(n, d):
     return d if n == 1 else (n ** min(d, 64) - 1) // (n - 1)
 
 
-def vandermonde(frame, points, d):
-    """Matrix of fundamental-function values.
-
-    Rows run over the monomials of degree < d in the global monomial
-    order, columns over the given points.  Row count is d for n = 1
-    and (n^d - 1)/(n - 1) otherwise; a matrix predicted to exceed
-    VANDERMONDE_CELL_LIMIT cells (rows x points) is refused unbuilt.
-    For n = 1 the row labels x1^e, e < d, spell d(d - 1)/2 letters,
-    which outgrow the d M cells, so they count as cells too.
-    """
+def _vandermonde_values(frame, points, d):
+    """The checked points, the row labels and the rows of ring values of
+    vandermonde(frame, points, d), refused unbuilt past the cell limit."""
     if d < 1:
         raise InvalidInput("degree bound must be >= 1")
     points = tuple(check_point(frame, p) for p in points)
@@ -112,10 +105,24 @@ def vandermonde(frame, points, d):
             f"over the limit of {VANDERMONDE_CELL_LIMIT}"
         )
     monos = monomials_below(n, d)
-    tables = [fundamental_table(frame, p, d) for p in points]
-    rows = [[t[m] for t in tables] for m in monos]
-    if not points:
-        rows = [[] for _ in monos]
+    tables = [_fundamental_values(frame, p, d) for p in points]
+    return points, monos, [[t[m] for t in tables] for m in monos]
+
+
+def vandermonde(frame, points, d):
+    """Matrix of fundamental-function values.
+
+    Rows run over the monomials of degree < d in the global monomial
+    order, columns over the given points.  Row count is d for n = 1
+    and (n^d - 1)/(n - 1) otherwise; a matrix predicted to exceed
+    VANDERMONDE_CELL_LIMIT cells (rows x points) is refused unbuilt.
+    For n = 1 the row labels x1^e, e < d, spell d(d - 1)/2 letters,
+    which outgrow the d M cells, so they count as cells too.
+    """
+    points, monos, rows = _vandermonde_values(frame, points, d)
+    wrap, elements = frame.ring.wrap, {}  # one element per distinct value
+    rows = [[elements[v] if v in elements else elements.setdefault(v, wrap(v)) for v in r]
+            for r in rows]
     return Matrix(frame.ring, rows, row_labels=monos, col_labels=points)
 
 
@@ -149,20 +156,21 @@ def _image_echelon(frame, points):
         )
     if not M:
         return (), ()
-    zero = frame.ring.zero()
-    maps = [frame.point_map(b) for b in points]
+    ring = frame.ring
+    zero = ring.unwrap(ring.zero())
+    maps = [frame.point_map_val(b) for b in points]
     span = {}
     standard = []
-    queue = deque([((), [frame.ring.one()] * M)])
+    queue = deque([((), [ring.unwrap(ring.one())] * M)])
     while queue and len(span) < M:
         word, row = queue.popleft()
-        v = echelon_insert(span, row)
+        v = echelon_insert(ring, span, row)
         if v is None:
             continue
         standard.append(word)
         images = [[zero] * M for _ in range(frame.n)]
         for k, (x, phi) in enumerate(zip(v, maps)):
-            if not x.is_zero():
+            if x:
                 for i, y in enumerate(phi(x)):
                     images[i][k] = y
         queue.extend(((i + 1,) + word, image) for i, image in enumerate(images))
@@ -170,10 +178,12 @@ def _image_echelon(frame, points):
 
 
 def _value_rows(frame, standard, points):
-    """Values (N_w(b_1), ..., N_w(b_M)) of the standard monomials w and of
-    every x_i s with s standard, each from the row of its tail."""
-    maps = [frame.point_map(b) for b in points]
-    rows = {(): [frame.ring.one()] * len(points)}
+    """Values (N_w(b_1), ..., N_w(b_M)), as ring values, of the standard
+    monomials w and of every x_i s with s standard, each from the row of
+    its tail."""
+    maps = [frame.point_map_val(b) for b in points]
+    ring = frame.ring
+    rows = {(): [ring.unwrap(ring.one())] * len(points)}
     for s in standard:
         ext = [phi(v) for phi, v in zip(maps, rows[s])]
         for i in range(frame.n):
@@ -182,10 +192,10 @@ def _value_rows(frame, standard, points):
 
 
 def _inverse_square(frame, monos, rows):
-    """T = S^-1 for the square S of the value rows of monos at P-independent
-    points: row i of T holds the coefficients, on monos, of the polynomial
-    that is 1 at point i and 0 at the others."""
-    return row_reduce_left(Matrix(frame.ring, [rows[m] for m in monos])).T
+    """T = S^-1, as rows of ring values, for the square S of the value rows
+    of monos at P-independent points: row i of T holds the coefficients, on
+    monos, of the polynomial that is 1 at point i and 0 at the others."""
+    return _reduce_with_transform(frame.ring, [rows[m] for m in monos], len(monos))[1]
 
 
 def _check_membership_work(frame, M, rows, table=0):
@@ -208,30 +218,37 @@ def _closure_test(frame, generators):
     """A P-basis of the generators and the residues of a point b.
 
     The basis is the one find_p_basis keeps.  The residues of b, yielded
-    one at a time, are the values R(b) of the border relations R of the
-    basis; those relations generate the polynomials vanishing on the
-    basis, so b lies in the closure exactly when every residue is zero.
+    one at a time as ring values, are the values R(b) of the border
+    relations R of the basis; those relations generate the polynomials
+    vanishing on the basis, so b lies in the closure exactly when every
+    residue is zero.
     One call costs the values of the standard monomials at b and one dot
     product per relation, about n M^2 ring operations.
     """
     lead, standard = _image_echelon(frame, generators)
     basis = tuple(generators[k] for k in lead)
+    ring = frame.ring
     if not basis:
         # the constant 1 generates the polynomials vanishing on no point
-        return basis, lambda b: iter([frame.ring.one()])
+        one = ring.unwrap(ring.one())
+        return basis, lambda b: iter([one])
     # the generators and their P-basis share the standard monomials
     rows = _value_rows(frame, standard, basis)
     T = _inverse_square(frame, standard, rows)
     is_standard = set(standard)
-    relations = [(w, left_apply(row, T)) for w, row in rows.items() if w not in is_standard]
+    relations = [(w, _combine(ring, row, T, len(basis)))
+                 for w, row in rows.items() if w not in is_standard]
+    add, sub, times, zero = ring.add_val, ring.sub_val, ring.mul_val, ring.unwrap(ring.zero())
 
     def residues(b):
         values = _value_rows(frame, standard, (b,))
+        at_standard = [values[s][0] for s in standard]
         for w, coeffs in relations:
-            acc = values[w][0]
-            for c, s in zip(coeffs, standard):
-                acc = acc - c * values[s][0]
-            yield acc
+            acc = zero
+            for c, v in zip(coeffs, at_standard):
+                if c:
+                    acc = add(acc, times(c, v))
+            yield sub(values[w][0], acc)
 
     return basis, residues
 
@@ -340,14 +357,15 @@ def closure_members(frame, generators):
         )
     _check_membership_work(frame, len(generators), ring.k, ring.size)
     basis, residues = _closure_test(frame, generators)
-    spanning = ring.additive_basis()
+    spanning, times = ring.additive_basis(), ring.mul_val
     members = set()
     for a in basis:
         if a in members:
             continue
         # (R c)(a) = R(a^c) c is additive in c for every border relation R:
         # its codes at the power basis give its code at every constant
-        at_basis = [[(r * e).val for r in residues(conjugate(frame, a, e))] for e in spanning]
+        at_basis = [[times(r, e.val) for r in residues(conjugate(frame, a, e))]
+                    for e in spanning]
         values = [_span_codes(col, ring.p, ring.add_val) for col in zip(*at_basis)]
         units = [ring.element(v) for v in range(1, ring.size) if not any(t[v] for t in values)]
         members.update(conjugate(frame, a, c) for c in units)

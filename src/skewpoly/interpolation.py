@@ -34,13 +34,14 @@ from .geometry import (
     _image_echelon,
     _inverse_square,
     _value_rows,
+    _vandermonde_values,
     check_point_set,
     find_p_basis,
     is_two_sided,
     vandermonde,
     vandermonde_rows,
 )
-from .linalg import echelon_insert, left_apply, solve_left
+from .linalg import _combine, _solve, _values, echelon_insert
 
 
 def separator(frame, base, b):
@@ -76,8 +77,17 @@ def lagrange_interpolate(frame, basis, values):
     if len(lead) < len(basis):
         k = min(set(range(len(basis))) - set(lead))
         raise NotPIndependent(f"point {k + 1} lies in the closure of its predecessors")
+    ring = frame.ring
     T = _inverse_square(frame, standard, _value_rows(frame, standard, basis))
-    return from_terms(frame, zip(standard, left_apply(values, T)))
+    coeffs = _combine(ring, [ring.unwrap(v) for v in values], T, len(basis))
+    return _polynomial(frame, standard, coeffs)
+
+
+def _polynomial(frame, monos, coeffs):
+    """The polynomial with the ring values coeffs on monos, building one
+    element per nonzero coefficient."""
+    wrap = frame.ring.wrap
+    return from_terms(frame, [(m, wrap(c)) for m, c in zip(monos, coeffs) if c])
 
 
 def lagrange_via_vandermonde(frame, basis, values):
@@ -103,12 +113,13 @@ def lagrange_via_vandermonde(frame, basis, values):
             f"the Vandermonde solve over {M} points takes about {size} ring operations, "
             f"over the limit of {VERIFIER_WORK_LIMIT}"
         )
-    V = vandermonde(frame, basis, M)
+    ring = frame.ring
+    _, monos, rows = _vandermonde_values(frame, basis, M)
     try:
-        coeffs = solve_left(V, values)
+        coeffs = _solve(ring, rows, M, [ring.unwrap(v) for v in values])
     except NoSolution as exc:
         raise NotPIndependent("points do not form a P-basis of their closure") from exc
-    return from_terms(frame, zip(V.row_labels, coeffs))
+    return _polynomial(frame, monos, coeffs)
 
 
 @dataclass
@@ -129,12 +140,11 @@ def independent_rows(A, order=None):
     against an echelon of the rows kept so far and keeping it when it
     leaves their span.  Deterministic.
     """
-    if order is None:
-        order = range(A.nrows)
     kept = []
     span = {}
-    for idx in order:
-        if echelon_insert(span, A.rows[idx]) is not None:
+    rows = _values(A)
+    for idx in range(A.nrows) if order is None else order:
+        if echelon_insert(A.ring, span, rows[idx]) is not None:
             kept.append(idx)
             if len(kept) == A.ncols:
                 break
@@ -162,12 +172,11 @@ def dual_p_basis(frame, basis, row_order=None):
     else:
         V = vandermonde(frame, basis, M)
         monos = [V.row_labels[i] for i in independent_rows(V, order=row_order)]
-        rows = dict(zip(V.row_labels, V.rows))
+        rows = dict(zip(V.row_labels, _values(V)))
     if len(monos) != M:
         raise NotPIndependent("Vandermonde rank below #basis: points are P-dependent")
     T = _inverse_square(frame, monos, rows)
-    duals = tuple(from_terms(frame, zip(monos, row)) for row in T.rows)
-    return DualPBasis(basis=basis, duals=duals)
+    return DualPBasis(basis=basis, duals=tuple(_polynomial(frame, monos, row) for row in T))
 
 
 @dataclass

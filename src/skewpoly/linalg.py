@@ -6,7 +6,9 @@ module API is exposed; over a noncommutative ring a silently flipped
 convention is the classic way to corrupt results.
 
 Elimination uses no pivoting heuristics: arithmetic is exact, so the
-first nonzero entry wins and output is deterministic.
+first nonzero entry wins and output is deterministic.  The kernels run on
+ring values through the ring's unwrap, *_val arithmetic and wrap; the
+public functions take and return elements, built only where they return.
 """
 
 from __future__ import annotations
@@ -37,9 +39,6 @@ class Matrix:
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
 
-    def entry(self, r, c):
-        return self.rows[r][c]
-
     def to_json(self):
         enc = self.ring.element_to_json
         return [[enc(x) for x in row] for row in self.rows]
@@ -53,11 +52,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.ring!r})"
-
-
-def identity(ring, n):
-    one, zero = ring.one(), ring.zero()
-    return Matrix(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
 def mat_mul(A, B):
@@ -81,21 +75,31 @@ def mat_mul(A, B):
     return Matrix(A.ring, out)
 
 
+def _values(A):
+    """The entries of A as ring values (see the ring's unwrap), row by row."""
+    unwrap = A.ring.unwrap
+    return [[unwrap(x) for x in row] for row in A.rows]
+
+
+def _combine(ring, lam, rows, ncols):
+    """lambda * rows on ring values: sum_r lambda_r rows_r, each lambda_r on the left."""
+    add, times = ring.add_val, ring.mul_val
+    out = [ring.unwrap(ring.zero())] * ncols
+    for c, row in zip(lam, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = add(out[j], times(c, x))
+    return out
+
+
 def left_apply(vec, A):
     """The row vector lambda * A (lambda entries multiply rows on the left)."""
     if len(vec) != A.nrows:
         raise ValueError("vector length must equal the row count")
-    zero = A.ring.zero()
-    out = [zero] * A.ncols
-    for r, lam in enumerate(vec):
-        if lam.is_zero():
-            continue
-        row = A.rows[r]
-        for c in range(A.ncols):
-            x = row[c]
-            if not x.is_zero():
-                out[c] = out[c] + lam * x
-    return tuple(out)
+    ring = A.ring
+    lam = [ring.unwrap(x) for x in vec]
+    return tuple(map(ring.wrap, _combine(ring, lam, _values(A), A.ncols)))
 
 
 @dataclass
@@ -107,55 +111,61 @@ class ReducedForm:
     pivots: tuple
 
 
-def _eliminate(rows, ncols):
-    """Reduce rows in place to reduced row echelon form, pivoting only in
-    the first ncols columns, and return (pivots, order): the pivot
-    columns, and the original index of the row now at each position, so
-    order[:len(pivots)] names the rows that end as pivot rows.
+def _eliminate(ring, rows, ncols):
+    """Reduce rows of ring values in place to reduced row echelon form,
+    pivoting only in the first ncols columns, and return (pivots, order):
+    the pivot columns, and the original index of the row now at each
+    position, so order[:len(pivots)] names the rows that end as pivot rows.
 
     Allowed moves: swap, row <- c * row (c nonzero), row_i <- row_i -
     c * row_j, always with c applied on the left.  Entries past ncols
-    ride along, which is how row_reduce_left accumulates its transform.
-    The pivot row is zero before its pivot column, so scaling it and
-    clearing the column elsewhere touch only the entries where it is
-    nonzero, in place.  Pivot rows only ever absorb multiples of pivot
+    ride along, which is how _reduce_with_transform accumulates its
+    transform.  The pivot row is zero before its pivot column, so scaling
+    it and clearing the column elsewhere touch only the entries where it
+    is nonzero, in place.  Pivot rows only ever absorb multiples of pivot
     rows, so each is a left combination of the rows named in
     order[:len(pivots)].
     """
+    add, neg, times, inv = ring.add_val, ring.neg_val, ring.mul_val, ring.inv_val
     nrows = len(rows)
     order = list(range(nrows))
     pivots = []
     prow = 0
     for col in range(ncols):
-        src = None
-        for r in range(prow, nrows):
-            if not rows[r][col].is_zero():
-                src = r
-                break
+        src = next((r for r in range(prow, nrows) if rows[r][col]), None)
         if src is None:
             continue
         if src != prow:
             rows[src], rows[prow] = rows[prow], rows[src]
             order[src], order[prow] = order[prow], order[src]
         piv = rows[prow]
-        support = [j for j in range(col, len(piv)) if not piv[j].is_zero()]
-        c = piv[col].inv()
+        support = [j for j in range(col, len(piv)) if piv[j]]
+        c = inv(piv[col])
         for j in support:
-            piv[j] = c * piv[j]
+            piv[j] = times(c, piv[j])
         for r in range(nrows):
-            if r == prow:
+            f = rows[r][col]
+            if r == prow or not f:
                 continue
-            row = rows[r]
-            f = row[col]
-            if f.is_zero():
-                continue
+            row, f = rows[r], neg(f)
             for j in support:
-                row[j] = row[j] - f * piv[j]
+                row[j] = add(row[j], times(f, piv[j]))
         pivots.append(col)
         prow += 1
         if prow == nrows:
             break
     return tuple(pivots), order
+
+
+def _reduce_with_transform(ring, rows, ncols):
+    """(R, T, pivots) on ring values: the elimination of [rows | I], so
+    that T * rows = R with R reduced row echelon and T invertible."""
+    one, zero = ring.unwrap(ring.one()), ring.unwrap(ring.zero())
+    ext = [list(row) + [zero] * len(rows) for row in rows]
+    for i, row in enumerate(ext):
+        row[ncols + i] = one
+    pivots = _eliminate(ring, ext, ncols)[0]
+    return [r[:ncols] for r in ext], [r[ncols:] for r in ext], pivots
 
 
 def row_reduce_left(A):
@@ -166,13 +176,10 @@ def row_reduce_left(A):
     and the pivot column indices.
     """
     ring = A.ring
-    rows = [list(r) + list(e) for r, e in zip(A.rows, identity(ring, A.nrows).rows)]
-    pivots = _eliminate(rows, A.ncols)[0]
-    return ReducedForm(
-        R=Matrix(ring, [r[:A.ncols] for r in rows]),
-        T=Matrix(ring, [r[A.ncols:] for r in rows]),
-        pivots=pivots,
-    )
+    R, T, pivots = _reduce_with_transform(ring, _values(A), A.ncols)
+    wrap = ring.wrap
+    return ReducedForm(R=Matrix(ring, [map(wrap, r) for r in R]),
+                       T=Matrix(ring, [map(wrap, t) for t in T]), pivots=pivots)
 
 
 def rank(A):
@@ -182,11 +189,11 @@ def rank(A):
     """
     if A.ncols == 0 or A.nrows == 0:
         return 0
-    return len(_eliminate([list(r) for r in A.rows], A.ncols)[0])
+    return len(_eliminate(A.ring, _values(A), A.ncols)[0])
 
 
-def echelon_insert(rows, vec):
-    """Grow a left span by vec.
+def echelon_insert(ring, rows, vec):
+    """Grow a left span by vec, on ring values.
 
     rows maps each leading (first nonzero) column to the kept row that
     has a 1 there, so len(rows) is the dimension of the span and the
@@ -196,20 +203,22 @@ def echelon_insert(rows, vec):
     row is returned as it was before scaling, else None (vec lies in the
     span).
     """
+    add, times = ring.add_val, ring.mul_val
     v = list(vec)
     for k in range(len(v)):
         x = v[k]
-        if x.is_zero():
+        if not x:
             continue
         row = rows.get(k)
         if row is None:
-            c = x.inv()
-            rows[k] = [c * y for y in v]
+            c = ring.inv_val(x)
+            rows[k] = [times(c, y) for y in v]
             return v
+        f = ring.neg_val(x)
         for j in range(k, len(v)):
             y = row[j]
-            if not y.is_zero():
-                v[j] = v[j] - x * y
+            if y:
+                v[j] = add(v[j], times(f, y))
     return None
 
 
@@ -220,14 +229,28 @@ def left_null_space(A):
     those satisfy T_r * A = R_r = 0, and T being invertible makes them
     independent and spanning.  Basis size is nrows - rank.
     """
-    if A.nrows == 0:
+    R, T, _ = _reduce_with_transform(A.ring, _values(A), A.ncols)
+    wrap = A.ring.wrap
+    return [tuple(map(wrap, t)) for r, t in zip(R, T) if not any(r)]
+
+
+def _solve(ring, rows, ncols, b):
+    """solve_left on ring values: rows and b hold values, and so does the answer."""
+    if not rows:
+        if any(b):
+            raise NoSolution("empty matrix spans only zero")
         return []
-    red = row_reduce_left(A)
-    out = []
-    for r in range(A.nrows):
-        if all(x.is_zero() for x in red.R.rows[r]):
-            out.append(tuple(red.T.rows[r]))
-    return out
+    pivots, order = _eliminate(ring, [list(r) for r in rows], ncols)
+    chosen = order[:len(pivots)]
+    lam = [ring.unwrap(ring.zero())] * len(rows)
+    if pivots:
+        square = [[rows[i][c] for c in pivots] for i in chosen]
+        T = _reduce_with_transform(ring, square, len(pivots))[1]
+        for i, x in zip(chosen, _combine(ring, [b[c] for c in pivots], T, len(pivots))):
+            lam[i] = x
+    if _combine(ring, lam, rows, ncols) != list(b):
+        raise NoSolution("right-hand side outside the left row space")
+    return lam
 
 
 def solve_left(A, b):
@@ -244,20 +267,6 @@ def solve_left(A, b):
     b = tuple(b)
     if len(b) != A.ncols:
         raise ValueError("right-hand side length must equal the column count")
-    zero = A.ring.zero()
-    if A.nrows == 0:
-        if all(x.is_zero() for x in b):
-            return ()
-        raise NoSolution("empty matrix spans only zero")
-    pivots, order = _eliminate([list(r) for r in A.rows], A.ncols)
-    chosen = order[:len(pivots)]
-    lam = [zero] * A.nrows
-    if pivots:
-        S = Matrix(A.ring, [[A.rows[i][c] for c in pivots] for i in chosen])
-        T = row_reduce_left(S).T
-        for i, x in zip(chosen, left_apply(tuple(b[c] for c in pivots), T)):
-            lam[i] = x
-    lam = tuple(lam)
-    if any(x != y for x, y in zip(left_apply(lam, A), b)):
-        raise NoSolution("right-hand side outside the left row space")
-    return lam
+    ring = A.ring
+    lam = _solve(ring, _values(A), A.ncols, [ring.unwrap(x) for x in b])
+    return tuple(map(ring.wrap, lam))

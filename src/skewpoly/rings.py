@@ -25,6 +25,9 @@ from .errors import DivisionByZero, NotFinite, RingMismatch
 # Codes, logarithms and Zech logarithms of fields up to this size all fit
 # the unsigned 16-bit entries of the arithmetic tables.
 _MAX_FIELD_SIZE = 1 << 16
+# Decimal digits in the numerator and in the denominator of a quaternion
+# part read from JSON (docs/wire_format.md).
+QUATERNION_PART_LIMIT = 1000
 
 
 def _is_prime(p):
@@ -161,7 +164,7 @@ def _span_codes(cols, p, add):
         block = out
         for _ in range(p - 1):
             block = [add(v, col) for v in block]
-            out = out + block
+            out.extend(block)  # in place: the field's p^len(cols) codes are copied once
     return out
 
 
@@ -548,6 +551,25 @@ def _quat_mul(a, b):
     )
 
 
+def _quat_neg(a):
+    w, x, y, z = a.num
+    return quaternion_from_ints(a.ring, -w, -x, -y, -z, a.den)
+
+
+def _quat_sub(a, b):
+    return _quat_add(a, _quat_neg(b))
+
+
+def _quat_inv(a):
+    w, x, y, z = a.num
+    n = w * w + x * x + y * y + z * z
+    if n == 0:
+        raise DivisionByZero("inverse of 0")
+    # conj(q) / |q|^2 with q = num / den is conj(num) * den / |num|^2
+    d = a.den
+    return quaternion_from_ints(a.ring, w * d, -x * d, -y * d, -z * d, n)
+
+
 class Quaternion:
     """A rational quaternion (w + x i + y j + z k) / den.
 
@@ -602,15 +624,7 @@ class Quaternion:
 
     def __sub__(self, other):
         b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        aw, ax, ay, az = self.num
-        bw, bx, by, bz = b.num
-        da, db = self.den, b.den
-        return quaternion_from_ints(
-            self.ring, aw * db - bw * da, ax * db - bx * da, ay * db - by * da,
-            az * db - bz * da, da * db,
-        )
+        return NotImplemented if b is None else _quat_sub(self, b)
 
     def __rsub__(self, other):
         b = self._coerce(other)
@@ -626,9 +640,7 @@ class Quaternion:
         b = self._coerce(other)
         return NotImplemented if b is None else _quat_mul(b, self)
 
-    def __neg__(self):
-        w, x, y, z = self.num
-        return quaternion_from_ints(self.ring, -w, -x, -y, -z, self.den)
+    __neg__ = _quat_neg
 
     def __pow__(self, e):
         if e < 0:
@@ -651,14 +663,7 @@ class Quaternion:
         w, x, y, z = self.num
         return Fraction(w * w + x * x + y * y + z * z, self.den * self.den)
 
-    def inv(self):
-        w, x, y, z = self.num
-        n = w * w + x * x + y * y + z * z
-        if n == 0:
-            raise DivisionByZero("inverse of 0")
-        # conj(q) / |q|^2 with q = num / den is conj(num) * den / |num|^2
-        d = self.den
-        return quaternion_from_ints(self.ring, w * d, -x * d, -y * d, -z * d, n)
+    inv = _quat_inv
 
     def is_zero(self):
         return self.num == _ZERO4
@@ -693,13 +698,16 @@ class Quaternion:
 class QuaternionRing:
     """The rational quaternions: the stock noncommutative division ring.
 
-    A quaternion is its own value: add_val and mul_val, named as in
-    FiniteField's code arithmetic, take and return Quaternions, and wrap
+    A quaternion is its own value: the *_val arithmetic, named as in
+    FiniteField's code arithmetic, takes and returns Quaternions, and wrap
     is the identity.
     """
 
     add_val = staticmethod(_quat_add)
+    sub_val = staticmethod(_quat_sub)
+    neg_val = staticmethod(_quat_neg)
     mul_val = staticmethod(_quat_mul)
+    inv_val = staticmethod(_quat_inv)
 
     def unwrap(self, a):
         """a itself when it is a quaternion; RingMismatch for any other value."""
@@ -776,9 +784,7 @@ class QuaternionRing:
     def element_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != 4:
             raise ValueError("quaternion must be a list of four num/den strings")
-        if any(isinstance(s, bool) for s in obj):
-            raise ValueError(f"quaternion parts must be num/den strings, got {obj!r}")
-        return Quaternion(self, *(Fraction(s) for s in obj))
+        return Quaternion(self, *map(_quaternion_part, obj))
 
     def spec_to_json(self):
         return {"kind": "rational-quaternion"}
@@ -791,6 +797,19 @@ class QuaternionRing:
 
     def __repr__(self):
         return "H(Q)"
+
+
+def _quaternion_part(s):
+    """The rational of a wire part "[sign]num[/den]", den nonzero, each of num
+    and den at most QUATERNION_PART_LIMIT decimal digits, checked before
+    either is converted."""
+    if isinstance(s, str) and len(s) <= 2 * QUATERNION_PART_LIMIT + 2:
+        num, slash, den = (s[1:] if s[:1] in ("+", "-") else s).partition("/")
+        if all(d.isascii() and d.isdigit() and len(d) <= QUATERNION_PART_LIMIT
+               for d in ((num, den) if slash else (num,))) and (not slash or den.strip("0")):
+            return Fraction(s)
+    raise ValueError(f"quaternion parts must be num/den strings, den nonzero, of at most "
+                     f"{QUATERNION_PART_LIMIT} digits each, got {s!r:.80}")
 
 
 def _is_json_int(obj):

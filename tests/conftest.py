@@ -66,6 +66,16 @@ def frob_gf9_2(gf9):
 
 
 @pytest.fixture(scope="session")
+def frob_gf256_2():
+    return frobenius_frame(FiniteField(2, 8), 2)
+
+
+@pytest.fixture(scope="session")
+def frob_gf65536_2():
+    return frobenius_frame(FiniteField(2, 16), 2)
+
+
+@pytest.fixture(scope="session")
 def quat_inner_2(quat):
     """Two-variable quaternion frame: inner automorphisms + inner derivation."""
     s1 = QuatMap.inner_automorphism(quat, quat(1, 1, 0, 0))

@@ -27,6 +27,7 @@ from skewpoly import (
 from skewpoly import cli
 from skewpoly.cli import run
 from skewpoly.freering import PUSH_TERM_LIMIT
+from skewpoly.rings import QUATERNION_PART_LIMIT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -555,6 +556,51 @@ def test_huge_field_specs_exit_at_once():
         _one_error_line(text, code)
 
 
+def test_largest_prime_field_job_runs_in_well_under_a_second():
+    # GF(65521), the largest prime field: building its tables copied O(p^2)
+    # codes (7.6 s for the field, 9.8 s for this job on a 2-CPU machine with
+    # CPython 3.11); about 0.5 s now
+    spec = {"kind": "prime-field", "p": 65521}
+    frame = {"n": 1, "sigma": [[{"matrix": [[1]]}]], "delta": [{"matrix": [[0]]}]}
+    job = {"ring": spec, "frame": frame, "f": [{"monomial": [1], "coeff": 65520}], "point": [2]}
+    start = time.perf_counter()
+    code, out, _ = invoke(["eval"], job)
+    assert time.perf_counter() - start < 3
+    assert code == 0 and out == {"value": 65519}
+
+
+def _quaternion_eval(part, point="1/2"):
+    quat = QuaternionRing()
+    job = {"ring": quat.spec_to_json(), "frame": conventional_frame(quat, 1).to_json(),
+           "f": [{"monomial": [1], "coeff": [part, "0/1", "1/3", "0/1"]}],
+           "point": [[point, "1/1", "0/1", "0/1"]]}
+    return invoke(["eval"], job)
+
+
+def test_quaternion_parts_outside_the_grammar_exit_2_at_once():
+    # Fraction(str) read exponents: "1e1000000" ran 0.3 to 1.6 s and then
+    # failed on Python's 4300-digit limit
+    limit = QUATERNION_PART_LIMIT
+    bad = ["1e1000000", "1e3000000", "1" * (limit + 1), "1/" + "7" * (limit + 1),
+           "9" * 10 ** 6, "1/0", "1/00", "1.5", "1/-2", "--1", " 1", "", "/2", "1/", "\u0663",
+           1, 1.5, None, True, ["1"]]
+    for part in bad:
+        start = time.perf_counter()
+        code, _, text = _quaternion_eval(part)
+        assert time.perf_counter() - start < 0.5, part
+        _one_error_line(text, code)
+
+
+def test_quaternion_parts_in_every_documented_form():
+    limit = QUATERNION_PART_LIMIT
+    _, want, _ = _quaternion_eval("-3/2")
+    for part in ("-6/4", "-3/2", "-03/002", "-" + "3" * limit + "/" + "2" + "2" * (limit - 1)):
+        assert _quaternion_eval(part)[1] == want
+    _, want, _ = _quaternion_eval("7/1")
+    for part in ("7", "+7", "+14/2", "007"):
+        assert _quaternion_eval(part)[1] == want
+
+
 GOLDEN_ARGV = {"interpolate-vandermonde": ["interpolate", "--method", "vandermonde"]}
 
 
@@ -612,7 +658,12 @@ _any_json = st.recursive(
 def _fuzz_element(ring):
     if not ring.is_finite:
         part = st.builds(lambda a, b: f"{a}/{b}", st.integers(-3, 3), st.integers(1, 3))
-        return st.lists(part, min_size=4, max_size=4)
+        # exponents, and digit runs on both sides of QUATERNION_PART_LIMIT
+        hostile = st.one_of(
+            st.builds(lambda a, e: f"{a}e{e}", st.integers(-3, 3), st.integers(0, 10 ** 6)),
+            st.builds(lambda d, n, den: d * n + den, st.sampled_from("19"),
+                      st.integers(1, 2 * QUATERNION_PART_LIMIT), st.sampled_from(("", "/3"))))
+        return st.lists(st.one_of(*[part] * 7, hostile), min_size=4, max_size=4)
     if ring.k == 1:
         return st.integers(-2 * ring.p, 2 * ring.p)
     return st.lists(st.integers(0, ring.p - 1), min_size=ring.k, max_size=ring.k)

@@ -456,6 +456,8 @@ ENGINE_FRAMES = (
     ("quat_inner_2", (3, 4, 5), 10),
     ("nondiag_gf8_2", (3, 4, 5, 6), 10),
     ("nondiag_gf8_2_inner", (3, 4, 5, 6), 10),
+    ("frob_gf256_2", (3, 4, 5, 6), 6),
+    ("frob_gf65536_2", (3, 4, 5, 6), 6),
 )
 
 
@@ -649,7 +651,7 @@ def test_closure_is_refused_by_its_membership_work():
     # 64 points of Frobenius GF(2^8)^2: k = 8 residue computations of about
     # n M^2 ring operations and a q = 256 entry span table per relation, for
     # each of up to M basis points, n M^2 (k M + q) in all; 60 points
-    # (5299200) take about 4 s when the work is done
+    # (5299200) take about 1.3 s when the work is done
     from skewpoly import FiniteField
 
     frame = frobenius_frame(FiniteField(2, 8), 2)
@@ -673,3 +675,47 @@ def test_closure_budget_admits_what_closure_can_do():
     members = closure_members(frame, points)
     assert set(points) <= set(members)
     assert rank_of(frame, members) == rank_of(frame, points)
+
+
+def test_geometry_builds_elements_per_output_not_per_ring_operation(frob_gf65536_2,
+                                                                   monkeypatch):
+    # the kernels run on codes: an element is built for each coefficient,
+    # point coordinate or constant a public function returns, and a few
+    # for the units 0 and 1, never once per ring operation (kernels on
+    # elements built 258, 1094, 8916 and 392 elements for these calls)
+    from skewpoly import FiniteField, FieldElement, dual_p_basis, lagrange_via_vandermonde
+
+    gf = frob_gf65536_2.ring
+    rng = random.Random(16)
+    points = list(dict.fromkeys(random_point(frob_gf65536_2, rng) for _ in range(7)))
+    values = [gf.random_nonzero(rng) for _ in points]
+    # a closure over GF(2^16)^2 lists more than CLOSURE_POINT_LIMIT points:
+    # the one-variable Frobenius frame stands in for it
+    line = frobenius_frame(gf, 1)
+    generators = [(gf.random_nonzero(rng),) for _ in range(3)]
+    made, ops = [0], [0]
+    init, mul_val = FieldElement.__init__, FiniteField.mul_val
+
+    def counted(self, field, val):
+        made[0] += 1
+        init(self, field, val)
+
+    def counted_mul(self, a, b):
+        ops[0] += 1
+        return mul_val(self, a, b)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    monkeypatch.setattr(FiniteField, "mul_val", counted_mul)
+
+    def run(fn, *args):
+        made[0] = ops[0] = 0
+        return fn(*args)
+
+    basis = run(find_p_basis, frob_gf65536_2, points).basis
+    assert len(basis) == 7 and made[0] <= 4 < ops[0]
+    duals = run(dual_p_basis, frob_gf65536_2, basis).duals
+    assert made[0] <= sum(len(D.terms) for D in duals) + 8 < ops[0]
+    G = run(lagrange_via_vandermonde, frob_gf65536_2, basis, values)
+    assert made[0] <= len(G.terms) + len(basis) + 8 < ops[0] / 100
+    members = run(closure_members, line, generators)
+    assert made[0] <= gf.k * (len(generators) + 1) + 2 * len(members) + 8

@@ -35,6 +35,7 @@ from skewpoly import (
 from skewpoly import interpolation, linalg
 from skewpoly.errors import InvalidInput
 from skewpoly.freering import count_monomials_below
+from skewpoly.geometry import CLOSURE_POINT_LIMIT
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import Matrix
 from conftest import random_point, random_poly, seeded_set
@@ -212,15 +213,15 @@ def test_dependent_points_rejected(frob_gf4_1, gf4):
 def test_vandermonde_solve_eliminates_no_square_above_the_point_count(frob_gf4_2, gf4,
                                                                       monkeypatch, rng):
     # the verifier's Vandermonde has (2^M - 1) rows; only the pivot square
-    # of M rows may reach row_reduce_left
+    # of M rows may reach the elimination that builds a transform
     shapes = []
-    reduce = linalg.row_reduce_left
+    reduce = linalg._reduce_with_transform
 
-    def recording(A):
-        shapes.append((A.nrows, A.ncols))
-        return reduce(A)
+    def recording(ring, rows, ncols):
+        shapes.append((len(rows), ncols))
+        return reduce(ring, rows, ncols)
 
-    monkeypatch.setattr(linalg, "row_reduce_left", recording)
+    monkeypatch.setattr(linalg, "_reduce_with_transform", recording)
     pts = list(all_points(frob_gf4_2))
     for size in (4, 6):
         basis = find_p_basis(frob_gf4_2, rng.sample(pts, size)).basis
@@ -312,6 +313,8 @@ SQUARE_FRAMES = (
     ("quat_inner_2", (2, 3, 4), 4),
     ("nondiag_gf8_2", (3, 4, 5, 6), 8),
     ("nondiag_gf8_2_inner", (3, 4, 5, 6), 8),
+    ("frob_gf256_2", (3, 4, 5), 4),
+    ("frob_gf65536_2", (3, 4, 5), 4),
 )
 
 
@@ -324,7 +327,9 @@ def test_square_matches_vandermonde_references(name, sizes, count, request):
         basis = find_p_basis(frame, seeded_set(frame, rng, rng.choice(sizes))).basis
         # a dual supported on the standard monomials is unique
         assert dual_p_basis(frame, basis).duals == dual_p_basis_reference(frame, basis), basis
-        closure = closure_members(frame, basis) if ring.is_finite else basis
+        # closures list F^n up to CLOSURE_POINT_LIMIT points, not GF(2^16)^2
+        listable = ring.is_finite and ring.size ** frame.n <= CLOSURE_POINT_LIMIT
+        closure = closure_members(frame, basis) if listable else basis
         values = [random_point(frame, rng)[0] for _ in basis]
         F = lagrange_interpolate(frame, basis, values)
         G = lagrange_interpolate_reference(frame, basis, values)
@@ -356,8 +361,8 @@ def test_square_paths_build_no_vandermonde(frob_gf4_2, nondiag_gf8_2_inner, monk
     def refuse(*args, **kwargs):
         raise AssertionError("a Vandermonde was built")
 
-    monkeypatch.setattr(geometry, "vandermonde", refuse)
-    monkeypatch.setattr(interpolation, "vandermonde", refuse)
+    monkeypatch.setattr(geometry, "_vandermonde_values", refuse)
+    monkeypatch.setattr(interpolation, "_vandermonde_values", refuse)
     for frame in (frob_gf4_2, nondiag_gf8_2_inner):
         basis = find_p_basis(frame, list(all_points(frame))[:12]).basis
         values = [frame.ring.one()] * len(basis)
@@ -528,7 +533,7 @@ def test_verifier_work_budget_admits_the_largest_jobs(gf5, monkeypatch):
     def stub(*args):
         raise _Admitted
 
-    monkeypatch.setattr(interpolation, "vandermonde", stub)
+    monkeypatch.setattr(interpolation, "_vandermonde_values", stub)
     gf = FiniteField(2, 16)
     line = conventional_frame(gf, 1)
     elements = list(gf.elements())

@@ -14,7 +14,7 @@ from skewpoly import (
     RingMismatch,
     ring_from_json,
 )
-from skewpoly.rings import _is_irreducible, default_modulus
+from skewpoly.rings import _is_irreducible, _span_codes, default_modulus
 from oracles import (
     default_modulus_reference,
     digit_add,
@@ -277,3 +277,22 @@ def test_table_arithmetic_matches_digit_arithmetic(p, k, modulus):
         assert F.mul_val(a, b) == digit_mul(F, a, b)
         if a:
             assert digit_mul(F, a, F.inv_val(a)) == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1), (13, 1)])
+def test_span_codes_match_digit_sums(p, k):
+    # the code at index c is the sum of cols[j] taken digit_j(c) times, in
+    # the field's digit arithmetic
+    F = FiniteField(p, k)
+    rng = random.Random(p * 100 + k)
+    for width in range(k + 2):
+        cols = [rng.randrange(F.q) for _ in range(width)]
+        want = []
+        for c in range(p ** width):
+            acc = 0
+            for col in cols:
+                c, d = divmod(c, p)
+                for _ in range(d):
+                    acc = digit_add(F, acc, col)
+            want.append(acc)
+        assert _span_codes(cols, p, F.add_val) == want
