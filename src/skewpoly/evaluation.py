@@ -192,7 +192,7 @@ def evaluate(F, point):
     phi = frame.point_map_val(point)
     ring = frame.ring
     unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
-    total = unwrap(ring.zero())
+    total = 0
     # node = (N_suffix(a), {variable index: node of the suffix extended by it})
     root = (unwrap(ring.one()), {})
     for w, c in F.terms.items():

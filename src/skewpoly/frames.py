@@ -24,7 +24,7 @@ from operator import xor
 
 from .errors import InvalidFrame, RingMismatch
 from .linalg import Matrix, mat_mul
-from .rings import FieldElement, FiniteField, Quaternion, _span_codes, quaternion_from_ints
+from .rings import FieldElement, FiniteField, Quaternion, _quat_value, _span_codes
 
 # Fixed seed for the sampled part of quaternion-frame validation.
 _QUAT_SAMPLE_SEED = 0x5EED
@@ -161,19 +161,22 @@ class QuatMap:
         self.mat, self.den = compiled
 
     def apply(self, a):
+        ring = self.ring
+        return ring.wrap(self.apply_val(ring.unwrap(a)))
+
+    def apply_val(self, v):
+        """The map on the ring value v of a quaternion (see QuaternionRing)."""
+        if not v:
+            return 0
         m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = self.mat
-        w, x, y, z = a.num
-        return quaternion_from_ints(
-            a.ring,
+        w, x, y, z, den = v
+        return _quat_value(
             m00 * w + m01 * x + m02 * y + m03 * z,
             m10 * w + m11 * x + m12 * y + m13 * z,
             m20 * w + m21 * x + m22 * y + m23 * z,
             m30 * w + m31 * x + m32 * y + m33 * z,
-            self.den * a.den,
+            self.den * den,
         )
-
-    # a quaternion is its own value (QuaternionRing.wrap is the identity)
-    apply_val = apply
 
     @classmethod
     def identity(cls, ring):
@@ -278,9 +281,9 @@ class Frame:
     """A validated (sigma, delta) pair over a coefficient ring.
 
     Frames are immutable after construction; sigma and delta at a ring
-    value (the code of a field element, a quaternion itself) are memoized
-    per frame, so sharing one frame across calls is cheap.  Each memo is
-    emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
+    value (the code of a field element, the tuple of a quaternion) are
+    memoized per frame, so sharing one frame across calls is cheap.  Each
+    memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
     The compiled point maps of point_map_val are cached the same way, up to
     _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
     step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
@@ -459,7 +462,8 @@ def _quat_point_map(frame, point):
     maps = [QuatMap(ring, "sum", maps=[QuatMap(ring, "compose", maps=(QuatMap(ring, "rmul", a), s))
                                        for s, a in zip(row, point) if not s.is_zero_map()] + [d])
             for row, d in zip(frame.sigma, frame.delta)]
-    return lambda v: tuple([m.apply(v) for m in maps])
+    applies = [m.apply_val for m in maps]
+    return lambda v: tuple([f(v) for f in applies])
 
 
 def frame_from_json(ring, obj):

@@ -16,8 +16,9 @@ table (PushMemo): a node is its prefix's node plus one letter, so one
 push level costs a few dict steps whatever the length of the word, and
 a node's tuple is spelled out only when a result needs it.  Coefficients
 are ring values there, not elements (the code over GF(p^k), the
-quaternion itself over H): the ring's unwrap checks each one where it
-enters, its *_val arithmetic combines them, and its wrap builds each
+normal-form tuple (w, x, y, z, den) over H, 0 for zero in both), which
+the memos hash and compare in C: the ring's unwrap checks each one where
+it enters, its *_val arithmetic combines them, and its wrap builds each
 result element once.  When sigma is not diagonal or delta is not zero,
 one push can make exponentially many words, so mul and divide refuse a
 job predicted past PUSH_TERM_LIMIT words before the first push.
@@ -497,13 +498,16 @@ def check_word(frame, word):
 def monomial(frame, word, coeff=None):
     if coeff is None:
         coeff = frame.ring.one()
+    frame.ring.unwrap(coeff)
     return SkewPolynomial(frame, {check_word(frame, word): coeff})
 
 
 def from_terms(frame, pairs):
-    """Polynomial from (word, coeff) pairs; repeated words accumulate."""
+    """Polynomial from (word, coeff) pairs of this frame's ring (see its
+    unwrap); repeated words accumulate."""
     terms = {}
     for w, c in pairs:
+        frame.ring.unwrap(c)  # a method call: no bound method is built
         _accumulate(terms, check_word(frame, w), c)
     return SkewPolynomial(frame, terms)
 

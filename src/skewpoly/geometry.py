@@ -157,7 +157,6 @@ def _image_echelon(frame, points):
     if not M:
         return (), ()
     ring = frame.ring
-    zero = ring.unwrap(ring.zero())
     maps = [frame.point_map_val(b) for b in points]
     span = {}
     standard = []
@@ -168,7 +167,7 @@ def _image_echelon(frame, points):
         if v is None:
             continue
         standard.append(word)
-        images = [[zero] * M for _ in range(frame.n)]
+        images = [[0] * M for _ in range(frame.n)]
         for k, (x, phi) in enumerate(zip(v, maps)):
             if x:
                 for i, y in enumerate(phi(x)):
@@ -238,13 +237,13 @@ def _closure_test(frame, generators):
     is_standard = set(standard)
     relations = [(w, _combine(ring, row, T, len(basis)))
                  for w, row in rows.items() if w not in is_standard]
-    add, sub, times, zero = ring.add_val, ring.sub_val, ring.mul_val, ring.unwrap(ring.zero())
+    add, sub, times = ring.add_val, ring.sub_val, ring.mul_val
 
     def residues(b):
         values = _value_rows(frame, standard, (b,))
         at_standard = [values[s][0] for s in standard]
         for w, coeffs in relations:
-            acc = zero
+            acc = 0
             for c, v in zip(coeffs, at_standard):
                 if c:
                     acc = add(acc, times(c, v))

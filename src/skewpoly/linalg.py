@@ -84,7 +84,7 @@ def _values(A):
 def _combine(ring, lam, rows, ncols):
     """lambda * rows on ring values: sum_r lambda_r rows_r, each lambda_r on the left."""
     add, times = ring.add_val, ring.mul_val
-    out = [ring.unwrap(ring.zero())] * ncols
+    out = [0] * ncols
     for c, row in zip(lam, rows):
         if c:
             for j, x in enumerate(row):
@@ -160,8 +160,8 @@ def _eliminate(ring, rows, ncols):
 def _reduce_with_transform(ring, rows, ncols):
     """(R, T, pivots) on ring values: the elimination of [rows | I], so
     that T * rows = R with R reduced row echelon and T invertible."""
-    one, zero = ring.unwrap(ring.one()), ring.unwrap(ring.zero())
-    ext = [list(row) + [zero] * len(rows) for row in rows]
+    one = ring.unwrap(ring.one())
+    ext = [list(row) + [0] * len(rows) for row in rows]
     for i, row in enumerate(ext):
         row[ncols + i] = one
     pivots = _eliminate(ring, ext, ncols)[0]
@@ -242,7 +242,7 @@ def _solve(ring, rows, ncols, b):
         return []
     pivots, order = _eliminate(ring, [list(r) for r in rows], ncols)
     chosen = order[:len(pivots)]
-    lam = [ring.unwrap(ring.zero())] * len(rows)
+    lam = [0] * len(rows)
     if pivots:
         square = [[rows[i][c] for c in pivots] for i in chosen]
         T = _reduce_with_transform(ring, square, len(pivots))[1]

@@ -20,7 +20,7 @@ from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import xor
 
-from .errors import DivisionByZero, NotFinite, RingMismatch
+from .errors import DivisionByZero, InvalidInput, NotFinite, RingMismatch
 
 # Codes, logarithms and Zech logarithms of fields up to this size all fit
 # the unsigned 16-bit entries of the arithmetic tables.
@@ -28,6 +28,9 @@ _MAX_FIELD_SIZE = 1 << 16
 # Decimal digits in the numerator and in the denominator of a quaternion
 # part read from JSON (docs/wire_format.md).
 QUATERNION_PART_LIMIT = 1000
+# Decimal digits in the numerator and in the denominator of a quaternion
+# part written out: Python's default limit for converting an int to a string.
+QUATERNION_RESULT_LIMIT = 4300
 
 
 def _is_prime(p):
@@ -226,6 +229,20 @@ def default_modulus(p, k):
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def _power(a, e, one):
+    """a^e by repeated squaring, one being the unit of a's ring; a negative
+    e inverts a first."""
+    if e < 0:
+        a, e = a.inv(), -e
+    out = one
+    while e:
+        if e & 1:
+            out = out * a
+        a = a * a
+        e >>= 1
+    return out
+
+
 class FieldElement:
     """An element of a :class:`FiniteField`, wrapped around its integer code."""
 
@@ -289,16 +306,7 @@ class FieldElement:
         return FieldElement(self.field, self.field.inv_val(self.val))
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -504,108 +512,123 @@ class FiniteField:
 
 
 _ZERO4 = (0, 0, 0, 0)
+_ONE = (1, 0, 0, 0, 1)
 _new = object.__new__
+# the least integer of more than QUATERNION_RESULT_LIMIT decimal digits
+_RESULT_BOUND = 10 ** QUATERNION_RESULT_LIMIT
 
 
-def quaternion_from_ints(ring, w, x, y, z, den):
-    """The quaternion (w + x i + y j + z k) / den from integers, den != 0,
-    in normal form: den > 0 and gcd(w, x, y, z, den) = 1.
+def _quat_value(w, x, y, z, den):
+    """The ring value of the quaternion (w + x i + y j + z k) / den, from
+    integers with den > 0: the int 0 for zero, otherwise the tuple
+    (w, x, y, z, den) in normal form, with gcd(w, x, y, z, den) = 1.
 
-    Every arithmetic result and every compiled map application is built
-    here, with one gcd.
+    Equal quaternions have equal values, so values hash, compare and test
+    for zero as plain tuples and ints.  Every arithmetic result and every
+    compiled map application is normalized here, with one gcd; its den is
+    a product of positive denominators, or a norm.
     """
+    if not (w or x or y or z):
+        return 0
     g = gcd(w, x, y, z, den)
-    if den < 0:
-        g = -g
-    q = _new(Quaternion)
-    q.ring = ring
     if g == 1:
-        q.num = (w, x, y, z)
-        q.den = den
-    else:
-        q.num = (w // g, x // g, y // g, z // g)
-        q.den = den // g
-    return q
+        return w, x, y, z, den
+    return w // g, x // g, y // g, z // g, den // g
 
 
-def _quat_add(a, b):
-    aw, ax, ay, az = a.num
-    bw, bx, by, bz = b.num
-    da, db = a.den, b.den
-    return quaternion_from_ints(
-        a.ring, aw * db + bw * da, ax * db + bx * da, ay * db + by * da,
-        az * db + bz * da, da * db,
-    )
+def _quat_add_val(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    aw, ax, ay, az, da = a
+    bw, bx, by, bz, db = b
+    if da == db:
+        # no cross-multiplication, but the sum may still share a factor with da
+        return _quat_value(aw + bw, ax + bx, ay + by, az + bz, da)
+    return _quat_value(aw * db + bw * da, ax * db + bx * da, ay * db + by * da,
+                       az * db + bz * da, da * db)
 
 
-def _quat_mul(a, b):
-    aw, ax, ay, az = a.num
-    bw, bx, by, bz = b.num
-    return quaternion_from_ints(
-        a.ring,
+def _quat_neg_val(a):
+    if not a:
+        return 0
+    w, x, y, z, den = a
+    return -w, -x, -y, -z, den
+
+
+def _quat_sub_val(a, b):
+    return _quat_add_val(a, _quat_neg_val(b))
+
+
+def _quat_mul_val(a, b):
+    if not (a and b):
+        return 0
+    aw, ax, ay, az, da = a
+    bw, bx, by, bz, db = b
+    return _quat_value(
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-        a.den * b.den,
+        da * db,
     )
 
 
-def _quat_neg(a):
-    w, x, y, z = a.num
-    return quaternion_from_ints(a.ring, -w, -x, -y, -z, a.den)
-
-
-def _quat_sub(a, b):
-    return _quat_add(a, _quat_neg(b))
-
-
-def _quat_inv(a):
-    w, x, y, z = a.num
-    n = w * w + x * x + y * y + z * z
-    if n == 0:
+def _quat_inv_val(a):
+    if not a:
         raise DivisionByZero("inverse of 0")
+    w, x, y, z, den = a
     # conj(q) / |q|^2 with q = num / den is conj(num) * den / |num|^2
-    d = a.den
-    return quaternion_from_ints(a.ring, w * d, -x * d, -y * d, -z * d, n)
+    return _quat_value(w * den, -x * den, -y * den, -z * den, w * w + x * x + y * y + z * z)
+
+
+def _quat_wrap(ring, v):
+    q = _new(Quaternion)
+    q.ring = ring
+    q.val = v
+    return q
+
+
+def _printable_parts(v):
+    """The parts of the ring value v as (numerator, denominator) pairs in
+    lowest terms, each checked against QUATERNION_RESULT_LIMIT before any
+    is converted to a string."""
+    w, x, y, z, den = v or (0, 0, 0, 0, 1)
+    out = []
+    for n in (w, x, y, z):
+        g = gcd(n, den)
+        n, d = n // g, den // g
+        if not -_RESULT_BOUND < n < _RESULT_BOUND or d >= _RESULT_BOUND:
+            raise InvalidInput(f"a quaternion part has a numerator or denominator of more than "
+                               f"QUATERNION_RESULT_LIMIT = {QUATERNION_RESULT_LIMIT} digits")
+        out.append((n, d))
+    return out
 
 
 class Quaternion:
-    """A rational quaternion (w + x i + y j + z k) / den.
+    """A rational quaternion (w + x i + y j + z k) / den, held as its ring
+    ``val``: the int 0 for zero, else the normal-form tuple
+    (w, x, y, z, den) of _quat_value.
 
-    The four parts are carried as integer numerators ``num`` over one
-    common denominator ``den``, kept in normal form (den > 0 and
-    gcd(w, x, y, z, den) = 1), so equal quaternions have equal
-    representations and each operation costs a single gcd.  The
-    attributes ``w``, ``x``, ``y``, ``z`` are read-only ``Fraction``
-    views of the parts.
+    ``num`` (the four integer numerators) and ``den`` read the value, and
+    ``w``, ``x``, ``y``, ``z`` are read-only ``Fraction`` views of the parts.
     """
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ("ring", "val")
 
     def __init__(self, ring, w, x, y, z):
         parts = [p if isinstance(p, int) else Fraction(p) for p in (w, x, y, z)]
-        # over the lcm of reduced denominators the numerators are already coprime to it
         den = lcm(*(p.denominator for p in parts))
         self.ring = ring
-        self.num = tuple(p.numerator * (den // p.denominator) for p in parts)
-        self.den = den
+        self.val = _quat_value(*(p.numerator * (den // p.denominator) for p in parts), den)
 
-    @property
-    def w(self):
-        return Fraction(self.num[0], self.den)
-
-    @property
-    def x(self):
-        return Fraction(self.num[1], self.den)
-
-    @property
-    def y(self):
-        return Fraction(self.num[2], self.den)
-
-    @property
-    def z(self):
-        return Fraction(self.num[3], self.den)
+    num = property(lambda self: self.val[:4] if self.val else _ZERO4)
+    den = property(lambda self: self.val[4] if self.val else 1)
+    w = property(lambda self: Fraction(self.num[0], self.den))
+    x = property(lambda self: Fraction(self.num[1], self.den))
+    y = property(lambda self: Fraction(self.num[2], self.den))
+    z = property(lambda self: Fraction(self.num[3], self.den))
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
@@ -618,106 +641,97 @@ class Quaternion:
 
     def __add__(self, other):
         b = other if type(other) is Quaternion else self._coerce(other)
-        return NotImplemented if b is None else _quat_add(self, b)
+        return NotImplemented if b is None else _quat_wrap(self.ring, _quat_add_val(self.val, b.val))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = self._coerce(other)
-        return NotImplemented if b is None else _quat_sub(self, b)
+        return NotImplemented if b is None else _quat_wrap(self.ring, _quat_sub_val(self.val, b.val))
 
     def __rsub__(self, other):
         b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return b - self
+        return NotImplemented if b is None else _quat_wrap(self.ring, _quat_sub_val(b.val, self.val))
 
     def __mul__(self, other):
         b = other if type(other) is Quaternion else self._coerce(other)
-        return NotImplemented if b is None else _quat_mul(self, b)
+        return NotImplemented if b is None else _quat_wrap(self.ring, _quat_mul_val(self.val, b.val))
 
     def __rmul__(self, other):
         b = self._coerce(other)
-        return NotImplemented if b is None else _quat_mul(b, self)
+        return NotImplemented if b is None else _quat_wrap(self.ring, _quat_mul_val(b.val, self.val))
 
-    __neg__ = _quat_neg
+    def __neg__(self):
+        return _quat_wrap(self.ring, _quat_neg_val(self.val))
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, self.ring.one())
 
     def conjugate(self):
         w, x, y, z = self.num
-        return quaternion_from_ints(self.ring, w, -x, -y, -z, self.den)
+        return _quat_wrap(self.ring, _quat_value(w, -x, -y, -z, self.den))
 
     def norm(self):
         """The reduced norm w^2 + x^2 + y^2 + z^2, a nonnegative rational."""
         w, x, y, z = self.num
         return Fraction(w * w + x * x + y * y + z * z, self.den * self.den)
 
-    inv = _quat_inv
+    def inv(self):
+        return _quat_wrap(self.ring, _quat_inv_val(self.val))
 
     def is_zero(self):
-        return self.num == _ZERO4
+        return not self.val
 
     def __bool__(self):
-        return self.num != _ZERO4
+        return self.val != 0
 
     def __eq__(self, other):
         if isinstance(other, Quaternion):
-            return self.num == other.num and self.den == other.den
+            return self.val == other.val
         if isinstance(other, (int, Fraction)):
             return self == Quaternion(self.ring, other, 0, 0, 0)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.val)
 
     def __repr__(self):
         parts = []
-        for c, unit in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
-            if not c:
+        for (n, d), unit in zip(_printable_parts(self.val), ("", "i", "j", "k")):
+            if not n:
                 continue
-            if unit and c == 1:
-                parts.append(unit)
-            elif unit and c == -1:
-                parts.append(f"-{unit}")
+            if unit and d == 1 and n in (1, -1):
+                parts.append(unit if n == 1 else f"-{unit}")
             else:
-                parts.append(f"{c}{unit}")
+                parts.append(f"{n}{unit}" if d == 1 else f"{n}/{d}{unit}")
         return " + ".join(parts) if parts else "0"
 
 
 class QuaternionRing:
     """The rational quaternions: the stock noncommutative division ring.
 
-    A quaternion is its own value: the *_val arithmetic, named as in
-    FiniteField's code arithmetic, takes and returns Quaternions, and wrap
-    is the identity.
+    A quaternion's ring value is the int 0 for zero and otherwise its
+    normal-form tuple (w, x, y, z, den) (see _quat_value), so the value
+    memos and eliminations over H hash and compare in C.  The *_val
+    arithmetic, named as in FiniteField's code arithmetic, takes and
+    returns these values; unwrap reads an element's value and wrap builds
+    the element of a value.
     """
 
-    add_val = staticmethod(_quat_add)
-    sub_val = staticmethod(_quat_sub)
-    neg_val = staticmethod(_quat_neg)
-    mul_val = staticmethod(_quat_mul)
-    inv_val = staticmethod(_quat_inv)
+    add_val = staticmethod(_quat_add_val)
+    sub_val = staticmethod(_quat_sub_val)
+    neg_val = staticmethod(_quat_neg_val)
+    mul_val = staticmethod(_quat_mul_val)
+    inv_val = staticmethod(_quat_inv_val)
 
     def unwrap(self, a):
-        """a itself when it is a quaternion; RingMismatch for any other value."""
+        """The ring value of a quaternion; RingMismatch for any other value."""
         if isinstance(a, Quaternion) and (a.ring is self or a.ring == self):
-            return a
+            return a.val
         raise RingMismatch(f"{a!r} does not belong to {self}")
 
-    @staticmethod
-    def wrap(a):
-        return a
+    # ring.wrap(v) is _quat_wrap(ring, v): the quaternion of the value v
+    wrap = _quat_wrap
 
     def element(self, w, x=0, y=0, z=0):
         return Quaternion(self, w, x, y, z)
@@ -726,10 +740,10 @@ class QuaternionRing:
         return Quaternion(self, w, x, y, z)
 
     def zero(self):
-        return quaternion_from_ints(self, 0, 0, 0, 0, 1)
+        return _quat_wrap(self, 0)
 
     def one(self):
-        return quaternion_from_ints(self, 1, 0, 0, 0, 1)
+        return _quat_wrap(self, _ONE)
 
     def i(self):
         return Quaternion(self, 0, 1, 0, 0)
@@ -775,11 +789,7 @@ class QuaternionRing:
                 return a
 
     def element_to_json(self, a):
-        out = []
-        for n in a.num:
-            g = gcd(n, a.den)
-            out.append(f"{n // g}/{a.den // g}")
-        return out
+        return [f"{n}/{d}" for n, d in _printable_parts(a.val)]
 
     def element_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != 4:

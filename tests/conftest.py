@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from skewpoly import (
     FiniteField,
@@ -140,6 +142,15 @@ def random_point(frame, rng, height=2):
     if frame.ring.is_finite:
         return tuple(frame.ring.random_element(rng) for _ in range(frame.n))
     return tuple(frame.ring.random_element(rng, height) for _ in range(frame.n))
+
+
+# quaternion parts over a few denominators, so sums often share one; small
+# numerators, so parts and whole values are often zero, and long ones
+_quat_parts = st.builds(Fraction, st.integers(-4, 4) | st.integers(-10 ** 30, 10 ** 30),
+                        st.sampled_from((1, 2, 3, 4, 6, 12)))
+# ring values (see QuaternionRing) of random quaternions, zero among them
+quaternion_values = st.tuples(_quat_parts, _quat_parts, _quat_parts, _quat_parts).map(
+    lambda parts: QuaternionRing()(*parts).val) | st.just(0)
 
 
 @pytest.fixture

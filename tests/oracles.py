@@ -62,11 +62,14 @@ semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
 expressions over quaternions written as 4-tuples of ``Fraction`` parts,
 with the Hamilton product done part by part.  The library compiles the
 catalog to integer matrices and carries quaternions as integers over a
-common denominator; neither representation is used here.
+common denominator; neither representation is computed with here, and
+value_parts only reads a library value into Fractions, checking its
+normal form.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from skewpoly import (
     Matrix,
@@ -347,6 +350,20 @@ def default_modulus_reference(p, k):
 def frac_parts(a):
     """A library quaternion as the 4-tuple of its Fraction parts (w, x, y, z)."""
     return (Fraction(a.w), Fraction(a.x), Fraction(a.y), Fraction(a.z))
+
+
+def value_parts(v):
+    """A quaternion ring value as the 4-tuple of its Fraction parts, after
+    checking its normal form: zero is exactly the int 0, and any other
+    value is a tuple (w, x, y, z, den), not all of w..z zero, with
+    den > 0 and gcd(w, x, y, z, den) = 1."""
+    if not isinstance(v, tuple):
+        assert type(v) is int and v == 0, v
+        return (Fraction(0),) * 4
+    assert len(v) == 5 and all(type(n) is int for n in v), v
+    *num, den = v
+    assert any(num) and den > 0 and gcd(*num, den) == 1, v
+    return tuple(Fraction(n, den) for n in num)
 
 
 def frac_quat_mul(a, b):

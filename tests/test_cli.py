@@ -5,6 +5,7 @@ import json
 import pathlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from skewpoly import (
     FiniteField,
+    InvalidInput,
     QuaternionRing,
     all_points,
     conventional_frame,
@@ -27,7 +29,7 @@ from skewpoly import (
 from skewpoly import cli
 from skewpoly.cli import run
 from skewpoly.freering import PUSH_TERM_LIMIT
-from skewpoly.rings import QUATERNION_PART_LIMIT
+from skewpoly.rings import QUATERNION_PART_LIMIT, QUATERNION_RESULT_LIMIT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -599,6 +601,28 @@ def test_quaternion_parts_in_every_documented_form():
     _, want, _ = _quaternion_eval("7/1")
     for part in ("7", "+7", "+14/2", "007"):
         assert _quaternion_eval(part)[1] == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_quaternion_result_too_long_to_print_exits_1(fmt):
+    # x1^5 at a point of 1000-digit parts: the value's parts have about 6000
+    # digits, past Python's int-to-string limit, which exited 2 MalformedInput
+    big = "7" * QUATERNION_PART_LIMIT + "/" + "3" * (QUATERNION_PART_LIMIT - 1) + "1"
+    quat = QuaternionRing()
+    job = {"ring": quat.spec_to_json(), "frame": conventional_frame(quat, 1).to_json(),
+           "f": [{"monomial": [1] * 5, "coeff": [big, "0/1", "1/3", "0/1"]}],
+           "point": [[big, big, "0/1", "0/1"]]}
+    start = time.perf_counter()
+    code, _, text = invoke(["eval", "--format", fmt], job)
+    assert time.perf_counter() - start < 2
+    _one_error_line(text, code, 1, "InvalidInput")
+    assert "QUATERNION_RESULT_LIMIT" in text
+    # a part of exactly QUATERNION_RESULT_LIMIT digits still prints
+    edge = 10 ** QUATERNION_RESULT_LIMIT
+    assert quat.element_to_json(quat(edge - 1, 0, Fraction(1, edge - 1)))[0] == str(edge - 1) + "/1"
+    for a in (quat(edge), quat(0, 0, Fraction(1, edge))):
+        with pytest.raises(InvalidInput):
+            quat.element_to_json(a)
 
 
 GOLDEN_ARGV = {"interpolate-vandermonde": ["interpolate", "--method", "vandermonde"]}

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from skewpoly import (
     FiniteField,
     InvalidFrame,
     LinearMap,
+    QuaternionRing,
     conventional_frame,
     diagonal_frame,
     frame_from_json,
@@ -21,7 +23,9 @@ from oracles import (
     frame_laws_hold_all_pairs,
     matrix_apply_reference,
     quat_map_reference,
+    value_parts,
 )
+from conftest import quaternion_values
 from test_acceptance import acceptance_frames
 
 
@@ -221,6 +225,16 @@ def test_compiled_quat_maps_match_interpreted_catalog(quat, quat_inner_2):
     for m in maps:
         for a in samples:
             assert frac_parts(m.apply(a)) == quat_map_reference(m, frac_parts(a)), (m, a)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(quaternion_values)
+def test_quat_map_values_match_interpreted_catalog_in_normal_form(v):
+    # value_parts checks the normal form of each image: zero is the int 0
+    quat = QuaternionRing()
+    ref = value_parts(v)
+    for m in _catalog_maps(quat):
+        assert value_parts(m.apply_val(v)) == quat_map_reference(m, ref), m
 
 
 def test_quat_frame_application_matches_interpreted_catalog(quat, quat_inner_2):

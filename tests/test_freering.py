@@ -388,6 +388,18 @@ def test_coefficients_of_another_ring_are_refused(name, request):
         assert word_times_constant(frame, (1,), twin) == word_times_constant(frame, (1,), ring.gen())
 
 
+def test_from_terms_and_monomial_refuse_coefficients_of_another_ring():
+    # unchecked, the GF(9) code 5 was written out as the GF(8) coefficient [2, 1]
+    frame = frobenius_frame(FiniteField(2, 3), 1)
+    foreign = FiniteField(3, 2).element(5)
+    with pytest.raises(RingMismatch):
+        from_terms(frame, [((1,), foreign)])
+    with pytest.raises(RingMismatch):
+        monomial(frame, (1,), foreign)
+    with pytest.raises(RingMismatch):
+        from_terms(conventional_frame(QuaternionRing(), 1), [((1,), foreign)])
+
+
 def test_branching_counts_nonzero_sigma_and_delta(conv_gf5_2, frob_gf9_2, quat_inner_2,
                                                   nondiag_gf8_2, nondiag_gf8_2_inner):
     assert conv_gf5_2.branching == frob_gf9_2.branching == (1, 1)
@@ -435,3 +447,48 @@ def test_products_and_divisions_build_elements_per_term_not_per_push(monkeypatch
     made[0] = 0
     res = divide(F, point)
     assert made[0] == sum(len(q.terms) for q in res.quotients) + 1
+
+
+def test_quaternion_kernels_build_elements_per_term_not_per_push(quat_inner_2, monkeypatch):
+    # the pushes, the division and the evaluation run on ring values: an
+    # element is built per term or value returned, plus the unit 1 the
+    # evaluation starts from, never once per normalized ring value
+    from skewpoly import evaluate, frames, rings
+
+    quat = quat_inner_2.ring
+    frame = frames.Frame(quat, quat_inner_2.sigma, quat_inner_2.delta)  # empty memos
+    rng = random.Random(17)
+    word = tuple(rng.randint(1, 2) for _ in range(6))
+    F = from_terms(frame, [(word, quat.random_nonzero(rng)), ((1, 2), quat.random_nonzero(rng))])
+    G = from_terms(frame, [((), quat.random_nonzero(rng)), ((2,), quat.random_nonzero(rng))])
+    point = (quat.random_nonzero(rng), quat.random_nonzero(rng))
+    made, ops = [0], [0]
+    new, init, value = rings._new, rings.Quaternion.__init__, rings._quat_value
+
+    def counted_new(cls):
+        made[0] += cls is rings.Quaternion
+        return new(cls)
+
+    def counted_init(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    def counted_value(*parts):
+        ops[0] += 1
+        return value(*parts)
+
+    monkeypatch.setattr(rings, "_new", counted_new)
+    monkeypatch.setattr(rings.Quaternion, "__init__", counted_init)
+    for module in (rings, frames):
+        monkeypatch.setattr(module, "_quat_value", counted_value)
+
+    def run(fn, *args):
+        made[0] = ops[0] = 0
+        return fn(*args)
+
+    P = run(mul, F, G)
+    assert made[0] == len(P.terms) and ops[0] > 10 * made[0]
+    res = run(divide, F, point)
+    assert made[0] == sum(len(q.terms) for q in res.quotients) + 1 and ops[0] > 10 * made[0]
+    run(evaluate, F, point)
+    assert made[0] <= 2 and ops[0] > 10

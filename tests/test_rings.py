@@ -6,11 +6,13 @@ from math import gcd
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from skewpoly import (
     DivisionByZero,
     FiniteField,
     NotFinite,
+    QuaternionRing,
     RingMismatch,
     ring_from_json,
 )
@@ -23,7 +25,9 @@ from oracles import (
     frac_parts,
     frac_quat_mul,
     is_irreducible_reference,
+    value_parts,
 )
+from conftest import quaternion_values
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (7, 2), (2, 6)]
 
@@ -251,6 +255,26 @@ def test_quaternion_normal_form(quat):
     assert hash(zero) == hash(quat.zero())
     assert half.w == Fraction(1, 2) and half.y == -1 and half.x == 0
     assert quat(1, 1, "1/2", 0).norm() == Fraction(9, 4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(quaternion_values, quaternion_values)
+def test_quaternion_value_arithmetic_matches_fractions_in_normal_form(a, b):
+    # value_parts checks every result's normal form: zero is the int 0
+    H = QuaternionRing()
+    fa, fb = value_parts(a), value_parts(b)
+    assert value_parts(H.add_val(a, b)) == tuple(u + v for u, v in zip(fa, fb))
+    assert value_parts(H.sub_val(a, b)) == tuple(u - v for u, v in zip(fa, fb))
+    assert value_parts(H.neg_val(a)) == tuple(-u for u in fa)
+    assert value_parts(H.add_val(a, H.neg_val(a))) == (0, 0, 0, 0)
+    assert value_parts(H.mul_val(a, b)) == frac_quat_mul(fa, fb)
+    if a:
+        assert frac_quat_mul(value_parts(H.inv_val(a)), fa) == (1, 0, 0, 0)
+    else:
+        with pytest.raises(DivisionByZero):
+            H.inv_val(a)
+    # unwrap and wrap carry a value unchanged
+    assert H.unwrap(H.wrap(a)) is a and H.wrap(a) == H(*fa)
 
 
 # the fields of the digit-arithmetic comparison: GF(2^8) under the default
