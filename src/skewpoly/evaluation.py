@@ -32,10 +32,10 @@ from .freering import (
     _accumulate,
     _check_push_budget,
     _divide_words,
+    _product_words,
     check_word,
     constant,
     mul,
-    variable,
 )
 
 
@@ -69,11 +69,35 @@ class DivisionResult:
     remainder: object
 
     def reconstruct(self, frame, point):
-        """Sum of quotient_i * (x_i - a_i) plus the remainder."""
-        acc = constant(frame, self.remainder)
-        for i, g in enumerate(self.quotients):
-            acc = acc + g * (variable(frame, i + 1) - constant(frame, point[i]))
-        return acc
+        """Sum of quotient_i * (x_i - a_i) plus the remainder.
+
+        Runs on ring values: a quotient term c u gives c u x_i (u 1 = u, so
+        the unit needs no push) and -c (u a_i), the push of a_i through u,
+        all pushes sharing one PushMemo; one element is built per result
+        term.
+        """
+        point = check_point(frame, point)
+        ring = frame.ring
+        unwrap, add, times, neg = ring.unwrap, ring.add_val, ring.mul_val, ring.neg_val
+        for q in self.quotients:
+            if q.frame is not frame:
+                raise RingMismatch("polynomials built over different frames")
+        _check_push_budget(sum(_product_words(q, constant(frame, a))
+                               for q, a in zip(self.quotients, point)), "the reconstruction")
+        out = {}
+        _accumulate(out, (), unwrap(self.remainder), add)
+        memo = PushMemo()
+        word = memo.word
+        for i, (q, a) in enumerate(zip(self.quotients, point), 1):
+            a = unwrap(a)
+            for u, c in q.terms.items():
+                c = unwrap(c)
+                _accumulate(out, u + (i,), c, add)
+                # looked up on its module, as in divide, so the tracer sees it
+                for w, pc in freering._push(frame, memo.node(u), a, memo).items():
+                    _accumulate(out, word(w), neg(times(c, pc)), add)
+        wrap = ring.wrap
+        return SkewPolynomial(frame, {w: wrap(c) for w, c in out.items()})
 
 
 def divide(F, point):

@@ -24,7 +24,8 @@ from operator import xor
 
 from .errors import InvalidFrame, RingMismatch
 from .linalg import Matrix, mat_mul
-from .rings import FieldElement, FiniteField, Quaternion, _quat_value, _span_codes
+from .rings import (FieldElement, FiniteField, Quaternion, _digits, _encode, _quat_value,
+                    _span_codes)
 
 # Fixed seed for the sampled part of quaternion-frame validation.
 _QUAT_SAMPLE_SEED = 0x5EED
@@ -58,7 +59,7 @@ class LinearMap:
             raise ValueError(f"matrix must be {k}x{k}")
         self.fld = fld
         self.mat = mat
-        self._cols = tuple(fld.from_coeffs([row[c] for row in mat]).val for c in range(k))
+        self._cols = tuple(_encode([row[c] for row in mat], p) for c in range(k))
 
     def apply(self, a):
         return FieldElement(self.fld, self.apply_val(self.fld.unwrap(a)))
@@ -287,13 +288,15 @@ class Frame:
     The compiled point maps of point_map_val are cached the same way, up to
     _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
     step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
-    delta_i is not zero.
+    delta_i is not zero.  When every branching is 1, composite_root and
+    composite_step give the Composite of each word (see there), in tables
+    built on the first call and emptied at _MEMO_LIMIT entries.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
 
     __slots__ = ("ring", "n", "sigma", "delta", "branching", "_sig_cache", "_del_cache",
-                 "_point_cache")
+                 "_point_cache", "_composites")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -308,6 +311,7 @@ class Frame:
         self._sig_cache = {}
         self._del_cache = {}
         self._point_cache = {}
+        self._composites = None
 
     def sigma_val(self, v):
         """sigma at the ring value v (see the ring's unwrap), by rows: row i
@@ -337,6 +341,54 @@ class Frame:
             if len(cache) >= _MEMO_LIMIT:
                 cache.clear()
             cache[v] = out
+            return out
+
+    def composite_root(self):
+        """The Composite of the empty word when every branching is 1 and
+        the one map of row i is sigma_ii, which for a valid frame (sigma(1)
+        = I) is every frame with all branching 1; else None."""
+        tables = self._composites
+        if tables is None:
+            tables = ()
+            if all(b == 1 and not row[i].is_zero_map()
+                   for i, (b, row) in enumerate(zip(self.branching, self.sigma))):
+                root = Composite(_id_map(self.ring))
+                tables = root, {root.key: root}, {}
+            self._composites = tables
+        return tables[0] if tables else None
+
+    def composite_step(self, c, i):
+        """The Composite of u x_i from the Composite c of u: sigma_u o sigma_ii,
+        interned by its compiled form, so a frame over GF(p^k) has at most k
+        of them.  An inner automorphism of H can have infinite order, so the
+        tables are emptied (a new root) at _MEMO_LIMIT composites."""
+        nxt = c.step.get(i)
+        if nxt is None:
+            a, b = c.map, self.sigma[i - 1][i - 1]
+            if isinstance(a, QuatMap):
+                m = QuatMap(a.ring, "compose", maps=(a, b))
+            else:
+                p, k = a.fld.p, a.fld.k
+                m = LinearMap(a.fld, zip(*[_digits(a.apply_val(col), p, k) for col in b._cols]))
+            if len(self._composites[1]) >= _MEMO_LIMIT:
+                self._composites = None
+                self.composite_root()
+            nxt = Composite(m)
+            nxt = c.step[i] = self._composites[1].setdefault(nxt.key, nxt)
+        return nxt
+
+    def composite_val(self, c, v):
+        """sigma_u(v) for the Composite c of a word u and a ring value v,
+        memoized per (c, v) and emptied at _MEMO_LIMIT entries."""
+        images = self._composites[2]
+        key = (c, v)
+        try:
+            return images[key]
+        except KeyError:
+            out = c.map.apply_val(v)
+            if len(images) >= _MEMO_LIMIT:
+                images.clear()
+            images[key] = out
             return out
 
     def sigma_at(self, a):
@@ -393,6 +445,23 @@ class Frame:
 
     def __repr__(self):
         return f"Frame(ring={self.ring!r}, n={self.n})"
+
+
+class Composite:
+    """The map sigma_u of a word u = x_(i_1)...x_(i_m) over a frame whose
+    sigma is diagonal and delta zero, where u a = sigma_u(a) u with
+    sigma_u = sigma_(i_1 i_1) o ... o sigma_(i_m i_m).  ``map`` is the
+    compiled map (a LinearMap or a QuatMap), ``key`` its compiled form,
+    and ``step`` holds, by letter i, the Composite of u x_i once
+    Frame.composite_step has made it.  Composites hash by identity."""
+
+    __slots__ = ("map", "key", "step")
+
+    def __init__(self, m):
+        self.map = m
+        # the compiled form, equal for equal maps
+        self.key = m._cols if isinstance(m, LinearMap) else (m.mat, m.den)
+        self.step = {}
 
 
 def _field_point_map(frame, point):

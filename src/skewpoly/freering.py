@@ -14,7 +14,12 @@ The product and division both push coefficients leftward through words.
 That kernel works on words as integer nodes of a per-call hash-consed
 table (PushMemo): a node is its prefix's node plus one letter, so one
 push level costs a few dict steps whatever the length of the word, and
-a node's tuple is spelled out only when a result needs it.  Coefficients
+a node's tuple is spelled out only when a result needs it.  When sigma
+is diagonal and delta zero (every branching 1, as in the Frobenius and
+conventional frames), a word u moves a constant as u a = sigma_u(a) u,
+so a push is one application of the composite map sigma_u, which each
+node takes from its parent's by one step of the frame's composite
+tables; other frames push letter by letter.  Coefficients
 are ring values there, not elements (the code over GF(p^k), the
 normal-form tuple (w, x, y, z, den) over H, 0 for zero in both), which
 the memos hash and compare in C: the ring's unwrap checks each one where
@@ -82,10 +87,11 @@ def word_times_constant(frame, word, a, memo=None):
     """Expand (word) * a as a dict word -> coefficient.
 
     Pushes a leftward through the word one character at a time starting
-    from the right end:
+    from the right end,
 
-        (m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a))
+        (m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)),
 
+    or, when sigma is diagonal and delta zero, in one step (see _push).
     Degree of every emitted word is at most len(word).  Pass one
     PushMemo to several calls over the same frame to share their pushes.
     """
@@ -170,14 +176,17 @@ class PushMemo:
     depth[v] letters.  children[v] maps a letter i to the node of word v
     followed by i, so appending a letter is one dict step and equal
     words are equal nodes.  spelled[v] is the tuple of node v, or None
-    until it is first asked for; it is built at most once.  pushed maps
-    (node, ring value) to the push result {node: nonzero ring value}, the
-    values being those of the frame's ring (see its unwrap).
+    until it is first asked for; it is built at most once.  composite[v]
+    is the frame's Composite of word v (see Frame.composite_step), or
+    None until a push needs it.  pushed maps (node, ring value) to the
+    push result {node: nonzero ring value}, the values being those of the
+    frame's ring (see its unwrap).  last is the node node() returned last.
 
     A memo serves one frame and lives as long as the call that made it.
     """
 
-    __slots__ = ("parent", "letter", "depth", "children", "spelled", "pushed")
+    __slots__ = ("parent", "letter", "depth", "children", "spelled", "composite", "pushed",
+                 "last")
 
     def __init__(self):
         self.parent = [0]
@@ -185,7 +194,9 @@ class PushMemo:
         self.depth = [0]
         self.children = [{}]
         self.spelled = [()]
+        self.composite = [None]
         self.pushed = {}
+        self.last = 0
 
     def append(self, v, i):
         """The node of word v followed by letter i."""
@@ -198,17 +209,35 @@ class PushMemo:
             self.depth.append(self.depth[v] + 1)
             self.children.append({})
             self.spelled.append(None)
+            self.composite.append(None)
         return w
 
     def node(self, word):
-        """The node of a word given as a tuple of letters."""
+        """The node of a word given as a tuple of letters.
+
+        A word that extends, or is a prefix of, the word of the previous
+        call is walked from that word's node, so the L nested prefixes of
+        a quotient cost O(L) dict steps, not O(L^2).
+        """
+        word = tuple(word)
+        v, rest = self.last, word
+        prev = self.spelled[v]
+        if word[:len(prev)] == prev:
+            rest = word[len(prev):]
+        elif prev[:len(word)] == word:
+            parent = self.parent
+            for _ in range(len(prev) - len(word)):
+                v = parent[v]
+            rest = ()
+        else:
+            v = 0
         children = self.children
-        v = 0
-        for i in word:
+        for i in rest:
             w = children[v].get(i)
             v = self.append(v, i) if w is None else w
         if self.spelled[v] is None:
-            self.spelled[v] = tuple(word)
+            self.spelled[v] = word
+        self.last = v
         return v
 
     def word(self, v):
@@ -234,18 +263,42 @@ _PUSH_DEPTH = 512
 
 def _push(frame, v, a, memo):
     """(word) * a for the word of node v of memo and a ring value a, as a
-    dict node -> left coefficient (a ring value); memoized per (node,
-    value) in memo.pushed.
+    dict node -> left coefficient (a ring value).
 
-    The word of a node deeper than _PUSH_DEPTH letters is first swept
-    from its right end, level by level up the parent nodes, collecting
-    the coefficients still to be pushed through each prefix whose length
-    is a multiple of _PUSH_DEPTH and that the memo lacks.  Pushing
-    those, shortest prefix first, fills the memo, so the final push
-    recurses through at most _PUSH_DEPTH letters.
+    When sigma is diagonal and delta zero (frame.composite_root is not
+    None: every branching is 1), u a = sigma_u(a) u, so the result is the
+    one term {v: sigma_u(a)}: the node's Composite comes from its
+    parent's by one composite step, and the image is memoized per frame.
+    Otherwise the push recurses letter by letter (_push_recursive),
+    memoized per (node, value) in memo.pushed.  There the word of a node
+    deeper than _PUSH_DEPTH letters is first swept from its right end,
+    level by level up the parent nodes, collecting the coefficients still
+    to be pushed through each prefix whose length is a multiple of
+    _PUSH_DEPTH and that the memo lacks.  Pushing those, shortest prefix
+    first, fills the memo, so the final push recurses through at most
+    _PUSH_DEPTH letters.
     """
     if not a:
         return {}
+    composite = memo.composite
+    c = composite[v]
+    if c is None:
+        c = frame.composite_root()
+        if c is None:
+            return _push_branching(frame, v, a, memo)
+        # up to the nearest node that has a composite, then one step per letter
+        parent, path, u = memo.parent, [], v
+        while composite[u] is None and u:
+            path.append(u)
+            u = parent[u]
+        c = composite[u] or c
+        for u in reversed(path):
+            c = composite[u] = frame.composite_step(c, memo.letter[u])
+    return {v: frame.composite_val(c, a)}
+
+
+def _push_branching(frame, v, a, memo):
+    """_push for a frame with some branching > 1."""
     pushed = memo.pushed
     depth = memo.depth[v]
     if depth > _PUSH_DEPTH and (v, a) not in pushed:

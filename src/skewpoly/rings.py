@@ -693,7 +693,11 @@ class Quaternion:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.val)
+        # a real quaternion equals its int or Fraction, so it hashes like it
+        v = self.val
+        if v and not (v[1] or v[2] or v[3]):
+            return hash(Fraction(v[0], v[4]))
+        return hash(v)
 
     def __repr__(self):
         parts = []

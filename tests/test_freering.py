@@ -36,7 +36,8 @@ from skewpoly import (
     variable,
     zero,
 )
-from skewpoly import freering
+from skewpoly import frames, freering
+from skewpoly.frames import Frame, LinearMap, QuatMap, diagonal_frame
 from skewpoly.freering import PushMemo, word_times_constant
 from conftest import random_nonzero_poly, random_point, random_poly
 from oracles import push_reference
@@ -284,6 +285,104 @@ def test_node_pushes_match_reference_on_drawn_words(conv_gf5_2, frob_gf4_2, frob
             frame, [(tuple(w), random_point(frame, rng)[0]) for w in words])
     finally:
         freering._PUSH_DEPTH = saved
+
+
+# -- diagonal frames: one composite map per word ------------------------------
+
+
+@pytest.fixture(scope="module")
+def frob_1_3_gf256_2():
+    """GF(2^8)^2 with sigma_1 = Frobenius and sigma_2 = Frobenius^3."""
+    gf = FiniteField(2, 8)
+    return diagonal_frame(gf, [LinearMap.frobenius(gf, 1), LinearMap.frobenius(gf, 3)])
+
+
+@pytest.fixture(scope="module")
+def conj_1_2i_quat_2(quat):
+    """x_1 twisted by conjugation with 1 + 2i, of infinite order, and x_2 by
+    conjugation with 1 + j, which does not commute with it."""
+    return diagonal_frame(quat, [QuatMap.inner_automorphism(quat, quat(1, 2, 0, 0)),
+                                 QuatMap.inner_automorphism(quat, quat(1, 0, 1, 0))])
+
+
+def _prefix_cases(frame, rng, lengths):
+    """A random word of each length with random coefficients, then the
+    prefixes of the longest, longest first, as division pushes them."""
+    words = [tuple(rng.randint(1, frame.n) for _ in range(m)) for m in lengths]
+    longest = max(words, key=len)
+    words += [longest[:k] for k in range(len(longest) - 1, -1, -max(1, len(longest) // 20))]
+    return [(w, random_point(frame, rng)[0]) for w in words]
+
+
+def test_composite_pushes_match_reference_over_frobenius_gf65536(frob_gf65536_2):
+    rng = random.Random(65536)
+    cases = _prefix_cases(frob_gf65536_2, rng, (1, 2, 3, 17, 400, 1100))
+    _assert_pushes_match_reference(frob_gf65536_2, cases)
+
+
+@pytest.mark.parametrize("name", ["frob_1_3_gf256_2", "conv_gf5_2", "frob_gf9_2"])
+def test_composite_pushes_match_reference(name, request):
+    frame = request.getfixturevalue(name)
+    rng = random.Random(f"composite:{name}")
+    _assert_pushes_match_reference(frame, _prefix_cases(frame, rng, (0, 1, 2, 5, 9, 24, 60)))
+
+
+def test_composite_pushes_over_an_infinite_order_map_survive_emptied_tables(
+        conj_1_2i_quat_2, monkeypatch):
+    # conjugation by 1 + 2i has infinite order: every word length is a new
+    # composite, so a 4-entry limit empties the tables many times per word
+    monkeypatch.setattr(frames, "_MEMO_LIMIT", 4)
+    frame = Frame(conj_1_2i_quat_2.ring, conj_1_2i_quat_2.sigma, conj_1_2i_quat_2.delta)
+    rng = random.Random(12)
+    _assert_pushes_match_reference(frame, _prefix_cases(frame, rng, (1, 3, 7, 18, 30)))
+    assert len(frame._composites[1]) <= 4 and len(frame._composites[2]) <= 4
+
+
+def test_composite_tables_are_built_on_the_first_push_of_a_diagonal_frame(request):
+    for name in PUSH_FRAMES:
+        frame = request.getfixturevalue(name)
+        fresh = Frame(frame.ring, frame.sigma, frame.delta)
+        assert fresh._composites is None
+        root = fresh.composite_root()
+        assert (root is not None) == (set(frame.branching) == {1}), name
+
+
+def test_composite_pushes_step_once_per_node(frob_gf65536_2, monkeypatch):
+    # the pushes through the 400 prefixes of a 400-letter word make one
+    # composite step per prefix, and GF(2^16) has 16 Frobenius powers
+    gf = frob_gf65536_2.ring
+    frame = Frame(gf, frob_gf65536_2.sigma, frob_gf65536_2.delta)
+    steps, step = [0], Frame.composite_step
+
+    def counted(self, c, i):
+        steps[0] += 1
+        return step(self, c, i)
+
+    monkeypatch.setattr(Frame, "composite_step", counted)
+    rng = random.Random(400)
+    word, a = tuple(rng.randint(1, 2) for _ in range(400)), gf.random_nonzero(rng)
+    memo = PushMemo()
+    for k in range(400, 0, -1):
+        v = memo.node(word[:k])
+        assert list(freering._push(frame, v, gf.unwrap(a), memo)) == [v]
+    assert steps[0] <= 400
+    assert len(frame._composites[1]) <= gf.k * frame.n
+
+
+def test_push_memo_node_walks_from_the_shared_prefix():
+    # nested prefixes in both orders, and words that share a long prefix
+    rng = random.Random(60)
+    word = tuple(rng.randint(1, 2) for _ in range(60))
+    words = [word[:k] for k in range(60, -1, -1)] + [word[:k] for k in range(61)]
+    words += [word[:k] + tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 12)))
+              for k in (60, 59, 20, 50, 3, 0, 60)]
+    memo, nodes = PushMemo(), {}
+    for w in words:
+        v = memo.node(w)
+        assert memo.word(v) == w and memo.depth[v] == len(w)
+        assert nodes.setdefault(w, v) == v
+    # one node per distinct prefix of the words, as walks from the root make
+    assert len(memo.parent) == len({w[:k] for w in words for k in range(len(w) + 1)})
 
 
 def test_push_memo_hash_conses_words():

@@ -183,6 +183,18 @@ def test_quaternion_components_stay_exact(quat):
     assert acc * q.inv() ** 12 == quat.one()
 
 
+def test_real_quaternions_hash_like_the_number_they_equal(quat):
+    # equal objects hash equal: a real quaternion == its int or Fraction
+    assert quat.one() == 1 and {1: "x"}[quat.one()] == "x"
+    half = quat(Fraction(1, 2), 0, 0, 0)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {Fraction(-3, 4): "y"}[quat("-3/4")] == "y"
+    assert hash(quat(-7)) == hash(-7) and hash(quat.zero()) == hash(0)
+    # a non-real quaternion equals no number; its hash is the value's
+    assert hash(quat(1, 1, 0, 0)) == hash(quat(1, 1, 0, 0).val)
+    assert len({quat(2), quat(2, 0, 0, 0), 2, Fraction(2)}) == 1
+
+
 def test_quaternions_are_not_enumerable(quat):
     with pytest.raises(NotFinite):
         list(quat.elements())
