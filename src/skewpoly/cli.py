@@ -3,9 +3,9 @@
 Every verb reads one JSON job object (from --job PATH or stdin) and
 writes one JSON result object to stdout.  Exit codes: 0 success, 1
 domain error (the error name comes from the library exception), 2
-malformed input, 3 internal error (any other exception, MemoryError and
-RecursionError included).  Identical job files produce byte-identical
-output.
+malformed input or bad command-line arguments, 3 internal error (any
+other exception, MemoryError and RecursionError included).  Identical
+job files produce byte-identical output.
 
 The job and result schemas are documented in docs/wire_format.md.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import InvalidFrame, InvalidInput, SkewPolyError
 from .evaluation import (
@@ -26,7 +25,7 @@ from .evaluation import (
     point_from_json,
     point_to_json,
 )
-from .frames import Frame, frame_from_json
+from .frames import frame_from_json
 from .freering import monomial_from_json, mul, poly_from_json
 from .geometry import (
     closure_members,
@@ -50,31 +49,17 @@ from .rings import _is_json_int, ring_from_json
 DEFAULT_SEED = 1729
 
 
-@dataclass
-class Workspace:
-    """Parsed job context: one ring and one frame shared by all objects."""
-
-    ring: object
-    frame: Frame
-
-
-def _need(job, key):
-    if key not in job:
-        raise KeyError(key)
-    return job[key]
-
-
 def _load_workspace(job):
-    ring = ring_from_json(_need(job, "ring"))
-    return Workspace(ring=ring, frame=frame_from_json(ring, _need(job, "frame")))
+    """The job's frame; its ring is frame.ring."""
+    return frame_from_json(ring_from_json(job["ring"]), job["frame"])
 
 
-def _poly_out(ws, p, fmt):
+def _poly_out(p, fmt):
     return p.to_text() if fmt == "text" else p.to_json()
 
 
-def _element_out(ws, a, fmt):
-    return repr(a) if fmt == "text" else ws.ring.element_to_json(a)
+def _element_out(frame, a, fmt):
+    return repr(a) if fmt == "text" else frame.ring.element_to_json(a)
 
 
 # ---------------------------------------------------------------------------
@@ -87,92 +72,92 @@ def _verb_validate_frame(job, fmt, seed):
 
 
 def _verb_mul(job, fmt, seed):
-    ws = _load_workspace(job)
-    F = poly_from_json(ws.frame, _need(job, "f"))
-    G = poly_from_json(ws.frame, _need(job, "g"))
-    return {"product": _poly_out(ws, mul(F, G), fmt)}
+    frame = _load_workspace(job)
+    F = poly_from_json(frame, job["f"])
+    G = poly_from_json(frame, job["g"])
+    return {"product": _poly_out(mul(F, G), fmt)}
 
 
 def _verb_divide(job, fmt, seed):
-    ws = _load_workspace(job)
-    F = poly_from_json(ws.frame, _need(job, "f"))
-    a = point_from_json(ws.frame, _need(job, "point"))
+    frame = _load_workspace(job)
+    F = poly_from_json(frame, job["f"])
+    a = point_from_json(frame, job["point"])
     res = divide(F, a)
     return {
-        "quotients": [_poly_out(ws, g, fmt) for g in res.quotients],
-        "remainder": _element_out(ws, res.remainder, fmt),
+        "quotients": [_poly_out(g, fmt) for g in res.quotients],
+        "remainder": _element_out(frame, res.remainder, fmt),
     }
 
 
 def _verb_eval(job, fmt, seed):
-    ws = _load_workspace(job)
-    F = poly_from_json(ws.frame, _need(job, "f"))
-    a = point_from_json(ws.frame, _need(job, "point"))
-    return {"value": _element_out(ws, evaluate(F, a), fmt)}
+    frame = _load_workspace(job)
+    F = poly_from_json(frame, job["f"])
+    a = point_from_json(frame, job["point"])
+    return {"value": _element_out(frame, evaluate(F, a), fmt)}
 
 
 def _verb_norm(job, fmt, seed):
-    ws = _load_workspace(job)
-    word = monomial_from_json(ws.frame, _need(job, "monomial"))
-    a = point_from_json(ws.frame, _need(job, "point"))
-    return {"value": _element_out(ws, fundamental(ws.frame, word, a), fmt)}
+    frame = _load_workspace(job)
+    word = monomial_from_json(frame, job["monomial"])
+    a = point_from_json(frame, job["point"])
+    return {"value": _element_out(frame, fundamental(frame, word, a), fmt)}
 
 
 def _verb_conjugate(job, fmt, seed):
-    ws = _load_workspace(job)
-    a = point_from_json(ws.frame, _need(job, "point"))
-    c = ws.ring.element_from_json(_need(job, "c"))
-    return {"conjugate": point_to_json(ws.frame, conjugate(ws.frame, a, c))}
+    frame = _load_workspace(job)
+    a = point_from_json(frame, job["point"])
+    c = frame.ring.element_from_json(job["c"])
+    return {"conjugate": point_to_json(frame, conjugate(frame, a, c))}
 
 
 def _verb_vandermonde(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    d = _need(job, "degree")
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    d = job["degree"]
     if not _is_json_int(d):
         raise ValueError(f"degree must be an integer, got {d!r}")
-    V = vandermonde(ws.frame, pts, d)
+    V = vandermonde(frame, pts, d)
     return {
         "matrix": V.to_json(),
         "row_labels": [list(w) for w in V.row_labels],
-        "col_labels": points_to_json(ws.frame, V.col_labels),
+        "col_labels": points_to_json(frame, V.col_labels),
         "rank": rank(V),
     }
 
 
 def _verb_rank(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    return {"rank": rank_of(ws.frame, pts)}
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    return {"rank": rank_of(frame, pts)}
 
 
 def _verb_pbasis(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    res = find_p_basis(ws.frame, pts)
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    res = find_p_basis(frame, pts)
     return {
-        "basis": points_to_json(ws.frame, res.basis),
+        "basis": points_to_json(frame, res.basis),
         "rank": res.rank,
-        "discarded": points_to_json(ws.frame, res.discarded),
+        "discarded": points_to_json(frame, res.discarded),
     }
 
 
 def _verb_closure(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    return {"closure": points_to_json(ws.frame, closure_members(ws.frame, pts))}
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    return {"closure": points_to_json(frame, closure_members(frame, pts))}
 
 
 def _verb_two_sided(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    return {"two_sided": is_two_sided(ws.frame, pts)}
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    return {"two_sided": is_two_sided(frame, pts)}
 
 
 def _verb_matroid_check(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    rep = matroid_check(ws.frame, pts)
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    rep = matroid_check(frame, pts)
     return {
         "ok": rep.ok,
         "violations": rep.violations,
@@ -183,34 +168,34 @@ def _verb_matroid_check(job, fmt, seed):
 
 
 def _verb_interpolate(job, fmt, seed, method="newton"):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    values = [ws.ring.element_from_json(v) for v in _need(job, "values")]
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    values = [frame.ring.element_from_json(v) for v in job["values"]]
     if method == "newton":
-        F = lagrange_interpolate(ws.frame, pts, values)
+        F = lagrange_interpolate(frame, pts, values)
     elif method == "vandermonde":
-        F = lagrange_via_vandermonde(ws.frame, pts, values)
+        F = lagrange_via_vandermonde(frame, pts, values)
     else:
         raise InvalidInput(f"unknown interpolation method {method!r}")
-    return {"polynomial": _poly_out(ws, F, fmt)}
+    return {"polynomial": _poly_out(F, fmt)}
 
 
 def _verb_dual_basis(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    dual = dual_p_basis(ws.frame, pts)
-    return {"duals": [_poly_out(ws, f, fmt) for f in dual.duals]}
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    dual = dual_p_basis(frame, pts)
+    return {"duals": [_poly_out(f, fmt) for f in dual.duals]}
 
 
 def _verb_reduce(job, fmt, seed):
-    ws = _load_workspace(job)
-    pts = points_from_json(ws.frame, _need(job, "points"))
-    F = poly_from_json(ws.frame, _need(job, "f"))
-    dual = dual_p_basis(ws.frame, pts)
+    frame = _load_workspace(job)
+    pts = points_from_json(frame, job["points"])
+    F = poly_from_json(frame, job["f"])
+    dual = dual_p_basis(frame, pts)
     q = reduce_mod_ideal(F, dual)
     return {
-        "coordinates": [_element_out(ws, c, fmt) for c in q.coords],
-        "representative": _poly_out(ws, q.representative(ws.frame), fmt),
+        "coordinates": [_element_out(frame, c, fmt) for c in q.coords],
+        "representative": _poly_out(q.representative(frame), fmt),
     }
 
 
@@ -253,12 +238,20 @@ def _emit(obj, out):
     out.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a bad argument list instead of printing the
+    usage to stderr and exiting, so the error is one MalformedInput line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def run(argv=None, stdin=None, stdout=None):
     """Execute one verb; returns the process exit code."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewpoly",
         description="exact multivariate skew polynomial calculator",
     )
@@ -271,7 +264,11 @@ def run(argv=None, stdin=None, stdout=None):
         if verb == "interpolate":
             p.add_argument("--method", choices=("newton", "vandermonde"), default="newton")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ValueError as exc:
+        _emit({"error": "MalformedInput", "message": str(exc)}, stdout)
+        return 2
     try:
         return _execute(args, stdin, stdout)
     except Exception as exc:

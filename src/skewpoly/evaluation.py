@@ -15,7 +15,10 @@ caches them per frame: one step of the recursion is then one table
 lookup per chunk of the argument's digits over GF(p^k) (a single lookup
 when q <= 16) and one 4 x 4 integer product per variable over the
 quaternions.  evaluate, fundamental, fundamental_table and conjugate all
-step through the compiled maps.  Points are plain tuples of ring
+step through the compiled maps.  _value_rows is the one walker of the
+recursion over several points at once: the Vandermonde rows,
+fundamental_table, the value rows of the standard monomials and the
+closure residues all come from it.  Points are plain tuples of ring
 elements of length frame.n.
 """
 
@@ -35,6 +38,7 @@ from .freering import (
     _product_words,
     check_word,
     constant,
+    monomials_below,
     mul,
 )
 
@@ -170,33 +174,31 @@ def fundamental(frame, word, point):
     return ring.wrap(val)
 
 
-def _fundamental_values(frame, point, d):
-    """fundamental_table on ring values."""
-    phi, ring = frame.point_map_val(point), frame.ring
-    table = {(): ring.unwrap(ring.one())}
-    level = [()]
-    for _ in range(1, d):
-        nxt = []
-        for w in level:
-            for i, val in enumerate(phi(table[w]), 1):
-                nw = (i,) + w
-                table[nw] = val
-                nxt.append(nw)
-        level = nxt
-    return table
+def _value_rows(frame, words, points):
+    """Values (N_w(b_1), ..., N_w(b_M)), as ring values, of the empty word
+    and of every x_i w with w in words, each from the row of its tail.
+
+    The tail of each word must come earlier in words (or be empty): one
+    compiled-map application per word and point gives all n extensions.
+    """
+    maps = [frame.point_map_val(b) for b in points]
+    ring = frame.ring
+    rows = {(): [ring.unwrap(ring.one())] * len(points)}
+    for w in words:
+        ext = [phi(v) for phi, v in zip(maps, rows[w])]
+        for i in range(frame.n):
+            rows[(i + 1,) + w] = [e[i] for e in ext]
+    return rows
 
 
 def fundamental_table(frame, point, d):
-    """Fundamental values of every monomial of degree < d at one point.
-
-    Walks words by increasing degree; each word of degree e is obtained
-    by prepending one variable to a degree e-1 word, so one compiled-map
-    application per shorter word yields all n extensions.  Results match
-    the naive recursion exactly.
-    """
+    """Fundamental values of every monomial of degree < d at one point,
+    by _value_rows over the monomials of degree < d - 1.  Results match
+    the naive recursion exactly."""
     point = check_point(frame, point)
     wrap = frame.ring.wrap
-    return {w: wrap(v) for w, v in _fundamental_values(frame, point, d).items()}
+    rows = _value_rows(frame, monomials_below(frame.n, d - 1), (point,))
+    return {w: wrap(r[0]) for w, r in rows.items()}
 
 
 def evaluate(F, point):

@@ -80,26 +80,10 @@ def monomials_below(n, d):
 
 
 def count_monomials_below(n, d):
-    return sum(n ** e for e in range(d))
-
-
-def word_times_constant(frame, word, a, memo=None):
-    """Expand (word) * a as a dict word -> coefficient.
-
-    Pushes a leftward through the word one character at a time starting
-    from the right end,
-
-        (m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)),
-
-    or, when sigma is diagonal and delta zero, in one step (see _push).
-    Degree of every emitted word is at most len(word).  Pass one
-    PushMemo to several calls over the same frame to share their pushes.
-    """
-    if memo is None:
-        memo = PushMemo()
-    ring, spell = frame.ring, memo.word
-    pushed = _push(frame, memo.node(word), ring.unwrap(a), memo)
-    return {spell(v): ring.wrap(c) for v, c in pushed.items()}
+    """The number of monomials of degree < d over n variables."""
+    if d <= 0:
+        return 0
+    return d if n == 1 else (n ** d - 1) // (n - 1)
 
 
 # Most words the pushes of one mul or divide may produce, as predicted
@@ -117,7 +101,7 @@ def _push_words(frame, word):
         words *= branching[i - 1]
         if words > PUSH_TERM_LIMIT:
             break
-    return min(words, _words_up_to(frame.n, len(word)))
+    return min(words, count_monomials_below(frame.n, len(word) + 1))
 
 
 def _product_words(F, G):
@@ -130,15 +114,10 @@ def _product_words(F, G):
     if top == 1 or not pairs:
         return pairs
     degree = max(map(len, F.terms))
-    words = pairs * min(top ** degree, _words_up_to(frame.n, degree))
+    words = pairs * min(top ** degree, count_monomials_below(frame.n, degree + 1))
     if words <= PUSH_TERM_LIMIT:
         return words
     return len(G.terms) * sum(_push_words(frame, u) for u in F.terms)
-
-
-def _words_up_to(n, length):
-    """The number of words of at most length letters over n variables."""
-    return length + 1 if n == 1 else (n ** (length + 1) - 1) // (n - 1)
 
 
 def _divide_words(frame, terms):
@@ -156,7 +135,7 @@ def _divide_words(frame, terms):
         return sum(map(len, terms))
     words = 0
     for length in range(1, max(map(len, terms), default=0) + 1):
-        words += n ** length * min(top ** (length - 1), _words_up_to(n, length - 1))
+        words += n ** length * min(top ** (length - 1), count_monomials_below(n, length))
         if words > PUSH_TERM_LIMIT:
             break
     return words
@@ -586,7 +565,7 @@ def poly_from_json(frame, obj):
 
 def mul_monomial_constant(frame, word, a):
     """The product (word) * a as a polynomial of degree <= len(word)."""
-    return SkewPolynomial(frame, word_times_constant(frame, tuple(word), a))
+    return mul(monomial(frame, word), constant(frame, a))
 
 
 def mul(F, G):

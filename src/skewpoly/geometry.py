@@ -32,8 +32,8 @@ from functools import cached_property
 from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import _fundamental_values, check_point, conjugate
-from .freering import monomials_below
+from .evaluation import _value_rows, check_point, conjugate, point_from_json, point_to_json
+from .freering import count_monomials_below, monomials_below
 from .linalg import Matrix, _combine, _reduce_with_transform, echelon_insert
 from .rings import _span_codes
 
@@ -54,14 +54,10 @@ def check_point_set(frame, points):
 
 
 def points_to_json(frame, points):
-    from .evaluation import point_to_json
-
     return [point_to_json(frame, p) for p in points]
 
 
 def points_from_json(frame, obj):
-    from .evaluation import point_from_json
-
     if not isinstance(obj, list):
         raise ValueError("point set must be a list of points")
     return check_point_set(frame, [point_from_json(frame, p) for p in obj])
@@ -82,9 +78,9 @@ def all_points(frame):
 
 def vandermonde_rows(n, d):
     """Rows of a degree-d Vandermonde over n variables: the monomials of
-    degree < d, capped at 64 degrees, which already give more rows than
-    any work budget when n >= 2."""
-    return d if n == 1 else (n ** min(d, 64) - 1) // (n - 1)
+    degree < d, capped at 64 degrees when n >= 2, which already give more
+    rows than any work budget."""
+    return count_monomials_below(n, d if n == 1 else min(d, 64))
 
 
 def _vandermonde_values(frame, points, d):
@@ -104,9 +100,9 @@ def _vandermonde_values(frame, points, d):
             f"a degree-{d} Vandermonde over {len(points)} points has {size} cells, "
             f"over the limit of {VANDERMONDE_CELL_LIMIT}"
         )
+    rows = _value_rows(frame, monomials_below(n, d - 1), points)
     monos = monomials_below(n, d)
-    tables = [_fundamental_values(frame, p, d) for p in points]
-    return points, monos, [[t[m] for t in tables] for m in monos]
+    return points, monos, [rows[m] for m in monos]
 
 
 def vandermonde(frame, points, d):
@@ -174,20 +170,6 @@ def _image_echelon(frame, points):
                     images[i][k] = y
         queue.extend(((i + 1,) + word, image) for i, image in enumerate(images))
     return tuple(sorted(span)), tuple(standard)
-
-
-def _value_rows(frame, standard, points):
-    """Values (N_w(b_1), ..., N_w(b_M)), as ring values, of the standard
-    monomials w and of every x_i s with s standard, each from the row of
-    its tail."""
-    maps = [frame.point_map_val(b) for b in points]
-    ring = frame.ring
-    rows = {(): [ring.unwrap(ring.one())] * len(points)}
-    for s in standard:
-        ext = [phi(v) for phi, v in zip(maps, rows[s])]
-        for i in range(frame.n):
-            rows[(i + 1,) + s] = [e[i] for e in ext]
-    return rows
 
 
 def _inverse_square(frame, monos, rows):

@@ -27,13 +27,12 @@ from .errors import (
     NotPIndependent,
     NotSeparable,
 )
-from .evaluation import check_point, evaluate
+from .evaluation import _value_rows, check_point, evaluate
 from .freering import from_terms, zero
 from .geometry import (
     VERIFIER_WORK_LIMIT,
     _image_echelon,
     _inverse_square,
-    _value_rows,
     _vandermonde_values,
     check_point_set,
     find_p_basis,

@@ -275,6 +275,15 @@ def test_missing_field_exit_code():
     assert out["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("argv", [["bogus"], ["eval", "--format", "xml"],
+                                  ["eval", "--seed", "abc"], []])
+def test_bad_arguments_are_one_malformed_input_line(argv, capsys):
+    # argparse printed its usage to stderr and raised SystemExit(2)
+    code, _, text = invoke(argv, gf5_job())
+    _one_error_line(text, code)
+    assert capsys.readouterr().err == ""
+
+
 def test_outputs_are_byte_identical(tmp_path):
     job = gf5_job(f=[{"monomial": [1, 2], "coeff": 1}], point=[2, 3])
     path = tmp_path / "job.json"

@@ -1,5 +1,5 @@
-"""docs/wire_format.md against the code it documents: the verb table and
-the work-budget table."""
+"""docs/wire_format.md against the code it documents: the verb table,
+the work-budget table and the error names of the exit codes."""
 
 import importlib
 import pathlib
@@ -7,7 +7,7 @@ import pkgutil
 import re
 
 import skewpoly
-from skewpoly import cli
+from skewpoly import cli, errors
 
 DOC = (pathlib.Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
 
@@ -53,3 +53,14 @@ def test_budget_table_names_every_limit_with_its_value():
     assert sorted(rows) == sorted(limits)
     for name, value in limits.items():
         assert re.search(rf"(?<![\d^]){value}(?!\d)", rows[name]), (name, value, rows[name])
+
+
+def test_exit_code_list_names_exactly_the_error_names():
+    section = DOC.split("\n## Exit codes and errors\n", 1)[1].split("\n## ", 1)[0]
+    domain = section.split("the name one of", 1)[1].split(".", 1)[0]
+    named = set(re.findall(r"`([A-Z]\w*)`", domain))
+    named |= set(re.findall(r'"error": "(\w+)"', section))
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.SkewPolyError)
+               and cls is not errors.SkewPolyError}
+    assert named == classes | {"MalformedInput", "InternalError"}

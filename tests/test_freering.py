@@ -17,6 +17,7 @@ from skewpoly import (
     BOTTOM,
     FieldElement,
     FiniteField,
+    InvalidInput,
     QuaternionRing,
     RingMismatch,
     SkewPolynomial,
@@ -38,7 +39,7 @@ from skewpoly import (
 )
 from skewpoly import frames, freering
 from skewpoly.frames import Frame, LinearMap, QuatMap, diagonal_frame
-from skewpoly.freering import PushMemo, word_times_constant
+from skewpoly.freering import PUSH_TERM_LIMIT, PushMemo, count_monomials_below, monomials_below
 from conftest import random_nonzero_poly, random_point, random_poly
 from oracles import push_reference
 
@@ -62,6 +63,16 @@ def ref_word_times_constant(frame, word, a):
         if not d.is_zero():
             out[w] = out.get(w, frame.ring.zero()) + d
     return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def pushed(frame, word, a, memo=None):
+    """(word) * a through freering._push, as a dict word -> element; pass
+    one PushMemo to several calls to share their pushes, as mul does."""
+    if memo is None:
+        memo = PushMemo()
+    ring = frame.ring
+    got = freering._push(frame, memo.node(word), ring.unwrap(a), memo)
+    return {memo.word(v): ring.wrap(c) for v, c in got.items()}
 
 
 def reference_mul(F, G):
@@ -192,7 +203,7 @@ def test_pushes_through_cut_words_match_reference(frob_gf9_2, quat_inner_2, rng,
         word = tuple(rng.randint(1, 2) for _ in range(8))
         for k in range(len(word), -1, -1):
             a = random_point(frame, rng)[0]
-            got = word_times_constant(frame, word[:k], a, memo)
+            got = pushed(frame, word[:k], a, memo)
             assert got == ref_word_times_constant(frame, word[:k], a)
 
 
@@ -216,7 +227,7 @@ def test_cut_words_keep_the_stack_shallow(gf9, monkeypatch):
 
     sys.setprofile(profile)
     try:
-        got = word_times_constant(frame, word, a)
+        got = pushed(frame, word, a)
     finally:
         sys.setprofile(None)
     assert got == ref_word_times_constant(frame, word, a)
@@ -478,13 +489,14 @@ def test_coefficients_of_another_ring_are_refused(name, request):
     for c in foreign:
         bad = SkewPolynomial(frame, {(1, 2): c})
         for job in (lambda: mul(x1, bad), lambda: mul(bad, x1), lambda: divide(bad, point),
-                    lambda: word_times_constant(frame, (1, 2), c)):
+                    lambda: mul_monomial_constant(frame, (1, 2), c)):
             with pytest.raises(RingMismatch):
                 job()
     if ring.is_finite:
         # an equal field built apart passes the check
         twin = FiniteField(ring.p, ring.k, ring.modulus).gen()
-        assert word_times_constant(frame, (1,), twin) == word_times_constant(frame, (1,), ring.gen())
+        x1 = mul_monomial_constant(frame, (1,), ring.gen())
+        assert mul_monomial_constant(frame, (1,), twin) == x1
 
 
 def test_from_terms_and_monomial_refuse_coefficients_of_another_ring():
@@ -523,6 +535,22 @@ def test_push_predictions(frob_gf9_2, quat_inner_2, nondiag_gf8_2_inner):
     one = nondiag_gf8_2_inner.ring.one()
     F = from_terms(nondiag_gf8_2_inner, [((1, 2) * 10, one), ((1,), one), ((1, 2), one), ((2, 1), one)])
     assert freering._product_words(F, constant(nondiag_gf8_2_inner, one)) == (2 ** 21 - 1) + 3 + 7 + 7
+
+
+def test_mul_monomial_constant_refuses_a_push_past_the_limit(nondiag_gf8_2, monkeypatch):
+    # branching 2 over 30 letters predicts 2^30 words: refused before any push
+    def no_push(*args):
+        raise AssertionError("pushed past the budget")
+
+    monkeypatch.setattr(freering, "_push", no_push)
+    with pytest.raises(InvalidInput, match=str(PUSH_TERM_LIMIT)):
+        mul_monomial_constant(nondiag_gf8_2, (1, 2) * 15, nondiag_gf8_2.ring.gen())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_count_monomials_below_counts_the_monomials(n):
+    for d in range(-1, 7):
+        assert count_monomials_below(n, d) == len(monomials_below(n, d))
 
 
 def test_products_and_divisions_build_elements_per_term_not_per_push(monkeypatch):
