@@ -30,7 +30,6 @@ from heapq import heapify, heappop, heappush
 from . import freering
 from .errors import DivisionByZero, InvalidInput, RingMismatch
 from .freering import (
-    PushMemo,
     SkewPolynomial,
     _accumulate,
     _check_push_budget,
@@ -38,6 +37,7 @@ from .freering import (
     _product_words,
     check_word,
     constant,
+    frame_memo,
     monomials_below,
     mul,
 )
@@ -77,8 +77,7 @@ class DivisionResult:
 
         Runs on ring values: a quotient term c u gives c u x_i (u 1 = u, so
         the unit needs no push) and -c (u a_i), the push of a_i through u,
-        all pushes sharing one PushMemo; one element is built per result
-        term.
+        through the frame's PushMemo; one element is built per result term.
         """
         point = check_point(frame, point)
         ring = frame.ring
@@ -90,7 +89,7 @@ class DivisionResult:
                                for q, a in zip(self.quotients, point)), "the reconstruction")
         out = {}
         _accumulate(out, (), unwrap(self.remainder), add)
-        memo = PushMemo()
+        memo = frame_memo(frame)
         word = memo.word
         for i, (q, a) in enumerate(zip(self.quotients, point), 1):
             a = unwrap(a)
@@ -113,12 +112,11 @@ def divide(F, point):
     The quotients and the remainder are unique, so the order within one
     degree does not matter, and a monomial once killed never returns.
 
-    Words are nodes of one PushMemo: the prefix m of a node is its
-    parent, and the pushes through the prefixes share the memo.  The
-    monomials to kill come off a heap keyed by degree, largest first.  A
-    node enters the heap when it enters the remainder; an entry whose
-    node has since cancelled out of the remainder is stale and skipped.
-    The remainder and the quotients hold ring values until the end.
+    Words are nodes of the frame's PushMemo, the prefix m of a node its
+    parent.  The monomials to kill come off a heap keyed by degree,
+    largest first.  A node enters the heap when it enters the remainder;
+    an entry whose node has since cancelled out of it is stale and
+    skipped.  The remainder and the quotients hold ring values until the end.
 
     A division whose pushes _divide_words predicts to make more than
     PUSH_TERM_LIMIT words is refused before the first push.
@@ -129,7 +127,7 @@ def divide(F, point):
     _check_push_budget(_divide_words(frame, F.terms), "the division")
     unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
     point = [unwrap(a) for a in point]
-    memo = PushMemo()
+    memo = frame_memo(frame)
     parent, letter, depth, spelled = memo.parent, memo.letter, memo.depth, memo.spelled
     rem = {memo.node(w): unwrap(c) for w, c in F.terms.items()}
     heap = [(-depth[v], v) for v in rem if v]
@@ -145,9 +143,8 @@ def divide(F, point):
             # a slice of the killed word, not a walk up from the prefix
             spelled[prefix] = memo.word(v)[:-1]
         _accumulate(quot[i], prefix, c, add)
-        # F <- F - c * prefix * (x_i - a_i); the x_i part cancelled above.
-        # _push is looked up on its module, as in mul, so a wrapper put
-        # there (the benchmark's tracer) sees every push
+        # F <- F - c * prefix * (x_i - a_i), the x_i part cancelled above;
+        # _push is looked up on its module so that a wrapper there sees it
         for w, pc in freering._push(frame, prefix, point[i], memo).items():
             if w and w not in rem:
                 heappush(heap, (-depth[w], w))

@@ -19,6 +19,7 @@ matrices acting on the coordinates (w, x, y, z).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd, lcm
 from operator import xor
 
@@ -152,7 +153,7 @@ class QuatMap:
         elif op in ("sum", "compose"):
             if not maps:
                 raise ValueError(f"{op} needs at least one map")
-            compiled = (_matrix_sum if op == "sum" else _matrix_product)(maps)
+            compiled = (_matrix_sum if op == "sum" else _matrix_product)([*map(_compiled, maps)])
         else:
             raise ValueError(f"unknown quaternion map op {op!r}")
         self.ring = ring
@@ -167,17 +168,7 @@ class QuatMap:
 
     def apply_val(self, v):
         """The map on the ring value v of a quaternion (see QuaternionRing)."""
-        if not v:
-            return 0
-        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = self.mat
-        w, x, y, z, den = v
-        return _quat_value(
-            m00 * w + m01 * x + m02 * y + m03 * z,
-            m10 * w + m11 * x + m12 * y + m13 * z,
-            m20 * w + m21 * x + m22 * y + m23 * z,
-            m30 * w + m31 * x + m32 * y + m33 * z,
-            self.den * den,
-        )
+        return _quat_apply(self.mat, self.den, v)
 
     @classmethod
     def identity(cls, ring):
@@ -211,6 +202,27 @@ class QuatMap:
 
 
 _CONJ_MATRIX = ((1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1), 1)
+_ID_MATRIX = ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1), 1)
+
+
+def _compiled(m):
+    """A map's column codes over GF(p^k), its (matrix, den) pair over H."""
+    return m._cols if isinstance(m, LinearMap) else (m.mat, m.den)
+
+
+def _quat_apply(mat, den, v):
+    """The 4 x 4 integer matrix mat over den on the quaternion ring value v."""
+    if not v:
+        return 0
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = mat
+    w, x, y, z, d = v
+    return _quat_value(
+        m00 * w + m01 * x + m02 * y + m03 * z,
+        m10 * w + m11 * x + m12 * y + m13 * z,
+        m20 * w + m21 * x + m22 * y + m23 * z,
+        m30 * w + m31 * x + m32 * y + m33 * z,
+        den * d,
+    )
 
 
 def _mul_matrix(c, left):
@@ -228,24 +240,25 @@ def _normal_matrix(mat, den):
     return tuple(v // g for v in mat), den // g
 
 
-def _matrix_sum(maps):
-    den = lcm(*(m.den for m in maps))
+def _matrix_sum(pairs):
+    """The normalized sum of the (matrix, denominator) pairs."""
+    den = lcm(*(d for _, d in pairs))
     acc = [0] * 16
-    for m in maps:
-        scale = den // m.den
-        for r, v in enumerate(m.mat):
+    for mat, d in pairs:
+        scale = den // d
+        for r, v in enumerate(mat):
             acc[r] += v * scale
     return _normal_matrix(acc, den)
 
 
-def _matrix_product(maps):
-    mat, den = maps[0].mat, maps[0].den
-    for m in maps[1:]:
-        b = m.mat
-        mat = [sum(mat[4 * r + k] * b[4 * k + col] for k in range(4))
-               for r in range(4) for col in range(4)]
-        den *= m.den
-    return _normal_matrix(mat, den)
+def _matrix_product(pairs):
+    """The normalized product of the (matrix, denominator) pairs, left to right."""
+    (a, den), *rest = pairs
+    for b, d in rest:
+        a = [a[r] * b[c] + a[r + 1] * b[c + 4] + a[r + 2] * b[c + 8] + a[r + 3] * b[c + 12]
+             for r in (0, 4, 8, 12) for c in (0, 1, 2, 3)]
+        den *= d
+    return _normal_matrix(a, den)
 
 
 def additive_map_from_json(ring, obj):
@@ -288,15 +301,16 @@ class Frame:
     The compiled point maps of point_map_val are cached the same way, up to
     _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
     step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
-    delta_i is not zero.  When every branching is 1, composite_root and
-    composite_step give the Composite of each word (see there), in tables
-    built on the first call and emptied at _MEMO_LIMIT entries.
+    delta_i is not zero.  The push_* methods intern the maps of the push
+    lists (see freering._push) and memoize their images, each table
+    emptied at _MEMO_LIMIT entries; _push_memo, the frame's words and
+    their lists, is freering's.  A frame serves one thread at a time.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
 
     __slots__ = ("ring", "n", "sigma", "delta", "branching", "_sig_cache", "_del_cache",
-                 "_point_cache", "_composites")
+                 "_point_cache", "_push_maps", "_push_images", "_push_memo")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -311,7 +325,7 @@ class Frame:
         self._sig_cache = {}
         self._del_cache = {}
         self._point_cache = {}
-        self._composites = None
+        self._push_maps, self._push_images, self._push_memo = {}, {}, None
 
     def sigma_val(self, v):
         """sigma at the ring value v (see the ring's unwrap), by rows: row i
@@ -343,53 +357,60 @@ class Frame:
             cache[v] = out
             return out
 
-    def composite_root(self):
-        """The Composite of the empty word when every branching is 1 and
-        the one map of row i is sigma_ii, which for a valid frame (sigma(1)
-        = I) is every frame with all branching 1; else None."""
-        tables = self._composites
-        if tables is None:
-            tables = ()
-            if all(b == 1 and not row[i].is_zero_map()
-                   for i, (b, row) in enumerate(zip(self.branching, self.sigma))):
-                root = Composite(_id_map(self.ring))
-                tables = root, {root.key: root}, {}
-            self._composites = tables
-        return tables[0] if tables else None
+    def _push_map(self, key):
+        """The interned PushMap of a compiled form, None for the zero map."""
+        table = self._push_maps
+        m = table.get(key)
+        if m is None:
+            if not any(key if isinstance(self.ring, FiniteField) else key[0]):
+                return None
+            if len(table) >= _MEMO_LIMIT:
+                table.clear()
+            m = table[key] = PushMap(self.ring, key)
+        return m
 
-    def composite_step(self, c, i):
-        """The Composite of u x_i from the Composite c of u: sigma_u o sigma_ii,
-        interned by its compiled form, so a frame over GF(p^k) has at most k
-        of them.  An inner automorphism of H can have infinite order, so the
-        tables are emptied (a new root) at _MEMO_LIMIT composites."""
-        nxt = c.step.get(i)
-        if nxt is None:
-            a, b = c.map, self.sigma[i - 1][i - 1]
-            if isinstance(a, QuatMap):
-                m = QuatMap(a.ring, "compose", maps=(a, b))
-            else:
-                p, k = a.fld.p, a.fld.k
-                m = LinearMap(a.fld, zip(*[_digits(a.apply_val(col), p, k) for col in b._cols]))
-            if len(self._composites[1]) >= _MEMO_LIMIT:
-                self._composites = None
-                self.composite_root()
-            nxt = Composite(m)
-            nxt = c.step[i] = self._composites[1].setdefault(nxt.key, nxt)
-        return nxt
+    def push_identity(self):
+        """The PushMap of the identity, the one map of the empty word's list."""
+        ring = self.ring
+        return self._push_map(LinearMap.identity(ring)._cols
+                              if isinstance(ring, FiniteField) else _ID_MATRIX)
 
-    def composite_val(self, c, v):
-        """sigma_u(v) for the Composite c of a word u and a ring value v,
-        memoized per (c, v) and emptied at _MEMO_LIMIT entries."""
-        images = self._composites[2]
-        key = (c, v)
-        try:
-            return images[key]
-        except KeyError:
-            out = c.map.apply_val(v)
+    def push_after(self, m, i):
+        """The pairs (0, m o delta_i), then (j, m o sigma_ij) for j = 1..n,
+        whose map is not zero: what an entry (w, m) of the push list of a
+        word u gives the list of u x_i on w and on w x_j, so a list holds a
+        word before its extensions (see freering._push).  Memoized on m."""
+        pairs = m.after.get(i)
+        if pairs is None:
+            field, out = isinstance(self.ring, FiniteField), []
+            for j, f in [(0, self.delta[i - 1]), *enumerate(self.sigma[i - 1], 1)]:
+                c = self._push_map(tuple(map(m.apply, f._cols)) if field
+                                   else _matrix_product([m.key, _compiled(f)]))
+                if c is not None:
+                    out.append((j, c))
+            pairs = m.after[i] = tuple(out)
+        return pairs
+
+    def push_sum(self, a, b):
+        """The PushMap a + b, or None when it is the zero map; memoized on a."""
+        sums = a.sums
+        if b not in sums:
+            if len(sums) >= _MEMO_LIMIT:
+                sums.clear()
+            sums[b] = self._push_map(tuple(map(self.ring.add_val, a.key, b.key))
+                                     if isinstance(self.ring, FiniteField)
+                                     else _matrix_sum([a.key, b.key]))
+        return sums[b]
+
+    def push_image(self, m, v):
+        """m(v) for a PushMap m and a ring value v, memoized per (m, v)."""
+        images, key = self._push_images, (m, v)
+        out = images.get(key)
+        if out is None:
             if len(images) >= _MEMO_LIMIT:
                 images.clear()
-            images[key] = out
-            return out
+            out = images[key] = m.apply(v)
+        return out
 
     def sigma_at(self, a):
         """The n x n matrix sigma(a) of ring elements, rows/cols as nested tuples."""
@@ -447,21 +468,21 @@ class Frame:
         return f"Frame(ring={self.ring!r}, n={self.n})"
 
 
-class Composite:
-    """The map sigma_u of a word u = x_(i_1)...x_(i_m) over a frame whose
-    sigma is diagonal and delta zero, where u a = sigma_u(a) u with
-    sigma_u = sigma_(i_1 i_1) o ... o sigma_(i_m i_m).  ``map`` is the
-    compiled map (a LinearMap or a QuatMap), ``key`` its compiled form,
-    and ``step`` holds, by letter i, the Composite of u x_i once
-    Frame.composite_step has made it.  Composites hash by identity."""
+class PushMap:
+    """One map of a push list (see freering._push), interned per frame:
+    ``key`` is its compiled form (see _compiled), ``apply`` applies it to a
+    ring value, and ``after`` holds, by letter i, the pairs of
+    Frame.push_after once made.  PushMaps hash by identity."""
 
-    __slots__ = ("map", "key", "step")
+    __slots__ = ("key", "apply", "after", "sums")
 
-    def __init__(self, m):
-        self.map = m
-        # the compiled form, equal for equal maps
-        self.key = m._cols if isinstance(m, LinearMap) else (m.mat, m.den)
-        self.step = {}
+    def __init__(self, ring, key):
+        self.key = key
+        if isinstance(ring, FiniteField):
+            self.apply = LinearMap(ring, zip(*[_digits(c, ring.p, ring.k) for c in key])).apply_val
+        else:
+            self.apply = partial(_quat_apply, *key)
+        self.after, self.sums = {}, {}
 
 
 def _field_point_map(frame, point):
@@ -525,13 +546,15 @@ def _field_point_map(frame, point):
 
 
 def _quat_point_map(frame, point):
-    """phi_a over the quaternions: each T_i is compiled as the QuatMap sum
-    of the maps v -> sigma_ij(v) a_j and delta_i, one 4 x 4 integer matrix."""
-    ring = frame.ring
-    maps = [QuatMap(ring, "sum", maps=[QuatMap(ring, "compose", maps=(QuatMap(ring, "rmul", a), s))
-                                       for s, a in zip(row, point) if not s.is_zero_map()] + [d])
-            for row, d in zip(frame.sigma, frame.delta)]
-    applies = [m.apply_val for m in maps]
+    """phi_a over the quaternions: each T_i = sum_j R(a_j) S_ij + D_i summed
+    straight into one normalized 4 x 4 integer matrix over a denominator,
+    R(a) the matrix of right multiplication by a, S_ij and D_i those of
+    sigma_ij and delta_i."""
+    applies = []
+    for row, d in zip(frame.sigma, frame.delta):
+        parts = [_matrix_product([_mul_matrix(a, False), _compiled(s)])
+                 for s, a in zip(row, point) if a.val and any(s.mat)]
+        applies.append(partial(_quat_apply, *_matrix_sum([_compiled(d)] + parts)))
     return lambda v: tuple([f(v) for f in applies])
 
 

@@ -11,29 +11,29 @@ Appending a variable on the right preserves the order, which is what
 the division algorithm needs.
 
 The product and division both push coefficients leftward through words.
-That kernel works on words as integer nodes of a per-call hash-consed
-table (PushMemo): a node is its prefix's node plus one letter, so one
-push level costs a few dict steps whatever the length of the word, and
-a node's tuple is spelled out only when a result needs it.  When sigma
-is diagonal and delta zero (every branching 1, as in the Frobenius and
-conventional frames), a word u moves a constant as u a = sigma_u(a) u,
-so a push is one application of the composite map sigma_u, which each
-node takes from its parent's by one step of the frame's composite
-tables; other frames push letter by letter.  Coefficients
-are ring values there, not elements (the code over GF(p^k), the
-normal-form tuple (w, x, y, z, den) over H, 0 for zero in both), which
-the memos hash and compare in C: the ring's unwrap checks each one where
-it enters, its *_val arithmetic combines them, and its wrap builds each
-result element once.  When sigma is not diagonal or delta is not zero,
-one push can make exponentially many words, so mul and divide refuse a
-job predicted past PUSH_TERM_LIMIT words before the first push.
+A push is linear, u a = sum_w P_(u,w)(a) w with each P_(u,w) additive
+(Leroy's pseudo-linear maps), so each word of a frame's hash-consed word
+table (PushMemo) carries its push list of (output word, compiled map),
+built once from its parent's by x_i a = sum_j sigma_ij(a) x_j + delta_i(a),
+and a push is one map image per output word, whatever the word's length;
+when sigma is diagonal and delta zero the list is the one map sigma_u.
+Coefficients there are ring values, not elements (the code over GF(p^k),
+the normal-form tuple (w, x, y, z, den) over H, 0 for zero in both),
+which the memos hash and compare in C: the ring's unwrap checks each one
+where it enters, its *_val arithmetic combines them, and its wrap builds
+each result element once.  When sigma is not diagonal or delta is not
+zero, one push can make exponentially many words, so mul and divide
+refuse a job predicted past PUSH_TERM_LIMIT words before the first push.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as _cartesian
-from operator import add as _add
+from math import comb
+from operator import add as _add, itemgetter
 
+from . import frames
 from .errors import InvalidInput, RingMismatch, ZeroPolynomial
 from .rings import FieldElement, Quaternion
 
@@ -124,18 +124,31 @@ def _divide_words(frame, terms):
     """The most words the pushes of dividing the given terms can make.
 
     A kill of a word of l letters pushes through its prefix, and no word
-    is killed twice.  When every branching is 1, each push makes one word
-    and a term u is killed once per length: |u| words.  Otherwise at most
-    all n^l words of l letters are killed, each push making at most
-    min(b^(l-1), words of at most l - 1 letters), b the largest branching:
-    the sum over l up to the largest degree, stopped once past the limit.
+    is killed twice.  When every branching is 1, each push makes one word,
+    and a term u is killed once per length.  Otherwise at most n^l words
+    of l letters are killed, each push making at most min(b^(l-1), words
+    of at most l - 1 letters), b the largest branching.  And a word the
+    division meets holds l of u's letters, each turned into one of the at
+    most alpha letters it reaches through nonzero sigma entries, whose
+    branchings sum to at most beta: their pushes make at most
+    alpha beta^(l-1) C(|u|, l) words, summed over the terms u.  The smaller
+    bound is summed over l up to the largest degree, stopped past the limit.
     """
-    top, n = max(frame.branching), frame.n
-    if top == 1:
+    branching, n, sigma = frame.branching, frame.n, frame.sigma
+    if max(branching) == 1:
         return sum(map(len, terms))
-    words = 0
-    for length in range(1, max(map(len, terms), default=0) + 1):
-        words += n ** length * min(top ** (length - 1), count_monomials_below(n, length))
+    reach = [{i} for i in range(n)]
+    for _ in range(n):
+        reach = [r | {k for j in r for k in range(n) if not sigma[j][k].is_zero_map()}
+                 for r in reach]
+    alpha, beta = max(map(len, reach)), max(sum(branching[j] for j in r) for r in reach)
+    sizes, words = Counter(map(len, terms)), 0
+    for length in range(1, max(sizes, default=0) + 1):
+        bound = n ** length * min(max(branching) ** (length - 1), count_monomials_below(n, length))
+        weight = alpha * beta ** (length - 1)
+        if weight < bound:  # else it loses: the sum of the C(|u|, l) is at least 1
+            bound = min(bound, weight * sum(k * comb(size, length) for size, k in sizes.items()))
+        words += bound
         if words > PUSH_TERM_LIMIT:
             break
     return words
@@ -148,24 +161,22 @@ def _check_push_budget(words, what):
 
 
 class PushMemo:
-    """The pushes of one call, over a hash-consed table of its words.
+    """A hash-consed table of words and their push lists.
 
     Words are integer nodes: node 0 is the empty word, and node v is the
     word of node parent[v] followed by the letter letter[v], with
     depth[v] letters.  children[v] maps a letter i to the node of word v
     followed by i, so appending a letter is one dict step and equal
     words are equal nodes.  spelled[v] is the tuple of node v, or None
-    until it is first asked for; it is built at most once.  composite[v]
-    is the frame's Composite of word v (see Frame.composite_step), or
-    None until a push needs it.  pushed maps (node, ring value) to the
-    push result {node: nonzero ring value}, the values being those of the
-    frame's ring (see its unwrap).  last is the node node() returned last.
-
-    A memo serves one frame and lives as long as the call that made it.
+    until it is first asked for; it is built at most once.  pushes[v] is
+    the push list of word v (see _push), or None until a push needs it;
+    size counts the letters of the words and the entries of the lists, and
+    bounds both the nodes and the spelled letters.  last is the node
+    node() returned last.  A memo serves one frame: mul, divide and
+    reconstruct share the frame's own (frame_memo) across calls.
     """
 
-    __slots__ = ("parent", "letter", "depth", "children", "spelled", "composite", "pushed",
-                 "last")
+    __slots__ = ("parent", "letter", "depth", "children", "spelled", "pushes", "size", "last")
 
     def __init__(self):
         self.parent = [0]
@@ -173,8 +184,8 @@ class PushMemo:
         self.depth = [0]
         self.children = [{}]
         self.spelled = [()]
-        self.composite = [None]
-        self.pushed = {}
+        self.pushes = [None]
+        self.size = 0
         self.last = 0
 
     def append(self, v, i):
@@ -188,7 +199,8 @@ class PushMemo:
             self.depth.append(self.depth[v] + 1)
             self.children.append({})
             self.spelled.append(None)
-            self.composite.append(None)
+            self.pushes.append(None)
+            self.size += self.depth[w]
         return w
 
     def node(self, word):
@@ -235,104 +247,71 @@ class PushMemo:
         return t
 
 
-# Most letters one recursive push descends.  A longer word is cut every
-# _PUSH_DEPTH letters, so the Python stack stays shallow for any length.
-_PUSH_DEPTH = 512
+def frame_memo(frame):
+    """The frame's PushMemo, a new one once its size reaches
+    frames._MEMO_LIMIT; a call takes it once, so it keeps its nodes."""
+    memo = frame._push_memo
+    if memo is None or memo.size >= frames._MEMO_LIMIT:
+        memo = frame._push_memo = PushMemo()
+    return memo
 
 
 def _push(frame, v, a, memo):
-    """(word) * a for the word of node v of memo and a ring value a, as a
-    dict node -> left coefficient (a ring value).
-
-    When sigma is diagonal and delta zero (frame.composite_root is not
-    None: every branching is 1), u a = sigma_u(a) u, so the result is the
-    one term {v: sigma_u(a)}: the node's Composite comes from its
-    parent's by one composite step, and the image is memoized per frame.
-    Otherwise the push recurses letter by letter (_push_recursive),
-    memoized per (node, value) in memo.pushed.  There the word of a node
-    deeper than _PUSH_DEPTH letters is first swept from its right end,
-    level by level up the parent nodes, collecting the coefficients still
-    to be pushed through each prefix whose length is a multiple of
-    _PUSH_DEPTH and that the memo lacks.  Pushing those, shortest prefix
-    first, fills the memo, so the final push recurses through at most
-    _PUSH_DEPTH letters.
-    """
+    """(word) * a for the word u of node v of memo and a ring value a, as a
+    dict node -> nonzero left coefficient (a ring value): one image per
+    pair (w, P_(u,w)) of u's push list memo.pushes[v] (see _push_list),
+    memoized per (map, value) by Frame.push_image, zero images dropped."""
     if not a:
         return {}
-    composite = memo.composite
-    c = composite[v]
-    if c is None:
-        c = frame.composite_root()
-        if c is None:
-            return _push_branching(frame, v, a, memo)
-        # up to the nearest node that has a composite, then one step per letter
-        parent, path, u = memo.parent, [], v
-        while composite[u] is None and u:
-            path.append(u)
-            u = parent[u]
-        c = composite[u] or c
-        for u in reversed(path):
-            c = composite[u] = frame.composite_step(c, memo.letter[u])
-    return {v: frame.composite_val(c, a)}
-
-
-def _push_branching(frame, v, a, memo):
-    """_push for a frame with some branching > 1."""
-    pushed = memo.pushed
-    depth = memo.depth[v]
-    if depth > _PUSH_DEPTH and (v, a) not in pushed:
-        parent, letter = memo.parent, memo.letter
-        cuts = []
-        need = {a: None}
-        u = v
-        for k in range(depth, _PUSH_DEPTH, -1):
-            i = letter[u] - 1
-            u = parent[u]
-            nxt = {}
-            for c in need:
-                for _, s in frame.sigma_val(c)[i]:
-                    nxt[s] = None
-                d = frame.delta_val(c)[i]
-                if d:
-                    nxt[d] = None
-            need = nxt
-            if (k - 1) % _PUSH_DEPTH == 0:
-                need = {c: None for c in need if (u, c) not in pushed}
-                if not need:
-                    break
-                cuts.append((u, need))
-        for u, coeffs in reversed(cuts):
-            for c in coeffs:
-                _push_recursive(frame, u, c, memo)
-    return _push_recursive(frame, v, a, memo)
-
-
-def _push_recursive(frame, v, a, memo):
-    """(m x_i) a = sum_j m (sigma_ij(a) x_j) + m (delta_i(a)) for a ring
-    value a != 0, recursing on the node of m, which is parent[v]; i is
-    letter[v]."""
-    if not v:
-        return {0: a}
-    key = (v, a)
-    pushed = memo.pushed
-    hit = pushed.get(key)
-    if hit is not None:
-        return hit
-    prefix, i = memo.parent[v], memo.letter[v] - 1
-    out = {}
-    children = memo.children
-    for j, c in frame.sigma_val(a)[i]:
-        # words ending in different letters differ: no sums needed
-        for w, coeff in _push_recursive(frame, prefix, c, memo).items():
-            u = children[w].get(j)
-            out[memo.append(w, j) if u is None else u] = coeff
-    d = frame.delta_val(a)[i]
-    if d:
-        add = frame.ring.add_val
-        for w, coeff in _push_recursive(frame, prefix, d, memo).items():
-            _accumulate(out, w, coeff, add)
-    pushed[key] = out
+    pushes = memo.pushes[v]
+    if pushes is None:
+        pushes = _push_list(frame, v, memo)
+    image, out = frame.push_image, {}
+    for w, m in pushes:
+        c = image(m, a)
+        if c:
+            out[w] = c
     return out
+
+
+_second = itemgetter(1)
+
+
+def _push_list(frame, v, memo):
+    """The push list of node v, built parent first from the nearest node
+    that has one; the empty word's is the identity on itself.  As (m x_i) a
+    = sum_j m (sigma_ij(a) x_j) + m delta_i(a), the list of u x_i takes
+    P_(u,w) o sigma_ij on w x_j and P_(u,w) o delta_i on w for each pair
+    (w, P_(u,w)) of u's list (Frame.push_after), summing the maps that meet
+    on one word and dropping zero sums."""
+    lists, parent, letter, path = memo.pushes, memo.parent, memo.letter, []
+    while lists[v] is None and v:
+        path.append(v)
+        v = parent[v]
+    pushes = lists[v]
+    if pushes is None:
+        pushes = lists[0] = ((0, frame.push_identity()),)
+        memo.size += 1
+    after, add, children, size = frame.push_after, frame.push_sum, memo.children, 0
+    for u in reversed(path):
+        i = letter[u]
+        steps = len(pushes) == 1 and (pushes[0][1].after.get(i) or after(pushes[0][1], i))
+        if steps and len(steps) == 1:  # one pair, one step, as on every diagonal frame
+            (w, _), ((j, f),) = pushes[0], steps
+            pushes = ((children[w].get(j) or memo.append(w, j)) if j else w, f),
+        else:
+            out = {}
+            for w, m in pushes:
+                kids = children[w]
+                for j, f in m.after.get(i) or after(m, i):
+                    x = (kids.get(j) or memo.append(w, j)) if j else w
+                    g = out.get(x)
+                    out[x] = f if g is None else add(g, f)
+            pushes = tuple(filter(_second, out.items()))  # zero sums are None
+        lists[u] = pushes
+        size += len(pushes)
+    memo.size += size
+    return pushes
 
 
 def _accumulate(terms, w, c, add=_add):
@@ -585,7 +564,7 @@ def mul(F, G):
     g_terms = [(nw, unwrap(gc)) for nw, gc in G.terms.items()]
     _check_push_budget(_product_words(F, G), "the product")
     out = {}
-    memo = PushMemo()
+    memo = frame_memo(frame)
     spelled = memo.spelled
     for mw, fc in F.terms.items():
         fc = unwrap(fc)

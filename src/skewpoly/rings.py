@@ -782,9 +782,9 @@ class QuaternionRing:
 
     def random_element(self, rng, height=4):
         """Small random quaternion: numerators in [-height, height], denominators in [1, 3]."""
-        def frac():
-            return Fraction(rng.randint(-height, height), rng.randint(1, 3))
-        return Quaternion(self, frac(), frac(), frac(), frac())
+        parts = [(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(4)]
+        den = lcm(*(d for _, d in parts))
+        return _quat_wrap(self, _quat_value(*(n * (den // d) for n, d in parts), den))
 
     def random_nonzero(self, rng, height=4):
         while True:

@@ -95,6 +95,7 @@ from skewpoly import (
     zero,
 )
 from skewpoly.evaluation import check_point
+from skewpoly.frames import QuatMap
 from skewpoly.freering import _accumulate
 from skewpoly.interpolation import independent_rows
 
@@ -701,6 +702,17 @@ def extend_reference(frame, val, point):
             acc = acc + sig[i][j] * point[j]
         out.append(acc)
     return out
+
+
+def quat_point_map_reference(frame, point):
+    """The maps T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v) of a quaternion
+    point built as catalog trees: each T_i the QuatMap sum of the
+    compositions rmul(a_j) o sigma_ij and of delta_i, compiled node by
+    node by the catalog, where the library sums the matrices directly."""
+    ring = frame.ring
+    return [QuatMap(ring, "sum", maps=[QuatMap(ring, "compose", maps=(QuatMap(ring, "rmul", a), s))
+                                       for s, a in zip(row, point) if not s.is_zero_map()] + [d])
+            for row, d in zip(frame.sigma, frame.delta)]
 
 
 def fundamental_table_reference(frame, point, d):

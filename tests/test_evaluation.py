@@ -25,8 +25,8 @@ from skewpoly import (
     variable,
     zero,
 )
-from skewpoly import freering
-from skewpoly.frames import block_frame
+from skewpoly import frames, freering
+from skewpoly.frames import Frame, block_frame
 from conftest import random_point, random_poly
 from oracles import conjugate_reference, divide_reference
 
@@ -94,12 +94,14 @@ def _assert_division_matches_reference(F, point):
     assert res.quotients == quotients and res.remainder == remainder
 
 
-@pytest.mark.parametrize("depth", [512, 2])
+@pytest.mark.parametrize("limit", [512, 2])
 @pytest.mark.parametrize("name", DIVIDE_FRAMES)
-def test_divide_matches_reference(name, depth, request, monkeypatch):
-    # depth 2 cuts the longer quotient prefixes, so the node sweep runs too
-    monkeypatch.setattr(freering, "_PUSH_DEPTH", depth)
-    frame = request.getfixturevalue(name)
+def test_divide_matches_reference(name, limit, request, monkeypatch):
+    # a limit of 2 gives every division an empty word table and empties the
+    # frame's map and image tables over and over within one division
+    monkeypatch.setattr(frames, "_MEMO_LIMIT", limit)
+    shared = request.getfixturevalue(name)
+    frame = Frame(shared.ring, shared.sigma, shared.delta)
     rng = random.Random(f"divide:{name}")
     max_deg = 6 if name.startswith("nondiag") or name.startswith("quat") else 9
     for k in range(12):
@@ -113,7 +115,7 @@ def test_divide_matches_reference(name, depth, request, monkeypatch):
 
 
 def test_long_word_division_matches_reference(frob_gf9_2, gf9):
-    # 600 letters: the longest quotient prefixes are cut at the default depth
+    # 600 letters, past the reference's own recursion depth
     rng = random.Random(600)
     word = tuple(rng.randint(1, 2) for _ in range(600))
     F = monomial(frob_gf9_2, word, gf9.gen()) + random_poly(frob_gf9_2, rng)
@@ -132,6 +134,31 @@ def test_divide_matches_reference_on_drawn_polynomials(conv_gf5_2, frob_gf4_2, f
     rng = random.Random(seed)
     F = random_poly(frame, rng, max_deg=max_deg, max_terms=max_terms)
     _assert_division_matches_reference(F, random_point(frame, rng))
+
+
+@pytest.mark.parametrize("name", DIVIDE_FRAMES)
+def test_divide_prediction_bounds_the_words_pushed(name, request, monkeypatch):
+    # every word that a push of the division returns counts against the
+    # budget's prediction, made before the first push
+    frame = request.getfixturevalue(name)
+    pushed, push = [0], freering._push
+
+    def counted(*args):
+        out = push(*args)
+        pushed[0] += len(out)
+        return out
+
+    monkeypatch.setattr(freering, "_push", counted)
+    rng = random.Random(f"predict:{name}")
+    max_deg = 7 if name.startswith("nondiag") else 9
+    total = 0
+    for k in range(10):
+        F = random_poly(frame, rng, max_deg=max_deg if k % 2 else 3, max_terms=5)
+        pushed[0] = 0
+        divide(F, random_point(frame, rng))
+        assert pushed[0] <= freering._divide_words(frame, F.terms)
+        total += pushed[0]
+    assert total > 10
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,9 @@ def test_reference_mul_agrees(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, 
             assert mul(F, G) == reference_mul(F, G)
 
 
-def test_pushes_through_cut_words_match_reference(frob_gf9_2, quat_inner_2, rng, monkeypatch):
-    # cutting every 2 letters runs the sweep that keeps long words off the
-    # Python stack; prefixes longest first with one memo, as division does
-    monkeypatch.setattr(freering, "_PUSH_DEPTH", 2)
+def test_prefix_pushes_match_reference(frob_gf9_2, quat_inner_2, rng):
+    # prefixes longest first with one memo, as division pushes them: the
+    # longest builds every list, the shorter ones find theirs built
     for frame in (frob_gf9_2, quat_inner_2):
         memo = PushMemo()
         word = tuple(rng.randint(1, 2) for _ in range(8))
@@ -207,33 +206,57 @@ def test_pushes_through_cut_words_match_reference(frob_gf9_2, quat_inner_2, rng,
             assert got == ref_word_times_constant(frame, word[:k], a)
 
 
-def test_cut_words_keep_the_stack_shallow(gf9, monkeypatch):
-    # Frobenius twist and an inner derivation over GF(9), one variable: each
-    # letter both keeps x (sigma) and drops it (delta), so prefixes are
-    # reached with several coefficients and the sweep must collect them all
-    frame = inner_frame(gf9, frobenius_frame(gf9, 1), (gf9.gen() + gf9.one(),))
-    monkeypatch.setattr(freering, "_PUSH_DEPTH", 8)
-    word, a = (1,) * 60, gf9.gen()
-    code = freering._push_recursive.__code__
-    depth = [0, 0]  # current and deepest nesting of the recursive push
+@pytest.fixture(scope="module")
+def inner_gf9_1(gf9):
+    """Frobenius twist and an inner derivation over GF(9), one variable:
+    each letter both keeps x (sigma) and drops it (delta), so the maps of
+    a push list meet on one word and sum."""
+    return inner_frame(gf9, frobenius_frame(gf9, 1), (gf9.gen() + gf9.one(),))
 
-    def profile(f, event, arg):
-        if f.f_code is code:
+
+def test_long_pushes_never_nest(inner_gf9_1, gf9):
+    # a 600-letter push builds 600 lists, parent first, without one push
+    # or list build inside another, and its deepest Python call chain is
+    # no deeper than that of a 6-letter push
+    codes = (freering._push.__code__, freering._push_list.__code__)
+
+    def profiled(word, a):
+        frame = Frame(gf9, inner_gf9_1.sigma, inner_gf9_1.delta)
+        # current and deepest nesting: of all calls, and of each push function
+        active, depth, other = {code: [0, 0] for code in codes}, [0, 0], [0, 0]
+
+        def profile(f, event, arg):
             if event == "call":
+                count = active.get(f.f_code, other)
                 depth[0] += 1
-                depth[1] = max(depth)
+                count[0] += 1
+                depth[1], count[1] = max(depth), max(count)
             elif event == "return":
                 depth[0] -= 1
+                active.get(f.f_code, other)[0] -= 1
 
-    sys.setprofile(profile)
-    try:
-        got = pushed(frame, word, a)
-    finally:
-        sys.setprofile(None)
-    assert got == ref_word_times_constant(frame, word, a)
-    assert len(got) > 2
-    # one piece of 8 letters plus the call that finds the next prefix memoized
-    assert depth[1] <= 9
+        sys.setprofile(profile)
+        try:
+            got = pushed(frame, word, a)
+        finally:
+            sys.setprofile(None)
+        assert [count[1] for count in active.values()] == [1, 1]
+        return frame, got, depth[1]
+
+    word, a = (1,) * 600, gf9.gen()
+    frame, got, deepest = profiled(word, a)
+    assert deepest == profiled(word[:6], a)[2]
+    # the reference expands from the left end on ring values, x^m keyed by
+    # m: x (c x^m) = sigma(c) x^(m+1) + delta(c) x^m
+    expect = {0: gf9.unwrap(a)}
+    for _ in word:
+        step = {}
+        for m, c in expect.items():
+            for key, d in ((m + 1, frame.sigma_val(c)[0][0][1]), (m, frame.delta_val(c)[0])):
+                step[key] = gf9.add_val(step.get(key, 0), d)
+        expect = {m: c for m, c in step.items() if c}
+    assert got == {(1,) * m: gf9.wrap(c) for m, c in expect.items()}
+    assert len(got) > 300
 
 
 PUSH_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondiag_gf8_2",
@@ -253,12 +276,14 @@ def _assert_pushes_match_reference(frame, cases):
                 == push_reference(frame, word, a, ref_memo))
 
 
-@pytest.mark.parametrize("depth", [512, 3])
+@pytest.mark.parametrize("limit", [512, 3])
 @pytest.mark.parametrize("name", PUSH_FRAMES)
-def test_node_pushes_match_reference(name, depth, request, monkeypatch):
-    # depth 3 cuts the 4- to 8-letter words, so the node sweep runs too
-    monkeypatch.setattr(freering, "_PUSH_DEPTH", depth)
-    frame = request.getfixturevalue(name)
+def test_node_pushes_match_reference(name, limit, request, monkeypatch):
+    # a limit of 3 empties the frame's map and image tables over and over,
+    # so lists hold maps the tables no longer know
+    monkeypatch.setattr(frames, "_MEMO_LIMIT", limit)
+    shared = request.getfixturevalue(name)
+    frame = Frame(shared.ring, shared.sigma, shared.delta)
     rng = random.Random(f"push:{name}")
     words = [tuple(rng.randint(1, frame.n) for _ in range(rng.randint(0, 8))) for _ in range(12)]
     # prefixes of the drawn words, longest first, and repeats, as in division
@@ -269,7 +294,7 @@ def test_node_pushes_match_reference(name, depth, request, monkeypatch):
 
 
 def test_long_node_pushes_match_reference(frob_gf9_2, gf9):
-    # past the default depth: 700 and 1100 letters, cut once and twice
+    # 700 and 1100 letters, past the reference's own recursion depth
     rng = random.Random(700)
     cases = []
     for length in (700, 1100):
@@ -281,21 +306,41 @@ def test_long_node_pushes_match_reference(frob_gf9_2, gf9):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(index=st.integers(0, len(PUSH_FRAMES) - 1),
        words=st.lists(st.lists(st.integers(1, 2), max_size=7), min_size=1, max_size=4),
-       seed=st.integers(0, 2 ** 32), depth=st.sampled_from([512, 2]))
+       seed=st.integers(0, 2 ** 32), limit=st.sampled_from([512, 2]))
 def test_node_pushes_match_reference_on_drawn_words(conv_gf5_2, frob_gf4_2, frob_gf9_2,
                                                      quat_inner_2, nondiag_gf8_2,
                                                      nondiag_gf8_2_inner, index, words,
-                                                     seed, depth):
+                                                     seed, limit):
     frame = (conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, nondiag_gf8_2,
              nondiag_gf8_2_inner)[index]
     rng = random.Random(seed)
-    saved = freering._PUSH_DEPTH
-    freering._PUSH_DEPTH = depth
+    saved = frames._MEMO_LIMIT
+    frames._MEMO_LIMIT = limit
     try:
         _assert_pushes_match_reference(
             frame, [(tuple(w), random_point(frame, rng)[0]) for w in words])
     finally:
-        freering._PUSH_DEPTH = saved
+        frames._MEMO_LIMIT = saved
+
+
+@pytest.mark.parametrize("name", PUSH_FRAMES + ("inner_gf9_1",))
+def test_push_lists_hold_exactly_the_nonzero_maps(name, request):
+    # a map is zero when it kills the additive basis: every listed map
+    # moves some basis element, and every word a basis push reaches is
+    # listed, for every word of up to 5 letters (up to 9 over one variable)
+    shared = request.getfixturevalue(name)
+    frame = Frame(shared.ring, shared.sigma, shared.delta)
+    ring, memo = frame.ring, PushMemo()
+    basis = [ring.unwrap(e) for e in ring.additive_basis()]
+    for word in monomials_below(frame.n, 6 if frame.n > 1 else 10):
+        v = memo.node(word)
+        reached = set()
+        for e in basis:
+            reached.update(freering._push(frame, v, e, memo))
+        listed = memo.pushes[v]
+        assert len({w for w, _ in listed}) == len(listed)
+        assert all(any(m.apply(e) for e in basis) for _, m in listed), word
+        assert reached == {w for w, _ in listed}, word
 
 
 # -- diagonal frames: one composite map per word ------------------------------
@@ -346,38 +391,81 @@ def test_composite_pushes_over_an_infinite_order_map_survive_emptied_tables(
     frame = Frame(conj_1_2i_quat_2.ring, conj_1_2i_quat_2.sigma, conj_1_2i_quat_2.delta)
     rng = random.Random(12)
     _assert_pushes_match_reference(frame, _prefix_cases(frame, rng, (1, 3, 7, 18, 30)))
-    assert len(frame._composites[1]) <= 4 and len(frame._composites[2]) <= 4
+    assert len(frame._push_maps) <= 4 and len(frame._push_images) <= 4
 
 
 def test_composite_tables_are_built_on_the_first_push_of_a_diagonal_frame(request):
+    # a fresh frame has no tables; after one product, a frame whose every
+    # branching is 1 has the one pair (u, sigma_u) in each list, and the
+    # others have some list of more pairs
     for name in PUSH_FRAMES:
         frame = request.getfixturevalue(name)
         fresh = Frame(frame.ring, frame.sigma, frame.delta)
-        assert fresh._composites is None
-        root = fresh.composite_root()
-        assert (root is not None) == (set(frame.branching) == {1}), name
+        assert fresh._push_memo is None and not fresh._push_maps and not fresh._push_images
+        ring = fresh.ring
+        a = ring.gen() if ring.is_finite else ring.i()
+        mul(monomial(fresh, (1, 2, 1)), constant(fresh, a))
+        memo = fresh._push_memo
+        lists = [(v, p) for v, p in enumerate(memo.pushes) if p is not None]
+        assert len(lists) == 4 and fresh._push_maps and fresh._push_images, name
+        if set(frame.branching) == {1}:
+            assert all(len(p) == 1 and p[0][0] == v for v, p in lists), name
+        else:
+            assert max(len(p) for _, p in lists) > 1, name
 
 
-def test_composite_pushes_step_once_per_node(frob_gf65536_2, monkeypatch):
-    # the pushes through the 400 prefixes of a 400-letter word make one
-    # composite step per prefix, and GF(2^16) has 16 Frobenius powers
-    gf = frob_gf65536_2.ring
-    frame = Frame(gf, frob_gf65536_2.sigma, frob_gf65536_2.delta)
-    steps, step = [0], Frame.composite_step
+class _Writes(list):
+    """A list that records the indices written, in order."""
 
-    def counted(self, c, i):
-        steps[0] += 1
-        return step(self, c, i)
+    def __init__(self, items):
+        super().__init__(items)
+        self.order = []
 
-    monkeypatch.setattr(Frame, "composite_step", counted)
+    def __setitem__(self, i, x):
+        self.order.append(i)
+        super().__setitem__(i, x)
+
+
+@pytest.mark.parametrize("name", ["frob_gf65536_2", "quat_inner_2", "nondiag_gf8_2_inner"])
+def test_push_lists_are_built_once_from_the_parent(name, request):
+    # the pushes through the prefixes of a word, longest first and then
+    # again, write each node's list once, after its parent's; over GF(2^16)
+    # the diagonal lists hold the 16 Frobenius powers at most
+    shared = request.getfixturevalue(name)
+    frame = Frame(shared.ring, shared.sigma, shared.delta)
+    ring = frame.ring
     rng = random.Random(400)
-    word, a = tuple(rng.randint(1, 2) for _ in range(400)), gf.random_nonzero(rng)
+    length = 400 if set(frame.branching) == {1} else 7
+    word, a = tuple(rng.randint(1, 2) for _ in range(length)), ring.random_nonzero(rng)
     memo = PushMemo()
-    for k in range(400, 0, -1):
-        v = memo.node(word[:k])
-        assert list(freering._push(frame, v, gf.unwrap(a), memo)) == [v]
-    assert steps[0] <= 400
-    assert len(frame._composites[1]) <= gf.k * frame.n
+    memo.pushes = writes = _Writes(memo.pushes)
+    for _ in range(2):
+        for k in range(length, 0, -1):
+            got = pushed(frame, word[:k], a, memo)
+            if length < 40 or k % 40 == 0:
+                assert got == ref_word_times_constant(frame, word[:k], a)
+    order = writes.order
+    assert sorted(order) == list(range(length + 1))
+    assert all(order.index(memo.parent[u]) < order.index(u) for u in order[1:])
+    if ring.is_finite and set(frame.branching) == {1}:
+        assert len(frame._push_maps) <= ring.k
+
+
+def test_frame_word_tables_are_bounded_and_kept_whole_through_a_call(frob_gf9_2, monkeypatch):
+    # a product takes the frame's table once and may fill it past the limit;
+    # the next call finds it full and starts an empty one
+    monkeypatch.setattr(frames, "_MEMO_LIMIT", 64)
+    frame = Frame(frob_gf9_2.ring, frob_gf9_2.sigma, frob_gf9_2.delta)
+    g = frame.ring.gen()
+    word = tuple(random.Random(64).randint(1, 2) for _ in range(100))
+    # x_i g = g^3 x_i on Frobenius GF(9)
+    F, G, FG = monomial(frame, word), constant(frame, g), monomial(frame, word, g ** 3 ** 100)
+    assert mul(F, G) == FG
+    first = frame._push_memo
+    assert first.size >= 100 * 101 // 2 + 100  # the letters of the prefixes, the lists
+    assert mul(monomial(frame, (1,)), G) == monomial(frame, (1,), g ** 3)
+    assert frame._push_memo is not first and frame._push_memo.size < 64
+    assert mul(F, G) == FG
 
 
 def test_push_memo_node_walks_from_the_shared_prefix():
@@ -613,9 +701,11 @@ def test_quaternion_kernels_build_elements_per_term_not_per_push(quat_inner_2, m
         made[0] = ops[0] = 0
         return fn(*args)
 
+    # a push is one normalized image per output word, so the products and
+    # the division make about two ring values per element they build
     P = run(mul, F, G)
-    assert made[0] == len(P.terms) and ops[0] > 10 * made[0]
+    assert made[0] == len(P.terms) and ops[0] >= 2 * made[0]
     res = run(divide, F, point)
-    assert made[0] == sum(len(q.terms) for q in res.quotients) + 1 and ops[0] > 10 * made[0]
+    assert made[0] == sum(len(q.terms) for q in res.quotients) + 1 and ops[0] >= 2 * made[0]
     run(evaluate, F, point)
     assert made[0] <= 2 and ops[0] > 10

@@ -33,6 +33,7 @@ from oracles import (
     evaluate_reference,
     extend_reference,
     fundamental_table_reference,
+    quat_point_map_reference,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -110,6 +111,17 @@ def test_point_map_matches_the_uncompiled_step_on_drawn_values(frames, name, see
     a = random_point(frame, rng, height=4)
     v = _element(frame.ring, rng)
     assert frame.point_map(a)(v) == tuple(extend_reference(frame, v, a))
+
+
+def test_quaternion_point_maps_match_their_catalog_trees(quat, quat_inner_2):
+    # the compiled T_i against the same sums built as QuatMap trees, on the
+    # additive basis (which fixes a Q-linear map) and on seeded values
+    rng = random.Random("catalog-trees")
+    for a in _points(quat_inner_2, rng, count=20):
+        phi, trees = quat_inner_2.point_map_val(a), quat_point_map_reference(quat_inner_2, a)
+        for v in _inputs(quat, rng, count=4):
+            v = quat.unwrap(v)
+            assert phi(v) == tuple(t.apply_val(v) for t in trees), (a, v)
 
 
 def test_point_cache_is_bounded(quat):

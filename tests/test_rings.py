@@ -249,6 +249,19 @@ def test_quaternion_products_match_fraction_reference(quat, rng):
             assert _is_normal(c)
 
 
+def test_random_quaternions_keep_their_draws(quat):
+    # the benchmark pools and the test data are drawn through these: the
+    # same rng calls, in the same order, give the same quaternions
+    rng = random.Random(2718)
+    assert [quat.random_element(rng).val for _ in range(3)] == [
+        (-2, 1, -2, -4, 2), (-2, -2, 3, -4, 2), (-4, -2, -8, -3, 2)]
+    assert [quat.random_element(rng, 2).val for _ in range(3)] == [
+        (-6, 0, -1, 0, 3), (1, -2, 2, -2, 2), (-6, 4, -4, -3, 6)]
+    assert [quat.random_nonzero(rng, 1).val for _ in range(3)] == [
+        (-1, 0, 0, 0, 2), (-6, -2, -3, 0, 6), (-1, -2, 2, -1, 2)]
+    assert rng.random() == 0.991361782740044
+
+
 def test_quaternion_normal_form(quat):
     half = quat("1/2", 0, -1, 0)
     assert (half.num, half.den) == ((1, 0, -2, 0), 2)
