@@ -142,6 +142,7 @@ def divide(F, point):
         if spelled[prefix] is None:
             # a slice of the killed word, not a walk up from the prefix
             spelled[prefix] = memo.word(v)[:-1]
+            memo.letters += depth[prefix]
         _accumulate(quot[i], prefix, c, add)
         # F <- F - c * prefix * (x_i - a_i), the x_i part cancelled above;
         # _push is looked up on its module so that a wrapper there sees it

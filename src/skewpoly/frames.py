@@ -304,13 +304,16 @@ class Frame:
     delta_i is not zero.  The push_* methods intern the maps of the push
     lists (see freering._push) and memoize their images, each table
     emptied at _MEMO_LIMIT entries; _push_memo, the frame's words and
-    their lists, is freering's.  A frame serves one thread at a time.
+    their lists, is freering's.  _factored, geometry's, holds the
+    factorization of the last point set a geometry call asked about: its
+    image echelon and the inverse square of its P-basis, one set at a
+    time.  A frame serves one thread at a time.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
 
     __slots__ = ("ring", "n", "sigma", "delta", "branching", "_sig_cache", "_del_cache",
-                 "_point_cache", "_push_maps", "_push_images", "_push_memo")
+                 "_point_cache", "_push_maps", "_push_images", "_push_memo", "_factored")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -326,6 +329,7 @@ class Frame:
         self._del_cache = {}
         self._point_cache = {}
         self._push_maps, self._push_images, self._push_memo = {}, {}, None
+        self._factored = None
 
     def sigma_val(self, v):
         """sigma at the ring value v (see the ring's unwrap), by rows: row i

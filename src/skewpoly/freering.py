@@ -165,42 +165,43 @@ class PushMemo:
 
     Words are integer nodes: node 0 is the empty word, and node v is the
     word of node parent[v] followed by the letter letter[v], with
-    depth[v] letters.  children[v] maps a letter i to the node of word v
-    followed by i, so appending a letter is one dict step and equal
-    words are equal nodes.  spelled[v] is the tuple of node v, or None
-    until it is first asked for; it is built at most once.  pushes[v] is
-    the push list of word v (see _push), or None until a push needs it;
-    size counts the letters of the words and the entries of the lists, and
-    bounds both the nodes and the spelled letters.  last is the node
-    node() returned last.  A memo serves one frame: mul, divide and
-    reconstruct share the frame's own (frame_memo) across calls.
+    depth[v] letters.  children maps (v, i) to the node of word v followed
+    by the letter i, one dict for the whole table, so appending a letter is
+    one dict step and equal words are equal nodes.  spelled[v] is the tuple
+    of node v, or None until it is first asked for, and letters counts the
+    letters spelled.  pushes[v] is the push list of word v (see _push), or
+    None until a push needs it; size counts the nodes and the entries of
+    the lists, so a chain of L nodes counts L, not the L(L + 1)/2 letters
+    of their words.  last is the node node() returned last.  A memo serves
+    one frame: mul, divide and reconstruct share the frame's own
+    (frame_memo) across calls.
     """
 
-    __slots__ = ("parent", "letter", "depth", "children", "spelled", "pushes", "size", "last")
+    __slots__ = ("parent", "letter", "depth", "children", "spelled", "letters", "pushes",
+                 "size", "last")
 
     def __init__(self):
         self.parent = [0]
         self.letter = [0]
         self.depth = [0]
-        self.children = [{}]
+        self.children = {}
         self.spelled = [()]
+        self.letters = 0
         self.pushes = [None]
         self.size = 0
         self.last = 0
 
     def append(self, v, i):
         """The node of word v followed by letter i."""
-        kids = self.children[v]
-        w = kids.get(i)
+        w = self.children.get((v, i))
         if w is None:
-            w = kids[i] = len(self.parent)
+            w = self.children[v, i] = len(self.parent)
             self.parent.append(v)
             self.letter.append(i)
             self.depth.append(self.depth[v] + 1)
-            self.children.append({})
             self.spelled.append(None)
             self.pushes.append(None)
-            self.size += self.depth[w]
+            self.size += 1
         return w
 
     def node(self, word):
@@ -224,10 +225,11 @@ class PushMemo:
             v = 0
         children = self.children
         for i in rest:
-            w = children[v].get(i)
+            w = children.get((v, i))
             v = self.append(v, i) if w is None else w
         if self.spelled[v] is None:
             self.spelled[v] = word
+            self.letters += len(word)
         self.last = v
         return v
 
@@ -244,15 +246,21 @@ class PushMemo:
                 u = self.parent[u]
             tail.reverse()
             t = spelled[v] = spelled[u] + tuple(tail)
+            self.letters += len(t)
         return t
 
 
 def frame_memo(frame):
     """The frame's PushMemo, a new one once its size reaches
-    frames._MEMO_LIMIT; a call takes it once, so it keeps its nodes."""
+    frames._MEMO_LIMIT; a call takes it once, so it keeps its nodes.  Once
+    its spellings hold that many letters they are forgotten, and the nodes
+    and lists kept."""
     memo = frame._push_memo
     if memo is None or memo.size >= frames._MEMO_LIMIT:
         memo = frame._push_memo = PushMemo()
+    elif memo.letters >= frames._MEMO_LIMIT:
+        memo.spelled = [()] + [None] * (len(memo.parent) - 1)
+        memo.letters = memo.last = 0
     return memo
 
 
@@ -298,13 +306,12 @@ def _push_list(frame, v, memo):
         steps = len(pushes) == 1 and (pushes[0][1].after.get(i) or after(pushes[0][1], i))
         if steps and len(steps) == 1:  # one pair, one step, as on every diagonal frame
             (w, _), ((j, f),) = pushes[0], steps
-            pushes = ((children[w].get(j) or memo.append(w, j)) if j else w, f),
+            pushes = ((children.get((w, j)) or memo.append(w, j)) if j else w, f),
         else:
             out = {}
             for w, m in pushes:
-                kids = children[w]
                 for j, f in m.after.get(i) or after(m, i):
-                    x = (kids.get(j) or memo.append(w, j)) if j else w
+                    x = (children.get((w, j)) or memo.append(w, j)) if j else w
                     g = out.get(x)
                     out[x] = f if g is None else add(g, f)
             pushes = tuple(filter(_second, out.items()))  # zero sums are None

@@ -20,8 +20,12 @@ their values form an invertible square S; the rows of T = S^-1 are the
 dual polynomials, and the border relations x_i s - (values of x_i s) T,
 one per non-standard x_i s with s standard, generate the polynomials
 vanishing on the basis, so closure membership is their vanishing.
-vandermonde() stays as the independent verifier and as the certificate
-of find_p_basis.
+A frame keeps this factorization for the last point set it was asked
+about and the P-basis it keeps (_factored): the echelon, then the value
+rows and T once asked for, so the rank, basis, interpolants, duals and
+closure of one set share one build.  vandermonde() stays as the
+independent verifier and as the certificate of find_p_basis, and never
+reads that slot.
 """
 
 from __future__ import annotations
@@ -126,6 +130,17 @@ def vandermonde(frame, points, d):
 # The image echelon
 # ---------------------------------------------------------------------------
 
+def _check_image_work(frame, M):
+    """Refuse the image echelon of M points past IMAGE_WORK_LIMIT predicted
+    n * M^3 ring operations."""
+    work = frame.n * M ** 3
+    if work > IMAGE_WORK_LIMIT:
+        raise InvalidInput(
+            f"the image echelon of {M} points in {frame.n} variables predicts {work} "
+            f"ring operations (n * M^3), over the limit of {IMAGE_WORK_LIMIT}"
+        )
+
+
 def _image_echelon(frame, points):
     """Leading coordinates of the image space of the points, ascending,
     and its standard monomials, in the global monomial order.
@@ -140,16 +155,9 @@ def _image_echelon(frame, points):
     seen, and FIFO order is the global order, so the kept labels are the
     rows that independent_rows keeps in the Vandermonde.  (phi_i of a
     scaled row c v mixes in phi_j(v) for every j with sigma_ij(c) != 0.)
-    More than IMAGE_WORK_LIMIT predicted n * M^3 ring operations are
-    refused before the first row.
+    Callers check _check_image_work first.
     """
     M = len(points)
-    work = frame.n * M ** 3
-    if work > IMAGE_WORK_LIMIT:
-        raise InvalidInput(
-            f"the image echelon of {M} points in {frame.n} variables predicts {work} "
-            f"ring operations (n * M^3), over the limit of {IMAGE_WORK_LIMIT}"
-        )
     if not M:
         return (), ()
     ring = frame.ring
@@ -179,6 +187,55 @@ def _inverse_square(frame, monos, rows):
     return _reduce_with_transform(frame.ring, [rows[m] for m in monos], len(monos))[1]
 
 
+class _Factorization:
+    """One point set factored: its leading coordinates and standard
+    monomials, the P-basis they keep, and, once _basis_square builds them,
+    the value rows of that basis and its inverse square T, as tuples."""
+
+    __slots__ = ("points", "lead", "standard", "basis", "rows", "inverse")
+
+    def __init__(self, points, lead, standard):
+        self.points, self.lead, self.standard = points, lead, standard
+        self.basis = tuple(points[k] for k in lead)
+        self.rows = self.inverse = None
+
+
+def _factored(frame, points):
+    """(lead, f) for checked points: the leading coordinates of their image
+    echelon, and a factorization f whose basis is the P-basis they keep and
+    whose standard monomials are theirs.
+
+    f is the frame's slot (Frame._factored), which holds the last set
+    factored.  A set equal to that set, or to the basis it keeps, is
+    answered from it: the basis has the same closure, hence the same
+    vanishing polynomials and standard monomials.  Any other set is
+    factored anew and replaces it.  The image budget is checked before
+    the slot is read, so a call is refused or answered the same whatever
+    the slot holds.
+    """
+    _check_image_work(frame, len(points))
+    f = frame._factored
+    if f is not None:
+        if points == f.points:
+            return f.lead, f
+        if points == f.basis:
+            return tuple(range(len(points))), f
+    lead, standard = _image_echelon(frame, points)
+    f = frame._factored = _Factorization(points, lead, standard)
+    return lead, f
+
+
+def _basis_square(frame, f):
+    """The value rows (see _value_rows) of f's standard monomials at its
+    basis and the inverse square T of _inverse_square, built on first use
+    and kept in f."""
+    if f.inverse is None:
+        rows = _value_rows(frame, f.standard, f.basis)
+        f.rows = {w: tuple(r) for w, r in rows.items()}
+        f.inverse = tuple(map(tuple, _inverse_square(frame, f.standard, rows)))
+    return f.rows, f.inverse
+
+
 def _check_membership_work(frame, M, rows, table=0):
     """Refuse membership work over M points predicted above
     MEMBERSHIP_WORK_LIMIT.  For each of at most M basis points it counts
@@ -206,16 +263,14 @@ def _closure_test(frame, generators):
     One call costs the values of the standard monomials at b and one dot
     product per relation, about n M^2 ring operations.
     """
-    lead, standard = _image_echelon(frame, generators)
-    basis = tuple(generators[k] for k in lead)
+    f = _factored(frame, generators)[1]
+    basis, standard = f.basis, f.standard
     ring = frame.ring
     if not basis:
         # the constant 1 generates the polynomials vanishing on no point
         one = ring.unwrap(ring.one())
         return basis, lambda b: iter([one])
-    # the generators and their P-basis share the standard monomials
-    rows = _value_rows(frame, standard, basis)
-    T = _inverse_square(frame, standard, rows)
+    rows, T = _basis_square(frame, f)
     is_standard = set(standard)
     relations = [(w, _combine(ring, row, T, len(basis)))
                  for w, row in rows.items() if w not in is_standard]
@@ -241,6 +296,7 @@ def _closure_test(frame, generators):
 def _probe_leads(frame, b, generators):
     """Whether b, appended to the generators, leads a coordinate of their
     image echelon, that is, lies outside their closure."""
+    _check_image_work(frame, len(generators) + 1)
     return len(generators) in _image_echelon(frame, generators + (b,))[0]
 
 
@@ -272,7 +328,7 @@ def find_p_basis(frame, points):
     """Scan points in input order, keeping each one independent from the
     kept set; the kept set is a P-basis of the closure of the input."""
     points = check_point_set(frame, points)
-    lead = set(_image_echelon(frame, points)[0])
+    lead = set(_factored(frame, points)[0])
     kept = tuple(p for k, p in enumerate(points) if k in lead)
     discarded = tuple(p for k, p in enumerate(points) if k not in lead)
     return PBasisResult(basis=kept, rank=len(kept), discarded=discarded, frame=frame)
@@ -280,7 +336,7 @@ def find_p_basis(frame, points):
 
 def rank_of(frame, points):
     """Rank of the closure of the given points."""
-    return len(_image_echelon(frame, check_point_set(frame, points))[0])
+    return len(_factored(frame, check_point_set(frame, points))[0])
 
 
 def in_closure(frame, b, generators):
@@ -293,7 +349,7 @@ def in_closure(frame, b, generators):
 def set_is_p_independent(frame, points):
     """Whether every point lies outside the closure of the others."""
     points = check_point_set(frame, points)
-    return len(_image_echelon(frame, points)[0]) == len(points)
+    return len(_factored(frame, points)[0]) == len(points)
 
 
 def closure_members(frame, generators):

@@ -27,11 +27,12 @@ from .errors import (
     NotPIndependent,
     NotSeparable,
 )
-from .evaluation import _value_rows, check_point, evaluate
+from .evaluation import check_point, evaluate
 from .freering import from_terms, zero
 from .geometry import (
     VERIFIER_WORK_LIMIT,
-    _image_echelon,
+    _basis_square,
+    _factored,
     _inverse_square,
     _vandermonde_values,
     check_point_set,
@@ -72,14 +73,14 @@ def lagrange_interpolate(frame, basis, values):
         raise InvalidInput("need exactly one value per basis point")
     if not basis:
         return zero(frame)
-    lead, standard = _image_echelon(frame, basis)
+    lead, f = _factored(frame, basis)
     if len(lead) < len(basis):
         k = min(set(range(len(basis))) - set(lead))
         raise NotPIndependent(f"point {k + 1} lies in the closure of its predecessors")
     ring = frame.ring
-    T = _inverse_square(frame, standard, _value_rows(frame, standard, basis))
+    T = _basis_square(frame, f)[1]
     coeffs = _combine(ring, [ring.unwrap(v) for v in values], T, len(basis))
-    return _polynomial(frame, standard, coeffs)
+    return _polynomial(frame, f.standard, coeffs)
 
 
 def _polynomial(frame, monos, coeffs):
@@ -166,15 +167,16 @@ def dual_p_basis(frame, basis, row_order=None):
     if M == 0:
         return DualPBasis(basis=(), duals=())
     if row_order is None:
-        monos = _image_echelon(frame, basis)[1]
-        rows = _value_rows(frame, monos, basis)
+        f = _factored(frame, basis)[1]
+        monos = f.standard
     else:
         V = vandermonde(frame, basis, M)
         monos = [V.row_labels[i] for i in independent_rows(V, order=row_order)]
-        rows = dict(zip(V.row_labels, _values(V)))
     if len(monos) != M:
         raise NotPIndependent("Vandermonde rank below #basis: points are P-dependent")
-    T = _inverse_square(frame, monos, rows)
+    # the verifier path builds its own square and never reads the frame's
+    T = (_basis_square(frame, f)[1] if row_order is None
+         else _inverse_square(frame, monos, dict(zip(V.row_labels, _values(V)))))
     return DualPBasis(basis=basis, duals=tuple(_polynomial(frame, monos, row) for row in T))
 
 

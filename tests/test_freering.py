@@ -22,9 +22,11 @@ from skewpoly import (
     RingMismatch,
     SkewPolynomial,
     ZeroPolynomial,
+    check_product_rule,
     constant,
     conventional_frame,
     divide,
+    evaluate,
     frobenius_frame,
     from_terms,
     inner_frame,
@@ -462,10 +464,32 @@ def test_frame_word_tables_are_bounded_and_kept_whole_through_a_call(frob_gf9_2,
     F, G, FG = monomial(frame, word), constant(frame, g), monomial(frame, word, g ** 3 ** 100)
     assert mul(F, G) == FG
     first = frame._push_memo
-    assert first.size >= 100 * 101 // 2 + 100  # the letters of the prefixes, the lists
+    assert first.size == 100 + 101  # the nodes of the prefixes, the entries of their lists
     assert mul(monomial(frame, (1,)), G) == monomial(frame, (1,), g ** 3)
     assert frame._push_memo is not first and frame._push_memo.size < 64
     assert mul(F, G) == FG
+
+
+def test_a_long_word_op_keeps_one_word_table_through_its_calls(frob_gf256_2):
+    # the nodes and list entries of a 400-letter word stay far below the
+    # limit, so the product, the division, its reconstruction and the
+    # product rule's product all share one table; counting the letters of
+    # its prefixes (80200) in the size made a new table at each call
+    frame = Frame(frob_gf256_2.ring, frob_gf256_2.sigma, frob_gf256_2.delta)
+    rng = random.Random(400)
+    word = tuple(rng.randint(1, 2) for _ in range(400))
+    F = monomial(frame, word, frame.ring.random_nonzero(rng))
+    G, a = random_nonzero_poly(frame, rng), random_point(frame, rng)
+    P = mul(F, G)
+    memo = frame._push_memo
+    res = divide(P, a)
+    assert res.remainder == evaluate(P, a) and frame._push_memo is memo
+    # the quotients spell every prefix of the word, more letters than the
+    # limit: the next call forgets those spellings and keeps the table
+    assert memo.letters >= frames._MEMO_LIMIT
+    assert res.reconstruct(frame, a) == P and frame._push_memo is memo
+    assert check_product_rule(F, G, a).ok and frame._push_memo is memo
+    assert memo.size < frames._MEMO_LIMIT
 
 
 def test_push_memo_node_walks_from_the_shared_prefix():
@@ -494,6 +518,8 @@ def test_push_memo_hash_conses_words():
     u = memo.append(memo.append(v, 2), 2)
     assert memo.spelled[u] is None
     assert memo.word(u) == (1, 2, 1, 2, 2) and memo.word(u) is memo.word(u)
+    # size counts nodes, one per letter appended, not the letters they spell
+    assert memo.size == len(memo.parent) - 1 == 5
 
 
 def test_degree_additivity(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2, rng):

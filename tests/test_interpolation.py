@@ -20,20 +20,24 @@ from skewpoly import (
     evaluate,
     find_p_basis,
     frobenius_frame,
+    is_two_sided,
     lagrange_interpolate,
     lagrange_via_vandermonde,
     monomial,
     mul,
     one,
     quotient_mul,
+    rank_of,
     reduce_mod_ideal,
     separator,
+    set_is_p_independent,
     variable,
     vandermonde,
     zero,
 )
-from skewpoly import interpolation, linalg
+from skewpoly import geometry, interpolation, linalg
 from skewpoly.errors import InvalidInput
+from skewpoly.frames import Frame
 from skewpoly.freering import count_monomials_below
 from skewpoly.geometry import CLOSURE_POINT_LIMIT
 from skewpoly.interpolation import independent_rows
@@ -549,3 +553,171 @@ def test_verifier_work_budget_admits_the_largest_jobs(gf5, monkeypatch):
             lagrange_via_vandermonde(frame, pts, [frame.ring.one()] * len(pts))
     with pytest.raises(InvalidInput, match="4251528"):
         lagrange_via_vandermonde(line, [(e,) for e in elements[:162]], [gf.one()] * 162)
+
+
+# ---------------------------------------------------------------------------
+# The frame's factorization slot
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def conv_gf3_2(gf3):
+    return conventional_frame(gf3, 2)
+
+
+@pytest.fixture(scope="module")
+def frob_gf8_2():
+    return frobenius_frame(FiniteField(2, 3), 2)
+
+
+SLOT_FRAMES = (
+    # fixture, whether the chain lists closures (F^n of GF(8)^2 and H are not listed)
+    ("frob_gf4_2", True),
+    ("conv_gf3_2", True),
+    ("frob_gf8_2", False),
+    ("quat_inner_2", False),
+)
+
+
+def _fresh(frame):
+    """A new frame with the maps of frame, its slot empty."""
+    return Frame(frame.ring, frame.sigma, frame.delta)
+
+
+def _count_builds(monkeypatch):
+    """Counts of the image echelon and inverse square builds from now on."""
+    counts = {"_image_echelon": 0, "_inverse_square": 0}
+    for name in counts:
+        def counted(*args, _work=getattr(geometry, name), _name=name):
+            counts[_name] += 1
+            return _work(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    return counts
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NotPIndependent as exc:
+        return str(exc)
+
+
+def _chain(frame_of, pts, values, closure):
+    """The answers of one set: its P-basis and rank, the interpolant and the
+    duals of the basis and of the set itself (refused when it is dependent),
+    the closure when listed, and last the P-basis of the set reversed; each
+    call asks frame_of() for its frame."""
+    res = find_p_basis(frame_of(), pts)
+    basis = res.basis
+    out = [res.basis, res.discarded, rank_of(frame_of(), pts),
+           set_is_p_independent(frame_of(), pts)]
+    for points in (basis, pts):
+        out.append(_outcome(lambda: lagrange_interpolate(
+            frame_of(), points, values[:len(points)]).terms))
+        out.append(_outcome(lambda: [D.terms for D in dual_p_basis(frame_of(), points).duals]))
+    if closure:
+        out += [closure_members(frame_of(), pts), is_two_sided(frame_of(), basis)]
+    out.append(find_p_basis(frame_of(), pts[::-1]).basis)
+    return out
+
+
+@pytest.mark.parametrize("name, closure", SLOT_FRAMES)
+def test_each_point_set_is_factored_once(name, closure, request, monkeypatch):
+    # the basis, rank, interpolant, duals and closure of one set share one
+    # image echelon and one inverse square
+    frame = _fresh(request.getfixturevalue(name))
+    rng = random.Random(f"slot-{name}")
+    counts = _count_builds(monkeypatch)
+    for sets, size in enumerate((3, 4, 4, 5), 1):
+        pts = seeded_set(frame, rng, size)
+        values = [frame.ring.random_nonzero(rng) for _ in pts]
+        basis = find_p_basis(frame, pts).basis
+        assert rank_of(frame, pts) == len(basis)
+        lagrange_interpolate(frame, basis, values[:len(basis)])
+        dual_p_basis(frame, basis)
+        if closure:
+            closure_members(frame, basis)
+        assert counts == {"_image_echelon": sets, "_inverse_square": sets}, pts
+
+
+def test_a_second_set_replaces_the_slot(frob_gf4_2, monkeypatch):
+    frame = _fresh(frob_gf4_2)
+    rng = random.Random("slot-replace")
+    first, second = seeded_set(frame, rng, 4), seeded_set(frame, rng, 4)
+    counts = _count_builds(monkeypatch)
+    builds = []
+    for pts in (first, first, second, first):
+        dual_p_basis(frame, find_p_basis(frame, pts).basis)
+        assert frame._factored.points == pts
+        builds.append(tuple(counts.values()))
+    assert builds == [(1, 1), (1, 1), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("name, closure", SLOT_FRAMES)
+def test_a_primed_slot_answers_as_a_fresh_frame(name, closure, request):
+    # every set of distinct points of a conventional frame is P-independent;
+    # in the other frames conjugates make dependent sets, whose P-basis is a
+    # proper subset
+    shared = request.getfixturevalue(name)
+    frame = _fresh(shared)
+    rng = random.Random(f"slot-answers-{name}")
+    dependent = 0
+    for size in (2, 3, 3, 4, 4, 5, 5, 6):
+        pts = seeded_set(frame, rng, size)
+        values = [frame.ring.random_nonzero(rng) for _ in pts]
+        want = _chain(lambda: _fresh(shared), pts, values, closure and size <= 4)
+        # a chain starts on the slot of the previous set, then of this set
+        # reversed, and answers from its own set's after its first call
+        for _ in range(2):
+            assert _chain(lambda: frame, pts, values, closure and size <= 4) == want, pts
+        dependent += len(want[1]) > 0
+    assert dependent or name == "conv_gf3_2"
+
+
+def test_a_primed_slot_is_refused_by_the_same_budgets(frob_gf4_2, monkeypatch):
+    frame = _fresh(frob_gf4_2)
+    pts = seeded_set(frame, random.Random("slot-budgets"), 5)
+    basis = find_p_basis(frame, pts).basis
+    values = [frame.ring.one()] * len(basis)
+    echelon = [lambda: find_p_basis(frame, pts), lambda: rank_of(frame, pts),
+               lambda: set_is_p_independent(frame, pts),
+               lambda: lagrange_interpolate(frame, basis, values),
+               lambda: dual_p_basis(frame, basis)]
+    membership = [lambda: closure_members(frame, basis), lambda: is_two_sided(frame, basis)]
+    for call in echelon + membership:
+        call()  # primes the slot with the basis and its square
+    assert frame._factored.inverse is not None
+    monkeypatch.setattr(geometry, "IMAGE_WORK_LIMIT", frame.n * len(basis) ** 3 - 1)
+    for call in echelon + membership:
+        with pytest.raises(InvalidInput, match="image echelon"):
+            call()
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "MEMBERSHIP_WORK_LIMIT", 0)
+    for call in echelon:
+        call()
+    for call in membership:
+        with pytest.raises(InvalidInput, match="membership tests"):
+            call()
+
+
+def test_a_poisoned_slot_leaves_the_verifiers_right(frob_gf4_2):
+    # the Vandermonde interpolant and the duals of a row order never read
+    # the slot, so they still cross-check the standard square
+    frame = _fresh(frob_gf4_2)
+    ring = frame.ring
+    rng = random.Random("slot-poison")
+    basis = find_p_basis(frame, seeded_set(frame, rng, 5)).basis
+    M = len(basis)
+    values = [ring.random_nonzero(rng) for _ in basis]
+    assert values != values[::-1]
+    lagrange_interpolate(frame, basis, values)
+    frame._factored.inverse = frame._factored.inverse[::-1]
+    F = lagrange_interpolate(frame, basis, values)
+    assert [evaluate(F, b) for b in basis] == values[::-1]
+    assert evaluate(dual_p_basis(frame, basis).duals[0], basis[-1]) == ring.one()
+    G = lagrange_via_vandermonde(frame, basis, values)
+    assert [evaluate(G, b) for b in basis] == values
+    order = reversed(range(count_monomials_below(frame.n, M)))
+    for i, D in enumerate(dual_p_basis(frame, basis, row_order=order).duals):
+        assert [evaluate(D, b) for b in basis] == [ring.one() if i == j else ring.zero()
+                                                  for j in range(M)]
