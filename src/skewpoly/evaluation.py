@@ -172,16 +172,20 @@ def fundamental(frame, word, point):
     return ring.wrap(val)
 
 
-def _value_rows(frame, words, points):
+def _value_rows(frame, words, points, rows=None):
     """Values (N_w(b_1), ..., N_w(b_M)), as ring values, of the empty word
     and of every x_i w with w in words, each from the row of its tail.
 
     The tail of each word must come earlier in words (or be empty): one
     compiled-map application per word and point gives all n extensions.
+    Given rows, the table of an earlier call over the same points, the new
+    rows go into it and the tails may be its words too, so a table can
+    grow one degree at a time.
     """
     maps = [frame.point_map_val(b) for b in points]
-    ring = frame.ring
-    rows = {(): [ring.unwrap(ring.one())] * len(points)}
+    if rows is None:
+        ring = frame.ring
+        rows = {(): [ring.unwrap(ring.one())] * len(points)}
     for w in words:
         ext = [phi(v) for phi, v in zip(maps, rows[w])]
         for i in range(frame.n):

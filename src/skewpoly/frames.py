@@ -301,19 +301,24 @@ class Frame:
     The compiled point maps of point_map_val are cached the same way, up to
     _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
     step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
-    delta_i is not zero.  The push_* methods intern the maps of the push
-    lists (see freering._push) and memoize their images, each table
-    emptied at _MEMO_LIMIT entries; _push_memo, the frame's words and
-    their lists, is freering's.  _factored, geometry's, holds the
-    factorization of the last point set a geometry call asked about: its
-    image echelon and the inverse square of its P-basis, one set at a
-    time.  A frame serves one thread at a time.
+    delta_i is not zero.  reach is (alpha, beta): alpha the most letters
+    one letter reaches through chains of nonzero sigma_ij, itself
+    included, and beta the most branchings summed over such a reach, which
+    bound the pushes of a division (freering._divide_words).  The push_*
+    methods intern the maps of the push lists (see freering._push) and
+    memoize their images, each table emptied at _MEMO_LIMIT entries;
+    _push_memo, the frame's words and their lists, is freering's.
+    _factored, geometry's, holds the factorization of the last point set
+    a geometry call asked about: its image echelon and the inverse square
+    of its P-basis, one set at a time.  A frame serves one thread at a
+    time.
     Use the module factories (conventional_frame, diagonal_frame, ...)
     rather than this constructor unless the maps are already known good.
     """
 
-    __slots__ = ("ring", "n", "sigma", "delta", "branching", "_sig_cache", "_del_cache",
-                 "_point_cache", "_push_maps", "_push_images", "_push_memo", "_factored")
+    __slots__ = ("ring", "n", "sigma", "delta", "branching", "reach", "_sig_cache",
+                 "_del_cache", "_point_cache", "_push_maps", "_push_images", "_push_memo",
+                 "_factored")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -325,6 +330,12 @@ class Frame:
         self.delta = tuple(delta)
         self.branching = tuple(sum(not m.is_zero_map() for m in row) + (not d.is_zero_map())
                                for row, d in zip(self.sigma, self.delta))
+        reach = [{i} for i in range(n)]
+        for _ in range(n):
+            reach = [r | {k for j in r for k in range(n) if not self.sigma[j][k].is_zero_map()}
+                     for r in reach]
+        self.reach = (max(map(len, reach)),
+                      max(sum(self.branching[j] for j in r) for r in reach))
         self._sig_cache = {}
         self._del_cache = {}
         self._point_cache = {}

@@ -131,17 +131,14 @@ def _divide_words(frame, terms):
     division meets holds l of u's letters, each turned into one of the at
     most alpha letters it reaches through nonzero sigma entries, whose
     branchings sum to at most beta: their pushes make at most
-    alpha beta^(l-1) C(|u|, l) words, summed over the terms u.  The smaller
-    bound is summed over l up to the largest degree, stopped past the limit.
+    alpha beta^(l-1) C(|u|, l) words, summed over the terms u (frame.reach
+    holds alpha and beta).  The smaller bound is summed over l up to the
+    largest degree, stopped past the limit.
     """
-    branching, n, sigma = frame.branching, frame.n, frame.sigma
+    branching, n = frame.branching, frame.n
     if max(branching) == 1:
         return sum(map(len, terms))
-    reach = [{i} for i in range(n)]
-    for _ in range(n):
-        reach = [r | {k for j in r for k in range(n) if not sigma[j][k].is_zero_map()}
-                 for r in reach]
-    alpha, beta = max(map(len, reach)), max(sum(branching[j] for j in r) for r in reach)
+    alpha, beta = frame.reach
     sizes, words = Counter(map(len, terms)), 0
     for length in range(1, max(sizes, default=0) + 1):
         bound = n ** length * min(max(branching) ** (length - 1), count_monomials_below(n, length))

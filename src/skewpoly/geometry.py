@@ -37,7 +37,7 @@ from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
 from .evaluation import _value_rows, check_point, conjugate, point_from_json, point_to_json
-from .freering import count_monomials_below, monomials_below
+from .freering import count_monomials_below, monomials_of_degree
 from .linalg import Matrix, _combine, _reduce_with_transform, echelon_insert
 from .rings import _span_codes
 
@@ -87,9 +87,23 @@ def vandermonde_rows(n, d):
     return count_monomials_below(n, d if n == 1 else min(d, 64))
 
 
-def _vandermonde_values(frame, points, d):
+def _vandermonde_values(frame, points, d, least=False):
     """The checked points, the row labels and the rows of ring values of
-    vandermonde(frame, points, d), refused unbuilt past the cell limit."""
+    vandermonde(frame, points, d), refused unbuilt past the cell limit.
+
+    The rows grow one degree at a time.  With least=True they stop at the
+    least degree e < d at which they have full column rank, giving the
+    labels and rows of vandermonde(frame, points, e), a prefix of degree
+    d's; when no such e exists they run on to d.  The rank is read off a
+    left echelon (echelon_insert) of the rows in order, tested only when
+    some degree below d has #points rows (never when n = 1), and a row
+    only when its tail's row entered the echelon: the row of x_i w is
+    T_i(row of w), T_i the frame's map of the point in each column, and
+    T_i(c r) = sum_l sigma_il(c) T_l(r) + delta_i(c) r, so a row that is a
+    left combination of earlier rows sends x_i to a combination of rows
+    already built.  The tested rows, at most 1 + n #points, thus span
+    what all rows of degree < e span.
+    """
     if d < 1:
         raise InvalidInput("degree bound must be >= 1")
     points = tuple(check_point(frame, p) for p in points)
@@ -104,8 +118,21 @@ def _vandermonde_values(frame, points, d):
             f"a degree-{d} Vandermonde over {len(points)} points has {size} cells, "
             f"over the limit of {VANDERMONDE_CELL_LIMIT}"
         )
-    rows = _value_rows(frame, monomials_below(n, d - 1), points)
-    monos = monomials_below(n, d)
+    M, ring = len(points), frame.ring
+    rows, monos, span, entered = _value_rows(frame, (), points), [()], {}, set()
+    test = least and vandermonde_rows(n, d - 1) >= M
+    for e in range(1, d):  # monos holds the monomials of degree < e
+        last = monos[len(monos) - n ** (e - 1):]  # those of degree e - 1
+        if test:
+            for m in last:
+                if (not m or m[1:] in entered) and echelon_insert(ring, span, rows[m]) is not None:
+                    entered.add(m)
+                    if len(span) == M:
+                        break
+            if len(span) == M:
+                break
+        _value_rows(frame, last, points, rows)
+        monos.extend(monomials_of_degree(n, e))
     return points, monos, [rows[m] for m in monos]
 
 

@@ -10,9 +10,10 @@ P-basis of the base followed by b.  All of them have degree < M.
 
 Polynomials of degree < M with given values are not unique (the
 Vandermonde of degree M has more rows than columns), so the verifiers
-here, lagrange_via_vandermonde (the left linear system over every
-monomial of degree < M) and dual_p_basis with a row_order (the square
-picked from the Vandermonde rows in that order), only promise equal
+here, lagrange_via_vandermonde (the left linear system over the
+monomials of degree < d, d <= M the least degree whose Vandermonde has
+full column rank) and dual_p_basis with a row_order (the square picked
+from the Vandermonde rows in that order), only promise equal
 *evaluations* on the closure.
 """
 
@@ -93,11 +94,16 @@ def _polynomial(frame, monos, coeffs):
 def lagrange_via_vandermonde(frame, basis, values):
     """Interpolant from the left linear system over the Vandermonde rows.
 
-    Solves coeffs * V = values with monomials of degree < #basis; an
-    inconsistent system means the points were not a P-basis of their
-    closure.  The solve takes about rows * M^2 ring operations for M
-    points; a job predicted to exceed VERIFIER_WORK_LIMIT is refused
-    before anything is built.
+    Solves coeffs * V = values over the Vandermonde V of the least
+    degree d <= M = #basis whose rows have full column rank M, or of
+    degree M when no lower degree has; an inconsistent system means the
+    points were not a P-basis of their closure.  The answer is the one
+    over all of degree M's rows: V's rows come first among them, and once
+    they have rank M the elimination finds every pivot among them, so the
+    later rows get coefficient 0.  Only the Vandermonde rows decide d.
+    The solve takes about rows * M^2 ring operations; a job predicted at
+    degree M to exceed VERIFIER_WORK_LIMIT, or VANDERMONDE_CELL_LIMIT
+    cells, is refused before anything is built.
     """
     basis = check_point_set(frame, basis)
     values = tuple(values)
@@ -114,7 +120,7 @@ def lagrange_via_vandermonde(frame, basis, values):
             f"over the limit of {VERIFIER_WORK_LIMIT}"
         )
     ring = frame.ring
-    _, monos, rows = _vandermonde_values(frame, basis, M)
+    _, monos, rows = _vandermonde_values(frame, basis, M, True)  # least degree
     try:
         coeffs = _solve(ring, rows, M, [ring.unwrap(v) for v in values])
     except NoSolution as exc:

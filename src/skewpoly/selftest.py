@@ -96,15 +96,21 @@ def selftest_cases(seed):
         return True
 
     def case_interpolation_agrees():
-        gf7 = FiniteField(7)
-        f = conventional_frame(gf7, 1)
-        pts = [(gf7(1),), (gf7(3),), (gf7(5),)]
-        vals = [gf7(2), gf7(0), gf7(6)]
-        F = lagrange_interpolate(f, pts, vals)
-        G = lagrange_via_vandermonde(f, pts, vals)
-        return all(
-            evaluate(F, p) == v and evaluate(G, p) == v for p, v in zip(pts, vals)
+        # one variable, and five points of GF(3)^2 whose Vandermonde rows
+        # reach full rank at degree 3, below the verifier's degree 5
+        gf3, gf7 = FiniteField(3), FiniteField(7)
+        line, plane = conventional_frame(gf7, 1), conventional_frame(gf3, 2)
+        jobs = (
+            (line, [(gf7(1),), (gf7(3),), (gf7(5),)], [gf7(2), gf7(0), gf7(6)]),
+            (plane, [(gf3(a), gf3(b)) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))],
+             [gf3(v) for v in (1, 2, 0, 1, 2)]),
         )
+        for f, pts, vals in jobs:
+            F = lagrange_interpolate(f, pts, vals)
+            G = lagrange_via_vandermonde(f, pts, vals)
+            if not all(evaluate(F, p) == v and evaluate(G, p) == v for p, v in zip(pts, vals)):
+                return False
+        return True
 
     def case_degree_additivity():
         fr = frobenius_frame(gf4, 2)

@@ -36,8 +36,10 @@ for every candidate row.  They use the library's vandermonde()
 and rank(), and work over any division ring.  Likewise the Vandermonde
 interpolation that the standard-monomial square replaced: the separator
 read off the left null space of the Vandermonde over the base, the
-Newton loop adding one separator multiple per point, and the duals
-solved on the first invertible square of Vandermonde rows.
+Newton loop adding one separator multiple per point, the duals solved
+on the first invertible square of Vandermonde rows, and the verifier
+interpolant solved over the whole Vandermonde of degree #basis, which
+the solve stopping at the least degree of full column rank replaced.
 
 The module keeps two more procedures that the library replaced: the
 trial-division irreducibility test (every monic divisor of degree up to
@@ -53,9 +55,10 @@ replaced, with the fundamental table and the evaluation built on it.
 The module keeps the product and division that the library's word
 nodes replaced: the push of a coefficient through a word given as a
 tuple, recursing on the slice word[:-1] with one memo per
-(word, coefficient) and cut every PUSH_REFERENCE_DEPTH letters, and
-the division that rescans the whole remainder for its leading monomial
-at every step.
+(word, coefficient) and cut every PUSH_REFERENCE_DEPTH letters, the
+division that rescans the whole remainder for its leading monomial at
+every step, and the division's push bound recomputing the frame's
+letter reach on every call.
 
 For the rational quaternions the module also keeps the reference
 semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
@@ -67,9 +70,10 @@ value_parts only reads a library value into Fractions, checking its
 normal form.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 from skewpoly import (
     Matrix,
@@ -94,10 +98,11 @@ from skewpoly import (
     vandermonde,
     zero,
 )
-from skewpoly.evaluation import check_point
+from skewpoly.evaluation import _value_rows, check_point
 from skewpoly.frames import QuatMap
-from skewpoly.freering import _accumulate
+from skewpoly.freering import PUSH_TERM_LIMIT, _accumulate, count_monomials_below
 from skewpoly.interpolation import independent_rows
+from skewpoly.linalg import _solve
 
 
 def monomial_values_by_division(frame, words, points, cache=None):
@@ -535,6 +540,23 @@ def dual_p_basis_reference(frame, basis):
     return tuple(duals)
 
 
+def lagrange_via_vandermonde_reference(frame, basis, values):
+    """The left linear system coeffs * V = values over every monomial of
+    degree < #basis: the whole Vandermonde of degree #basis, solved by
+    the library's pivot-square solve; NotPIndependent when inconsistent."""
+    basis = tuple(basis)
+    if not basis:
+        return zero(frame)
+    M, ring = len(basis), frame.ring
+    rows = _value_rows(frame, monomials_below(frame.n, M - 1), basis)
+    monos = monomials_below(frame.n, M)
+    try:
+        coeffs = _solve(ring, [rows[m] for m in monos], M, [ring.unwrap(v) for v in values])
+    except NoSolution as exc:
+        raise NotPIndependent("points do not form a P-basis of their closure") from exc
+    return from_terms(frame, [(m, ring.wrap(c)) for m, c in zip(monos, coeffs) if c])
+
+
 # ---------------------------------------------------------------------------
 # Linear-algebra references: elimination and the solve on [A | I]
 # ---------------------------------------------------------------------------
@@ -659,6 +681,30 @@ def _push_reference_recursive(frame, word, a, memo):
             _accumulate(out, w, coeff)
     memo[key] = out
     return out
+
+
+def divide_words_reference(frame, terms):
+    """The push bound of dividing the given terms, as the library's
+    _divide_words predicts it, with the letters each letter reaches
+    through nonzero sigma entries recomputed on every call."""
+    branching, n, sigma = frame.branching, frame.n, frame.sigma
+    if max(branching) == 1:
+        return sum(map(len, terms))
+    reach = [{i} for i in range(n)]
+    for _ in range(n):
+        reach = [r | {k for j in r for k in range(n) if not sigma[j][k].is_zero_map()}
+                 for r in reach]
+    alpha, beta = max(map(len, reach)), max(sum(branching[j] for j in r) for r in reach)
+    sizes, words = Counter(map(len, terms)), 0
+    for length in range(1, max(sizes, default=0) + 1):
+        bound = n ** length * min(max(branching) ** (length - 1), count_monomials_below(n, length))
+        weight = alpha * beta ** (length - 1)
+        if weight < bound:  # else it loses: the sum of the C(|u|, l) is at least 1
+            bound = min(bound, weight * sum(k * comb(size, length) for size, k in sizes.items()))
+        words += bound
+        if words > PUSH_TERM_LIMIT:
+            break
+    return words
 
 
 def divide_reference(F, point):

@@ -43,7 +43,7 @@ from skewpoly import frames, freering
 from skewpoly.frames import Frame, LinearMap, QuatMap, diagonal_frame
 from skewpoly.freering import PUSH_TERM_LIMIT, PushMemo, count_monomials_below, monomials_below
 from conftest import random_nonzero_poly, random_point, random_poly
-from oracles import push_reference
+from oracles import divide_words_reference, push_reference
 
 
 def ref_word_times_constant(frame, word, a):
@@ -649,6 +649,25 @@ def test_push_predictions(frob_gf9_2, quat_inner_2, nondiag_gf8_2_inner):
     one = nondiag_gf8_2_inner.ring.one()
     F = from_terms(nondiag_gf8_2_inner, [((1, 2) * 10, one), ((1,), one), ((1, 2), one), ((2, 1), one)])
     assert freering._product_words(F, constant(nondiag_gf8_2_inner, one)) == (2 ** 21 - 1) + 3 + 7 + 7
+
+
+def test_division_bounds_match_the_reference(conv_gf5_2, frob_gf9_2, quat_inner_2,
+                                             nondiag_gf8_2, nondiag_gf8_2_inner):
+    # the frame computes its letter reach once; every prediction stays the
+    # one recomputing it per division, also where reach runs through a
+    # chain x1 -> x2 -> x3 of nonzero sigma entries
+    gf4 = FiniteField(2, 2)
+    ident, nil = LinearMap.identity(gf4), LinearMap.zero(gf4)
+    chain = Frame(gf4, [[ident, ident, nil], [nil, ident, ident], [nil, nil, ident]], [nil] * 3)
+    assert chain.reach == (3, 5)
+    frames = (conv_gf5_2, frob_gf9_2, quat_inner_2, nondiag_gf8_2, nondiag_gf8_2_inner, chain)
+    for seed, frame in enumerate(frames):
+        rng = random.Random(seed)
+        for _ in range(30):
+            size = rng.randint(0, 6)
+            terms = [tuple(rng.randint(1, frame.n) for _ in range(rng.randint(0, 24)))
+                     for _ in range(size)]
+            assert freering._divide_words(frame, terms) == divide_words_reference(frame, terms)
 
 
 def test_mul_monomial_constant_refuses_a_push_past_the_limit(nondiag_gf8_2, monkeypatch):

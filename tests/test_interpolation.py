@@ -41,12 +41,13 @@ from skewpoly.frames import Frame
 from skewpoly.freering import count_monomials_below
 from skewpoly.geometry import CLOSURE_POINT_LIMIT
 from skewpoly.interpolation import independent_rows
-from skewpoly.linalg import Matrix
+from skewpoly.linalg import Matrix, rank
 from conftest import random_point, random_poly, seeded_set
 from oracles import (
     dual_p_basis_reference,
     independent_rows_reference,
     lagrange_interpolate_reference,
+    lagrange_via_vandermonde_reference,
     separator_reference,
 )
 
@@ -234,6 +235,72 @@ def test_vandermonde_solve_eliminates_no_square_above_the_point_count(frob_gf4_2
         assert [evaluate(F, b) for b in basis] == values
         assert shapes and all(rows <= len(basis) for rows, _ in shapes), shapes
         shapes.clear()
+
+
+def test_verifier_matches_the_whole_degree_solve(gf3, gf4, gf5, frob_gf4_2, nondiag_gf8_2_inner,
+                                                 quat_inner_2, frob_gf65536_2, monkeypatch):
+    # the verifier stops at the least degree whose Vandermonde has full
+    # column rank; solving over every row of degree M must give the same
+    # polynomial, or refuse the same sets.  P-dependent sets go on to
+    # degree M: they answer when the values are those of a polynomial and
+    # refuse when the values contradict their dependency.
+    solved = []
+    solve = interpolation._solve
+
+    def recording(ring, rows, ncols, b):
+        solved.append(len(rows))
+        return solve(ring, rows, ncols, b)
+
+    monkeypatch.setattr(interpolation, "_solve", recording)
+    frames = (
+        (conventional_frame(gf3, 2), 6), (frob_gf4_2, 6),
+        (frobenius_frame(FiniteField(2, 3), 2), 6), (frobenius_frame(gf4, 1), 4),
+        (conventional_frame(gf5, 1), 5), (conventional_frame(gf3, 3), 5),
+        (nondiag_gf8_2_inner, 6), (quat_inner_2, 4), (frob_gf65536_2, 6),
+    )
+    seen = set()
+    for seed, (frame, largest) in enumerate(frames):
+        rng, ring = random.Random(seed), frame.ring
+        for size in range(1, largest + 1):
+            for _ in range(3):
+                pts = seeded_set(frame, rng, size)
+                dependent = not set_is_p_independent(frame, pts)
+                least = next((d for d in range(1, size)
+                              if rank(vandermonde(frame, pts, d)) == size), size)
+                F = random_poly(frame, rng, size, 4)
+                drawn = [ring.random_element(rng) if ring.is_finite else ring.random_element(rng, 2)
+                         for _ in pts]
+                for values in (drawn, [evaluate(F, p) for p in pts]):
+                    try:
+                        want = lagrange_via_vandermonde_reference(frame, pts, values)
+                    except NotPIndependent:
+                        want = None
+                    solved.clear()
+                    try:
+                        got = lagrange_via_vandermonde(frame, pts, values)
+                    except NotPIndependent:
+                        assert want is None, (frame, pts)
+                    else:
+                        assert got == want, (frame, pts)
+                    assert solved == [count_monomials_below(frame.n, least)]
+                    seen.add((dependent, want is None, least < size))
+    # dependent sets answered and refused, and independent ones stopped early
+    assert {(True, False, False), (True, True, False), (False, False, True)} <= seen
+
+
+def test_verifier_cell_budget_refuses_before_any_row(gf5, monkeypatch):
+    # 10 points of GF(5)^3 pass the work budget (29524 rows x 10^2) and
+    # reach full rank below degree 10, but the cell budget at degree 10
+    # refuses them before any Vandermonde row is built
+    def refuse(*args):
+        raise AssertionError("a Vandermonde row was built")
+
+    monkeypatch.setattr(geometry, "_value_rows", refuse)
+    frame = conventional_frame(gf5, 3)
+    pts = list(all_points(frame))[:10]
+    with pytest.raises(InvalidInput, match="a degree-10 Vandermonde over 10 points has 295240 "
+                                           "cells, over the limit of 262144"):
+        lagrange_via_vandermonde(frame, pts, [gf5.one()] * len(pts))
 
 
 # ---------------------------------------------------------------------------
