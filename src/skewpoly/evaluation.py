@@ -10,16 +10,17 @@ per-monomial fundamental functions
 
 which the evaluate() fast path uses.  For a fixed point a every T_i is
 additive in v (Leroy's pseudo-linear map of a, in n variables), so
-Frame.point_map_val compiles the n maps of a once, on ring values, and
-caches them per frame: one step of the recursion is then one table
-lookup per chunk of the argument's digits over GF(p^k) (a single lookup
-when q <= 16) and one 4 x 4 integer product per variable over the
-quaternions.  evaluate, fundamental, fundamental_table and conjugate all
-step through the compiled maps.  _value_rows is the one walker of the
-recursion over several points at once: the Vandermonde rows,
-fundamental_table, the value rows of the standard monomials and the
-closure residues all come from it.  Points are plain tuples of ring
-elements of length frame.n.
+Frame.point_map_val builds the n maps of a once, on ring values, and
+caches them per frame.  One step of the recursion is then, over GF(p^k),
+a single table lookup when q <= 16 and otherwise one application of
+each distinct nonzero sigma_ij and delta_i through the frame's own
+compiled maps, combined with the point's coordinates; over the
+quaternions it is one 4 x 4 integer product per variable.  evaluate,
+fundamental, fundamental_table and conjugate all step through them.
+_value_rows is the one walker of the recursion over several points at
+once: the Vandermonde rows, fundamental_table, the value rows of the
+standard monomials and the closure residues all come from it.  Points
+are plain tuples of ring elements of length frame.n.
 """
 
 from __future__ import annotations
@@ -75,9 +76,11 @@ class DivisionResult:
     def reconstruct(self, frame, point):
         """Sum of quotient_i * (x_i - a_i) plus the remainder.
 
-        Runs on ring values: a quotient term c u gives c u x_i (u 1 = u, so
-        the unit needs no push) and -c (u a_i), the push of a_i through u,
-        through the frame's PushMemo; one element is built per result term.
+        Runs on ring values, summed on the nodes of the frame's PushMemo: a
+        quotient term c u gives c on the node of u x_i (u 1 = u, so the unit
+        needs no push) and -c (u a_i) on the output nodes of the push of a_i
+        through u.  Only the nodes that survive are spelled, and one element
+        is built per result term.
         """
         point = check_point(frame, point)
         ring = frame.ring
@@ -87,20 +90,20 @@ class DivisionResult:
                 raise RingMismatch("polynomials built over different frames")
         _check_push_budget(sum(_product_words(q, constant(frame, a))
                                for q, a in zip(self.quotients, point)), "the reconstruction")
-        out = {}
-        _accumulate(out, (), unwrap(self.remainder), add)
+        out = {}  # node -> ring value
+        _accumulate(out, 0, unwrap(self.remainder), add)
         memo = frame_memo(frame)
-        word = memo.word
+        node, append = memo.node, memo.append
         for i, (q, a) in enumerate(zip(self.quotients, point), 1):
             a = unwrap(a)
             for u, c in q.terms.items():
-                c = unwrap(c)
-                _accumulate(out, u + (i,), c, add)
+                c, v = unwrap(c), node(u)
+                _accumulate(out, append(v, i), c, add)
                 # looked up on its module, as in divide, so the tracer sees it
-                for w, pc in freering._push(frame, memo.node(u), a, memo).items():
-                    _accumulate(out, word(w), neg(times(c, pc)), add)
-        wrap = ring.wrap
-        return SkewPolynomial(frame, {w: wrap(c) for w, c in out.items()})
+                for w, pc in freering._push(frame, v, a, memo).items():
+                    _accumulate(out, w, neg(times(c, pc)), add)
+        word, wrap = memo.word, ring.wrap
+        return SkewPolynomial(frame, {word(v): wrap(c) for v, c in out.items()})
 
 
 def divide(F, point):
@@ -209,9 +212,10 @@ def evaluate(F, point):
     Agrees with divide(F, point).remainder; the division path is kept
     as an independent cross-check.  The fundamental values are cached in
     a trie of word suffixes: each word walks down its longest cached
-    suffix from the right, then extends leftwards, one compiled-map
-    application per new suffix giving all n of its one-letter
-    extensions.  The walk is iterative, so word length is bounded by
+    suffix from the right, then extends leftwards.  A node holds its
+    value, the n values of its one-letter extensions once the point map
+    has run on it (at most once per node), and only the children that
+    some word visits.  The walk is iterative, so word length is bounded by
     memory only.  It runs on ring values and builds one element, the
     value.
     """
@@ -221,16 +225,21 @@ def evaluate(F, point):
     ring = frame.ring
     unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
     total = 0
-    # node = (N_suffix(a), {variable index: node of the suffix extended by it})
-    root = (unwrap(ring.one()), {})
+    # node = [N_suffix(a), phi of it once run, {letter: node of the suffix extended by it}]
+    root = [unwrap(ring.one()), None, None]
     for w, c in F.terms.items():
         node = root
         for i in reversed(w):
-            children = node[1]
-            if not children:
-                for j, val in enumerate(phi(node[0]), 1):
-                    children[j] = (val, {})
-            node = children[i]
+            children = node[2]
+            child = children.get(i) if children else None
+            if child is None:
+                ext = node[1]
+                if ext is None:
+                    ext = node[1] = phi(node[0])
+                if children is None:
+                    children = node[2] = {}
+                child = children[i] = [ext[i - 1], None, None]
+            node = child
         total = add(total, times(unwrap(c), node[0]))
     return ring.wrap(total)
 

@@ -36,7 +36,8 @@ _QUAT_SAMPLE_PAIRS = 256
 _MEMO_LIMIT = 1 << 14
 # Compiled points one frame keeps before its point cache is emptied.
 _POINT_MEMO_LIMIT = 1 << 10
-# Entries of one chunk table of a compiled finite-field point map.
+# Entries of one chunk table of a compiled LinearMap, and the most
+# elements a field may have for its point maps to be one table.
 _CHUNK_ENTRIES = 16
 
 
@@ -44,12 +45,18 @@ class LinearMap:
     """Additive self-map of a finite field, stored as a k x k matrix over GF(p).
 
     ``mat[r][c]`` multiplies coefficient c of the argument into
-    coefficient r of the image.  Application sums the columns (the images
-    of the power-basis elements t^c, kept as element codes) scaled by the
-    argument's coefficients, in the field's own arithmetic.
+    coefficient r of the image; ``_cols`` holds the columns, the images of
+    the power-basis elements t^c, as element codes.  The map's one
+    compiled form, built on the first application and kept, cuts the
+    argument's base-p digits into chunks of at most _CHUNK_ENTRIES
+    values, one table per chunk holding the image code of every digit
+    pattern (a single table when q <= _CHUNK_ENTRIES); an image is the sum
+    of one entry per chunk.  For p > 16 no digit fits a table, and each
+    nonzero digit scales its column.  Push lists apply their maps the same
+    way (PushMap), and so do point maps when q > _CHUNK_ENTRIES.
     """
 
-    __slots__ = ("fld", "mat", "_cols")
+    __slots__ = ("fld", "mat", "_cols", "_compiled")
 
     def __init__(self, fld, mat):
         if not isinstance(fld, FiniteField):
@@ -61,21 +68,42 @@ class LinearMap:
         self.fld = fld
         self.mat = mat
         self._cols = tuple(_encode([row[c] for row in mat], p) for c in range(k))
+        self._compiled = None
 
     def apply(self, a):
         return FieldElement(self.fld, self.apply_val(self.fld.unwrap(a)))
 
     def apply_val(self, v):
         """The map on the integer code v of an element."""
-        fld = self.fld
-        p, add, mul = fld.p, fld.add_val, fld.mul_val
+        base, add, tables = self._compiled or self._compile()
         out = 0
+        if tables:
+            for table in tables:
+                out = add(out, table[v % base])
+                v //= base
+            return out
+        mul = self.fld.mul_val
         for col in self._cols:
             if not v:
                 break
-            v, d = divmod(v, p)
+            v, d = divmod(v, base)
             if d:
                 out = add(out, mul(d, col))
+        return out
+
+    def _compile(self):
+        """(base, add, tables): the chunk base p^width, the field's sum and
+        the chunk tables, each of p^width entries (the last may hold fewer
+        digits), or base p and no tables when p > 16."""
+        fld = self.fld
+        p, cols = fld.p, self._cols
+        width = 0  # base-p digits per chunk
+        while p ** (width + 1) <= _CHUNK_ENTRIES:
+            width += 1
+        add = xor if p == 2 else fld.add_val
+        tables = tuple(_span_codes(cols[start:start + width], p, add)
+                       for start in range(0, len(cols), width)) if width else ()
+        self._compiled = out = (p ** max(width, 1), add, tables)
         return out
 
     @classmethod
@@ -298,8 +326,10 @@ class Frame:
     value (the code of a field element, the tuple of a quaternion) are
     memoized per frame, so sharing one frame across calls is cheap.  Each
     memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
-    The compiled point maps of point_map_val are cached the same way, up to
-    _POINT_MEMO_LIMIT points.  branching[i] counts the words one push
+    The point maps of point_map_val are cached the same way, up to
+    _POINT_MEMO_LIMIT points; over GF(p^k) with q > 16 they hold no table
+    of their own, only the frame's maps, each compiled once, on its first
+    application (see LinearMap).  branching[i] counts the words one push
     step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
     delta_i is not zero.  reach is (alpha, beta): alpha the most letters
     one letter reaches through chains of nonzero sigma_ij, itself
@@ -451,9 +481,11 @@ class Frame:
         T_i is additive in v: it is the multivariate form of Leroy's
         pseudo-linear map of a (Leroy, *Pseudo-linear transformations and
         evaluation in Ore extensions*, 1995), and it maps N_m(a) to
-        N_(x_i m)(a).  Over GF(p^k) one application is a lookup per chunk
-        table (one in all when q <= 16), over the quaternions one 4 x 4
-        integer product per i.
+        N_(x_i m)(a).  Over GF(p^k) one application is one table lookup
+        when q <= 16, and otherwise applies each distinct nonzero sigma_ij
+        and delta_i once through its own compiled form and combines the
+        images with the point's codes (see _field_point_map); over the
+        quaternions it is one 4 x 4 integer product per i.
         """
         cache = self._point_cache
         try:
@@ -486,7 +518,8 @@ class Frame:
 class PushMap:
     """One map of a push list (see freering._push), interned per frame:
     ``key`` is its compiled form (see _compiled), ``apply`` applies it to a
-    ring value, and ``after`` holds, by letter i, the pairs of
+    ring value (over GF(p^k) the apply_val of a LinearMap, through its
+    chunk tables), and ``after`` holds, by letter i, the pairs of
     Frame.push_after once made.  PushMaps hash by identity."""
 
     __slots__ = ("key", "apply", "after", "sums")
@@ -501,63 +534,37 @@ class PushMap:
 
 
 def _field_point_map(frame, point):
-    """phi_a over GF(p^k) on codes, compiled from the codes of T_i(t^c) on
-    the power basis (n^2 k code operations: the point folded into the
-    frame's images of t^c).  The base-p digits of an argument are cut into
-    chunks of at most _CHUNK_ENTRIES values; each chunk's table, filled one
-    digit column at a time, holds the n image codes of every digit
-    pattern, and an image is the sum of one entry per chunk.  When
-    q <= _CHUNK_ENTRIES the single table is the map.  For p > 16 no digit
-    fits a table, and each nonzero digit scales its column (n code
-    products).
+    """phi_a over GF(p^k) on codes, with no table compiled for the point:
+    phi applies each distinct nonzero sigma_ij and delta_i of the frame
+    once (by identity), through the map's own compiled form, and combines
+    T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v) with the point's codes.
+    When q <= _CHUNK_ENTRIES, phi is tabulated on all q codes instead, so
+    a step is one lookup.
     """
-    fld, n = frame.ring, frame.n
-    p, k = fld.p, fld.k
-    add, mul = (xor if p == 2 else fld.add_val), fld.mul_val
-    rows = []  # rows[i][c] = the code of T_i(t^c)
+    fld = frame.ring
+    add, mul = (xor if fld.p == 2 else fld.add_val), fld.mul_val
+    slots, applies, rows = {}, [], []  # rows[i] = the pairs (map slot, code) of T_i
     for sigma_row, delta in zip(frame.sigma, frame.delta):
-        row = delta._cols
-        for m, a in zip(sigma_row, point):
-            if a.val and any(m._cols):
-                row = list(map(add, row, [mul(x, a.val) for x in m._cols]))
+        row = []
+        for m, c in [*zip(sigma_row, [a.val for a in point]), (delta, 1)]:
+            if c and not m.is_zero_map():
+                s = slots.get(id(m))
+                if s is None:
+                    s = slots[id(m)] = len(applies)
+                    applies.append(m.apply_val)
+                row.append((s, c))
         rows.append(row)
 
-    width = 0  # base-p digits per chunk
-    while p ** (width + 1) <= _CHUNK_ENTRIES:
-        width += 1
-    if not width:
-        columns, zero = list(zip(*rows)), (0,) * n
-
-        def scaled(x):
-            out = zero
-            for col in columns:
-                if not x:
-                    break
-                x, r = divmod(x, p)
-                if r:
-                    out = tuple(map(add, out, [mul(r, c) for c in col]))
-            return out
-
-        return scaled
-    base = p ** width
-    tables = [[_span_codes(row[start:start + width], p, add) for row in rows]
-              for start in range(0, k, width)]
-    first, *rest = [list(zip(*coords)) for coords in tables]
-    if not rest:
-        return first.__getitem__
-
     def apply(v):
-        x, r = divmod(v, base)
-        out = first[r]
-        for table in rest:
-            if not x:
-                break
-            x, r = divmod(x, base)
-            if r:
-                out = tuple(map(add, out, table[r]))
-        return out
+        images, out = [f(v) for f in applies], []
+        for row in rows:
+            acc = 0
+            for s, c in row:
+                acc = add(acc, mul(images[s], c))
+            out.append(acc)
+        return tuple(out)
 
-    return apply
+    return list(map(apply, range(fld.q))).__getitem__ if fld.q <= _CHUNK_ENTRIES else apply
 
 
 def _quat_point_map(frame, point):

@@ -88,34 +88,34 @@ def quat_inner_2(quat):
     return inner_frame(quat, sigma, beta)
 
 
-def _nondiagonal_gf8(with_delta):
-    """sigma(a) = P diag(a^2, a^4) P^-1 over GF(8), so every sigma_ij is
-    nonzero; delta is inner, delta(a) = sigma(a) beta - beta a, or zero."""
-    gf8 = FiniteField(2, 3)
-    w, one = gf8.gen(), gf8.one()
+def nondiagonal_frame(fld, with_delta):
+    """sigma(a) = P diag(a^2, a^4) P^-1 over a field of characteristic 2
+    (GF(8) in the fixtures), so every sigma_ij is nonzero; delta is inner,
+    delta(a) = sigma(a) beta - beta a, or zero."""
+    w, one = fld.gen(), fld.one()
     P = ((one, w), (one, one + w))
     P_inv = ((one + w, w), (one, one))  # det P = 1 in characteristic 2
     twists = (lambda a: a ** 2, lambda a: a ** 4)
 
     def entry(i, j):
         def apply(a):
-            return sum((P[i][k] * P_inv[k][j] * twists[k](a) for k in range(2)), gf8.zero())
+            return sum((P[i][k] * P_inv[k][j] * twists[k](a) for k in range(2)), fld.zero())
 
-        return LinearMap.from_function(gf8, apply)
+        return LinearMap.from_function(fld, apply)
 
     sigma = [[entry(i, j) for j in range(2)] for i in range(2)]
-    beta = (w, w * w + one) if with_delta else (gf8.zero(), gf8.zero())
-    return inner_frame(gf8, sigma, beta)
+    beta = (w, w * w + one) if with_delta else (fld.zero(), fld.zero())
+    return inner_frame(fld, sigma, beta)
 
 
 @pytest.fixture(scope="session")
 def nondiag_gf8_2():
-    return _nondiagonal_gf8(with_delta=False)
+    return nondiagonal_frame(FiniteField(2, 3), with_delta=False)
 
 
 @pytest.fixture(scope="session")
 def nondiag_gf8_2_inner():
-    return _nondiagonal_gf8(with_delta=True)
+    return nondiagonal_frame(FiniteField(2, 3), with_delta=True)
 
 
 def random_poly(frame, rng, max_deg=3, max_terms=4, height=2):

@@ -51,14 +51,20 @@ The module keeps the uncompiled step of evaluation, N_(x_i m)(a) =
 sum_j sigma_ij(N_m(a)) a_j + delta_i(N_m(a)) applied map by map through
 the frame's sigma/delta memos, which the library's compiled point maps
 replaced, with the fundamental table and the evaluation built on it.
+It also keeps the finite-field point map compiled for each point alone
+(chunk tables of the point's n image codes, or scaled columns for
+p > 16), which point maps built from the frame's own compiled maps
+replaced.
 
 The module keeps the product and division that the library's word
 nodes replaced: the push of a coefficient through a word given as a
 tuple, recursing on the slice word[:-1] with one memo per
 (word, coefficient) and cut every PUSH_REFERENCE_DEPTH letters, the
 division that rescans the whole remainder for its leading monomial at
-every step, and the division's push bound recomputing the frame's
-letter reach on every call.
+every step, the division's push bound recomputing the frame's
+letter reach on every call, and the reconstruction of a division that
+sums its terms on tuple words, which the sum on word-table nodes
+replaced.
 
 For the rational quaternions the module also keeps the reference
 semantics of the map catalog: a tree-walking interpreter of ``QuatMap``
@@ -74,6 +80,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from operator import xor
 
 from skewpoly import (
     Matrix,
@@ -98,11 +105,15 @@ from skewpoly import (
     vandermonde,
     zero,
 )
+from skewpoly import freering
+from skewpoly.errors import RingMismatch
 from skewpoly.evaluation import _value_rows, check_point
-from skewpoly.frames import QuatMap
-from skewpoly.freering import PUSH_TERM_LIMIT, _accumulate, count_monomials_below
+from skewpoly.frames import _CHUNK_ENTRIES, QuatMap
+from skewpoly.freering import (PUSH_TERM_LIMIT, _accumulate, _check_push_budget,
+                               _product_words, count_monomials_below, frame_memo)
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import _solve
+from skewpoly.rings import _span_codes
 
 
 def monomial_values_by_division(frame, words, points, cache=None):
@@ -731,6 +742,39 @@ def divide_reference(F, point):
     return [SkewPolynomial(frame, q) for q in quot], remainder
 
 
+def reconstruct_reference(result, frame, point):
+    """Sum of quotient_i * (x_i - a_i) plus the remainder of the
+    DivisionResult result, summed on tuple words.
+
+    Runs on ring values: a quotient term c u gives c u x_i (u 1 = u, so
+    the unit needs no push) and -c (u a_i), the push of a_i through u,
+    through the frame's PushMemo, each output node spelled as it comes;
+    one element is built per result term.
+    """
+    point = check_point(frame, point)
+    ring = frame.ring
+    unwrap, add, times, neg = ring.unwrap, ring.add_val, ring.mul_val, ring.neg_val
+    for q in result.quotients:
+        if q.frame is not frame:
+            raise RingMismatch("polynomials built over different frames")
+    _check_push_budget(sum(_product_words(q, constant(frame, a))
+                           for q, a in zip(result.quotients, point)), "the reconstruction")
+    out = {}
+    _accumulate(out, (), unwrap(result.remainder), add)
+    memo = frame_memo(frame)
+    word = memo.word
+    for i, (q, a) in enumerate(zip(result.quotients, point), 1):
+        a = unwrap(a)
+        for u, c in q.terms.items():
+            c = unwrap(c)
+            _accumulate(out, u + (i,), c, add)
+            # looked up on its module, as in divide, so the tracer sees it
+            for w, pc in freering._push(frame, memo.node(u), a, memo).items():
+                _accumulate(out, word(w), neg(times(c, pc)), add)
+    wrap = ring.wrap
+    return SkewPolynomial(frame, {w: wrap(c) for w, c in out.items()})
+
+
 # ---------------------------------------------------------------------------
 # The uncompiled recursion step of evaluation
 # ---------------------------------------------------------------------------
@@ -748,6 +792,66 @@ def extend_reference(frame, val, point):
             acc = acc + sig[i][j] * point[j]
         out.append(acc)
     return out
+
+
+def field_point_map_reference(frame, point):
+    """phi_a over GF(p^k) on codes, compiled for the point alone from the
+    codes of T_i(t^c) on the power basis (n^2 k code operations: the point
+    folded into the frame's images of t^c).  The base-p digits of an argument are cut into
+    chunks of at most _CHUNK_ENTRIES values; each chunk's table, filled one
+    digit column at a time, holds the n image codes of every digit
+    pattern, and an image is the sum of one entry per chunk.  When
+    q <= _CHUNK_ENTRIES the single table is the map.  For p > 16 no digit
+    fits a table, and each nonzero digit scales its column (n code
+    products).
+    """
+    fld, n = frame.ring, frame.n
+    p, k = fld.p, fld.k
+    add, mul = (xor if p == 2 else fld.add_val), fld.mul_val
+    rows = []  # rows[i][c] = the code of T_i(t^c)
+    for sigma_row, delta in zip(frame.sigma, frame.delta):
+        row = delta._cols
+        for m, a in zip(sigma_row, point):
+            if a.val and any(m._cols):
+                row = list(map(add, row, [mul(x, a.val) for x in m._cols]))
+        rows.append(row)
+
+    width = 0  # base-p digits per chunk
+    while p ** (width + 1) <= _CHUNK_ENTRIES:
+        width += 1
+    if not width:
+        columns, zero = list(zip(*rows)), (0,) * n
+
+        def scaled(x):
+            out = zero
+            for col in columns:
+                if not x:
+                    break
+                x, r = divmod(x, p)
+                if r:
+                    out = tuple(map(add, out, [mul(r, c) for c in col]))
+            return out
+
+        return scaled
+    base = p ** width
+    tables = [[_span_codes(row[start:start + width], p, add) for row in rows]
+              for start in range(0, k, width)]
+    first, *rest = [list(zip(*coords)) for coords in tables]
+    if not rest:
+        return first.__getitem__
+
+    def apply(v):
+        x, r = divmod(v, base)
+        out = first[r]
+        for table in rest:
+            if not x:
+                break
+            x, r = divmod(x, base)
+            if r:
+                out = tuple(map(add, out, table[r]))
+        return out
+
+    return apply
 
 
 def quat_point_map_reference(frame, point):

@@ -26,9 +26,10 @@ from skewpoly import (
     zero,
 )
 from skewpoly import frames, freering
+from skewpoly.evaluation import DivisionResult
 from skewpoly.frames import Frame, block_frame
-from conftest import random_point, random_poly
-from oracles import conjugate_reference, divide_reference
+from conftest import random_nonzero_poly, random_point, random_poly
+from oracles import conjugate_reference, divide_reference, reconstruct_reference
 
 
 def all_frames(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2):
@@ -78,10 +79,29 @@ def test_divide_reconstruction_and_uniqueness(
                 for g in res.quotients:
                     assert g.is_zero() or g.degree() < F.degree()
             # a perturbed remainder cannot reconstruct
-            from skewpoly.evaluation import DivisionResult
-
             bad = DivisionResult(res.quotients, res.remainder + frame.ring.one())
             assert bad.reconstruct(frame, a) != F
+
+
+def test_reconstruct_matches_reference(frob_gf65536_2, quat_inner_2):
+    # divisions of 1000-letter words over Frobenius GF(2^16)^2 and of
+    # quaternion inner-frame products; perturbed quotients and remainders
+    # reconstruct some other polynomial, the same on both paths
+    rng = random.Random("reconstruct")
+    frame, cases = frob_gf65536_2, []
+    for _ in range(2):
+        word = tuple(rng.randint(1, 2) for _ in range(1000))
+        F = monomial(frame, word, frame.ring.random_nonzero(rng))
+        cases.append((frame, mul(F, random_nonzero_poly(frame, rng)), random_point(frame, rng)))
+    for _ in range(8):
+        F, G = random_poly(quat_inner_2, rng), random_poly(quat_inner_2, rng)
+        cases.append((quat_inner_2, mul(F, G), random_point(quat_inner_2, rng)))
+    for frame, P, a in cases:
+        res = divide(P, a)
+        bad = DivisionResult([q + random_poly(frame, rng) for q in res.quotients],
+                             res.remainder + frame.ring.one())
+        assert res.reconstruct(frame, a) == reconstruct_reference(res, frame, a) == P
+        assert bad.reconstruct(frame, a) == reconstruct_reference(bad, frame, a)
 
 
 DIVIDE_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondiag_gf8_2",
@@ -184,6 +204,33 @@ def test_both_evaluation_paths_agree(
             F = random_poly(frame, rng)
             a = random_point(frame, rng)
             assert evaluate(F, a) == divide(F, a).remainder
+
+
+def test_evaluate_runs_the_point_map_once_per_extended_suffix(frob_gf65536_2, monkeypatch):
+    frame = frob_gf65536_2
+    rng = random.Random("walk")
+    u = tuple(rng.randint(1, 2) for _ in range(1000))
+    # words u g and x2 x1 u g: every suffix of the first is one of the second
+    U = monomial(frame, u, frame.ring.random_nonzero(rng))
+    P = mul(U + monomial(frame, (2, 1) + u, frame.ring.random_nonzero(rng)),
+            random_nonzero_poly(frame, rng))
+    a = random_point(frame, rng)
+    expect, point_map_val, calls = divide(P, a).remainder, Frame.point_map_val, []
+
+    def counted(self, point):
+        phi = point_map_val(self, point)
+
+        def wrapped(v):
+            calls.append(v)
+            return phi(v)
+
+        return wrapped
+
+    monkeypatch.setattr(Frame, "point_map_val", counted)
+    assert evaluate(P, a) == expect
+    # the suffixes w[j:] that a walk from the right end extends by w[j - 1]
+    extended = {w[j:] for w in P.terms for j in range(1, len(w) + 1)}
+    assert 1000 <= len(calls) <= len(extended)
 
 
 def test_evaluation_is_left_linear(frob_gf9_2, quat_inner_2, rng):

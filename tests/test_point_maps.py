@@ -1,12 +1,19 @@
-"""The compiled point maps of Frame.point_map against the uncompiled step.
+"""The point maps of Frame.point_map against the uncompiled step.
 
-phi_a(v) = (sum_j sigma_ij(v) a_j + delta_i(v))_i is compiled once per
-point: over GF(p^k) into chunk tables of the argument's digits, over the
-quaternions into one 4 x 4 integer matrix per variable.  Every frame
-shape is covered: k = 1 (GF(5)), odd p (GF(9), and GF(27), whose digits
-fill two chunks), both non-diagonal GF(8) frames, with and without delta,
-the quaternion inner frame, GF(2^8) and GF(2^16) (two and four chunks,
-the latter with an inner delta) and GF(17^2) (p > 16, each digit scaling its column).
+phi_a(v) = (sum_j sigma_ij(v) a_j + delta_i(v))_i.  Over GF(p^k) with
+q <= 16 it is one table per point; for larger q no point compiles
+anything: phi applies each distinct nonzero sigma_ij and delta_i through
+the map's own compiled form (chunk tables of its argument's digits, or
+scaled columns for p > 16, built when the map is first applied) and
+combines the images with the point's codes.  Over the quaternions it is
+one 4 x 4 integer matrix per variable.  Every frame shape is covered:
+k = 1 (GF(5)), odd p (GF(9), and GF(27), whose digits fill two chunks),
+both non-diagonal GF(8) frames, with and without delta, the quaternion
+inner frame, GF(2^8) and GF(2^16) (two and four chunks, the latter with
+an inner delta), the non-diagonal GF(2^8) frame with an inner delta,
+whose point maps apply six distinct maps, and GF(17^2) (p > 16, each
+digit scaling its column).  The finite-field maps are also checked
+against the per-point compile they replaced (oracles).
 """
 
 import json
@@ -19,19 +26,22 @@ from hypothesis import strategies as st
 
 from skewpoly import (
     FiniteField,
+    LinearMap,
     conjugate,
     conventional_frame,
     evaluate,
     frobenius_frame,
     fundamental_table,
 )
-from skewpoly.frames import _POINT_MEMO_LIMIT, frame_from_json
+from skewpoly import frames as frames_module
+from skewpoly.frames import _POINT_MEMO_LIMIT, Frame, frame_from_json
 from skewpoly.rings import ring_from_json
-from conftest import random_nonzero_poly, random_point
+from conftest import nondiagonal_frame, random_nonzero_poly, random_point
 from oracles import (
     conjugate_reference,
     evaluate_reference,
     extend_reference,
+    field_point_map_reference,
     fundamental_table_reference,
     quat_point_map_reference,
 )
@@ -39,7 +49,9 @@ from oracles import (
 DATA = pathlib.Path(__file__).parent / "data"
 
 FRAMES = ("conv_gf5_2", "frob_gf9_2", "frob_gf27_2", "nondiag_gf8_2", "nondiag_gf8_2_inner",
-          "quat_inner_2", "frob_gf256_2", "inner_gf65536_2", "frob_gf289_2")
+          "quat_inner_2", "frob_gf256_2", "inner_gf65536_2", "nondiag_gf256_2_inner",
+          "frob_gf289_2")
+FIELD_FRAMES = tuple(name for name in FRAMES if name != "quat_inner_2")
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +63,13 @@ def frob_gf27_2():
 def inner_gf65536_2():
     job = json.loads((DATA / "gf65536_job.json").read_text())
     return frame_from_json(ring_from_json(job["ring"]), job["frame"])
+
+
+@pytest.fixture(scope="module")
+def nondiag_gf256_2_inner():
+    # through JSON, so no two entries of sigma and delta are one object
+    fld = FiniteField(2, 8)
+    return frame_from_json(fld, nondiagonal_frame(fld, with_delta=True).to_json())
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +106,43 @@ def test_point_map_matches_the_uncompiled_step(name, frames):
         assert frame.point_map_val(a) is frame.point_map_val(a)
         for v in _inputs(frame.ring, rng):
             assert phi(v) == tuple(extend_reference(frame, v, a)), (a, v)
+
+
+@pytest.mark.parametrize("name", FIELD_FRAMES)
+def test_field_point_map_matches_the_per_point_compile(name, frames):
+    frame = frames[name]
+    ring = frame.ring
+    rng = random.Random(f"per-point-{name}")
+    for a in _points(frame, rng):
+        phi, ref = frame.point_map_val(a), field_point_map_reference(frame, a)
+        for v in map(ring.unwrap, _inputs(ring, rng)):
+            assert phi(v) == ref(v), (a, v)
+
+
+def test_point_maps_compile_no_table_per_point(frob_gf65536_2, monkeypatch):
+    # the one Frobenius map of the frame compiles its four chunk tables when
+    # first applied; 200 points then compile none
+    fld, span_codes, calls = frob_gf65536_2.ring, frames_module._span_codes, []
+
+    def counted(*args):
+        calls.append(args)
+        return span_codes(*args)
+
+    monkeypatch.setattr(frames_module, "_span_codes", counted)
+    frob, zero = LinearMap.frobenius(fld), LinearMap.zero(fld)
+    frame = Frame(fld, [[frob, zero], [zero, frob]], [zero, zero])
+    rng = random.Random("no-table-per-point")
+    points = [random_point(frame, rng) for _ in range(200)]
+    assert not calls
+    for a in points:
+        phi = frame.point_map_val(a)
+        assert len(calls) == (0 if a is points[0] else 4)
+        v = fld.random_element(rng)
+        got = phi(v.val)
+        assert len(calls) == 4
+        # the shared frame holds equal maps, compiled in its validation
+        assert got == tuple(map(fld.unwrap, extend_reference(frob_gf65536_2, v, a))), (a, v)
+    assert len(calls) == 4 and len(frame._point_cache) == 200
 
 
 @pytest.mark.parametrize("name", FRAMES)
