@@ -12,11 +12,10 @@ which the evaluate() fast path uses.  For a fixed point a every T_i is
 additive in v (Leroy's pseudo-linear map of a, in n variables), so
 Frame.point_map_val builds the n maps of a once, on ring values, and
 caches them per frame.  One step of the recursion is then, over GF(p^k),
-a single table lookup when q <= 16 and otherwise one application of
-each distinct nonzero sigma_ij and delta_i through the frame's own
-compiled maps, combined with the point's coordinates; over the
-quaternions it is one 4 x 4 integer product per variable.  evaluate,
-fundamental, fundamental_table and conjugate all step through them.
+a single table lookup when q <= 16 and otherwise one lookup per term of
+the linearized polynomials of the T_i; over the quaternions it is one
+4 x 4 integer product per variable.  evaluate, fundamental,
+fundamental_table and conjugate all step through them.
 _value_rows is the one walker of the recursion over several points at
 once: the Vandermonde rows, fundamental_table, the value rows of the
 standard monomials and the closure residues all come from it.  Points
@@ -212,35 +211,37 @@ def evaluate(F, point):
     Agrees with divide(F, point).remainder; the division path is kept
     as an independent cross-check.  The fundamental values are cached in
     a trie of word suffixes: each word walks down its longest cached
-    suffix from the right, then extends leftwards.  A node holds its
-    value, the n values of its one-letter extensions once the point map
-    has run on it (at most once per node), and only the children that
-    some word visits.  The walk is iterative, so word length is bounded by
-    memory only.  It runs on ring values and builds one element, the
-    value.
+    suffix from the right, then extends leftwards.  The trie is flat:
+    node 0 is the empty suffix, vals[v] is N of node v's suffix, exts[v]
+    the n values of its one-letter extensions once the point map has run
+    on it (at most once per node), and children maps
+    v * (n + 1) + letter to the node of the suffix extended by the letter,
+    for the children that some word visits.  So an extended node costs
+    one tuple, phi's result.  The walk is iterative, so word length is
+    bounded by memory only.  It runs on ring values and builds one
+    element, the value.
     """
     frame = F.frame
     point = check_point(frame, point)
     phi = frame.point_map_val(point)
     ring = frame.ring
     unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
-    total = 0
-    # node = [N_suffix(a), phi of it once run, {letter: node of the suffix extended by it}]
-    root = [unwrap(ring.one()), None, None]
+    stride, total = frame.n + 1, 0
+    vals, exts, children = [unwrap(ring.one())], [None], {}
     for w, c in F.terms.items():
-        node = root
+        node = 0
         for i in reversed(w):
-            children = node[2]
-            child = children.get(i) if children else None
+            key = node * stride + i
+            child = children.get(key)
             if child is None:
-                ext = node[1]
+                ext = exts[node]
                 if ext is None:
-                    ext = node[1] = phi(node[0])
-                if children is None:
-                    children = node[2] = {}
-                child = children[i] = [ext[i - 1], None, None]
+                    ext = exts[node] = phi(vals[node])
+                child = children[key] = len(vals)
+                vals.append(ext[i - 1])
+                exts.append(None)
             node = child
-        total = add(total, times(unwrap(c), node[0]))
+        total = add(total, times(unwrap(c), vals[node]))
     return ring.wrap(total)
 
 

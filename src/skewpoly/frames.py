@@ -10,7 +10,8 @@ delta[i](a) extend to an associative, degree-additive ring product:
 
 Additive maps over GF(p^k) are k x k matrices over GF(p) acting on
 power-basis coefficient vectors; every additive self-map of GF(p^k) is
-of this form.  Over the rational quaternions the maps are written in a
+of this form, and each is applied as its linearized polynomial (see
+LinearMap).  Over the rational quaternions the maps are written in a
 small symbolic catalog (left/right constant multiplications,
 conjugation, sums and compositions) and compiled to 4 x 4 rational
 matrices acting on the coordinates (w, x, y, z).
@@ -21,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, lcm
-from operator import xor
 
 from .errors import InvalidFrame, RingMismatch
 from .linalg import Matrix, mat_mul
-from .rings import (FieldElement, FiniteField, Quaternion, _digits, _encode, _quat_value,
-                    _span_codes)
+from .rings import FieldElement, FiniteField, Quaternion, _digits, _encode, _quat_value
 
 # Fixed seed for the sampled part of quaternion-frame validation.
 _QUAT_SAMPLE_SEED = 0x5EED
@@ -36,8 +35,7 @@ _QUAT_SAMPLE_PAIRS = 256
 _MEMO_LIMIT = 1 << 14
 # Compiled points one frame keeps before its point cache is emptied.
 _POINT_MEMO_LIMIT = 1 << 10
-# Entries of one chunk table of a compiled LinearMap, and the most
-# elements a field may have for its point maps to be one table.
+# The most elements a field may have for its point maps to be one table.
 _CHUNK_ENTRIES = 16
 
 
@@ -46,17 +44,21 @@ class LinearMap:
 
     ``mat[r][c]`` multiplies coefficient c of the argument into
     coefficient r of the image; ``_cols`` holds the columns, the images of
-    the power-basis elements t^c, as element codes.  The map's one
-    compiled form, built on the first application and kept, cuts the
-    argument's base-p digits into chunks of at most _CHUNK_ENTRIES
-    values, one table per chunk holding the image code of every digit
-    pattern (a single table when q <= _CHUNK_ENTRIES); an image is the sum
-    of one entry per chunk.  For p > 16 no digit fits a table, and each
-    nonzero digit scales its column.  Push lists apply their maps the same
-    way (PushMap), and so do point maps when q > _CHUNK_ENTRIES.
+    the power-basis elements t^c, as element codes.  The two define the map
+    for JSON, equality and hashing.  Its one compiled form, built on the
+    first application and kept, is its linearized polynomial
+    L(v) = sum_e c_e v^(p^e), which every GF(p)-linear map of GF(p^k) is
+    (Lidl & Niederreiter, *Finite Fields*, ch. 3): with b_j the trace-dual
+    basis of the power basis, v = sum_j Tr(b_j v) t^j, so
+    c_e = sum_j L(t^j) b_j^(p^e).  An image is then
+    sum_e g^((p^e log v) mod (q - 1) + log c_e), one lookup per nonzero
+    term.  A Frobenius power or a scalar map has one term, and so does
+    every map when k = 1.  Push lists apply their maps the same way
+    (PushMap), and point maps sum the terms of the frame's maps
+    (_field_point_map).
     """
 
-    __slots__ = ("fld", "mat", "_cols", "_compiled")
+    __slots__ = ("fld", "mat", "_cols", "_linearized")
 
     def __init__(self, fld, mat):
         if not isinstance(fld, FiniteField):
@@ -68,42 +70,40 @@ class LinearMap:
         self.fld = fld
         self.mat = mat
         self._cols = tuple(_encode([row[c] for row in mat], p) for c in range(k))
-        self._compiled = None
+        self._linearized = None
 
     def apply(self, a):
         return FieldElement(self.fld, self.apply_val(self.fld.unwrap(a)))
 
     def apply_val(self, v):
         """The map on the integer code v of an element."""
-        base, add, tables = self._compiled or self._compile()
-        out = 0
-        if tables:
-            for table in tables:
-                out = add(out, table[v % base])
-                v //= base
-            return out
-        mul = self.fld.mul_val
-        for col in self._cols:
-            if not v:
-                break
-            v, d = divmod(v, base)
-            if d:
-                out = add(out, mul(d, col))
+        terms, exp, log, units, add = self._linearized or self._linearize()
+        if not v:
+            return 0
+        lv, out = log[v], 0
+        for shift, lc in terms:
+            out = add(out, exp[shift * lv % units + lc])
         return out
 
-    def _compile(self):
-        """(base, add, tables): the chunk base p^width, the field's sum and
-        the chunk tables, each of p^width entries (the last may hold fewer
-        digits), or base p and no tables when p > 16."""
+    def terms(self):
+        """The pairs (p^e, log c_e) of the nonzero coefficients of the map's
+        linearized polynomial, e ascending."""
+        return (self._linearized or self._linearize())[0]
+
+    def _linearize(self):
+        """The compiled form (terms, exp, log, q - 1, add): the terms, then
+        the field's tables and its sum; k^2 field operations, once."""
         fld = self.fld
-        p, cols = fld.p, self._cols
-        width = 0  # base-p digits per chunk
-        while p ** (width + 1) <= _CHUNK_ENTRIES:
-            width += 1
-        add = xor if p == 2 else fld.add_val
-        tables = tuple(_span_codes(cols[start:start + width], p, add)
-                       for start in range(0, len(cols), width)) if width else ()
-        self._compiled = out = (p ** max(width, 1), add, tables)
+        p, exp, log, units, add = fld.p, fld._exp, fld._log, fld._units, fld.add_val
+        cols = [(log[c], log[b]) for c, b in zip(self._cols, fld.trace_dual()) if c]
+        terms = []
+        for e in range(fld.k):
+            shift, c = p ** e, 0
+            for lc, lb in cols:
+                c = add(c, exp[lc + shift * lb % units])
+            if c:
+                terms.append((shift, log[c]))
+        self._linearized = out = (tuple(terms), exp, log, units, add)
         return out
 
     @classmethod
@@ -327,17 +327,19 @@ class Frame:
     memoized per frame, so sharing one frame across calls is cheap.  Each
     memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
     The point maps of point_map_val are cached the same way, up to
-    _POINT_MEMO_LIMIT points; over GF(p^k) with q > 16 they hold no table
-    of their own, only the frame's maps, each compiled once, on its first
-    application (see LinearMap).  branching[i] counts the words one push
-    step makes of the letter x_i: its nonzero sigma_ij, plus 1 when
-    delta_i is not zero.  reach is (alpha, beta): alpha the most letters
-    one letter reaches through chains of nonzero sigma_ij, itself
-    included, and beta the most branchings summed over such a reach, which
-    bound the pushes of a division (freering._divide_words).  The push_*
-    methods intern the maps of the push lists (see freering._push) and
-    memoize their images, each table emptied at _MEMO_LIMIT entries;
-    _push_memo, the frame's words and their lists, is freering's.
+    _POINT_MEMO_LIMIT points; over GF(p^k) with q > 16 each holds the
+    terms of the point's n linearized polynomials, summed from those of
+    the frame's maps, each map linearized once (see LinearMap).
+    branching[i] counts the words one push step makes of the letter x_i:
+    its nonzero sigma_ij, plus 1 when delta_i is not zero.  reach is
+    (alpha, beta): alpha the most letters one letter reaches through
+    chains of nonzero sigma_ij, itself included, and beta the most
+    branchings summed over such a reach, which bound the pushes of a
+    division (freering._divide_words).  The push_*
+    methods intern the maps of the push lists (see freering._push), and
+    over the quaternions _push_images memoizes their images (see PushMap),
+    each table emptied at _MEMO_LIMIT entries; _push_memo, the frame's
+    words and their lists, is freering's.
     _factored, geometry's, holds the factorization of the last point set
     a geometry call asked about: its image echelon and the inverse square
     of its P-basis, one set at a time.  A frame serves one thread at a
@@ -411,7 +413,7 @@ class Frame:
                 return None
             if len(table) >= _MEMO_LIMIT:
                 table.clear()
-            m = table[key] = PushMap(self.ring, key)
+            m = table[key] = PushMap(self, key)
         return m
 
     def push_identity(self):
@@ -447,16 +449,6 @@ class Frame:
                                      else _matrix_sum([a.key, b.key]))
         return sums[b]
 
-    def push_image(self, m, v):
-        """m(v) for a PushMap m and a ring value v, memoized per (m, v)."""
-        images, key = self._push_images, (m, v)
-        out = images.get(key)
-        if out is None:
-            if len(images) >= _MEMO_LIMIT:
-                images.clear()
-            out = images[key] = m.apply(v)
-        return out
-
     def sigma_at(self, a):
         """The n x n matrix sigma(a) of ring elements, rows/cols as nested tuples."""
         ring = self.ring
@@ -482,10 +474,9 @@ class Frame:
         pseudo-linear map of a (Leroy, *Pseudo-linear transformations and
         evaluation in Ore extensions*, 1995), and it maps N_m(a) to
         N_(x_i m)(a).  Over GF(p^k) one application is one table lookup
-        when q <= 16, and otherwise applies each distinct nonzero sigma_ij
-        and delta_i once through its own compiled form and combines the
-        images with the point's codes (see _field_point_map); over the
-        quaternions it is one 4 x 4 integer product per i.
+        when q <= 16, and otherwise one lookup per term of the linearized
+        polynomials of the T_i (see _field_point_map); over the quaternions
+        it is one 4 x 4 integer product per i.
         """
         cache = self._point_cache
         try:
@@ -518,49 +509,67 @@ class Frame:
 class PushMap:
     """One map of a push list (see freering._push), interned per frame:
     ``key`` is its compiled form (see _compiled), ``apply`` applies it to a
-    ring value (over GF(p^k) the apply_val of a LinearMap, through its
-    chunk tables), and ``after`` holds, by letter i, the pairs of
-    Frame.push_after once made.  PushMaps hash by identity."""
+    ring value, and ``after`` holds, by letter i, the pairs of
+    Frame.push_after once made.  Over GF(p^k) apply is the apply_val of a
+    LinearMap, one lookup per term of its linearized polynomial, and is not
+    memoized; over the quaternions an image is a 4 x 4 product plus a gcd,
+    memoized per (map, value) in the frame's _push_images (_memo_apply).
+    PushMaps hash by identity."""
 
-    __slots__ = ("key", "apply", "after", "sums")
+    __slots__ = ("key", "apply", "after", "sums", "_images")
 
-    def __init__(self, ring, key):
+    def __init__(self, frame, key):
+        ring = frame.ring
         self.key = key
         if isinstance(ring, FiniteField):
             self.apply = LinearMap(ring, zip(*[_digits(c, ring.p, ring.k) for c in key])).apply_val
         else:
-            self.apply = partial(_quat_apply, *key)
+            self._images, self.apply = frame._push_images, self._memo_apply
         self.after, self.sums = {}, {}
+
+    def _memo_apply(self, v):
+        """The quaternion map on the ring value v, memoized per (map, value),
+        the memo emptied at _MEMO_LIMIT entries."""
+        images, key = self._images, (self, v)
+        out = images.get(key)
+        if out is None:
+            if len(images) >= _MEMO_LIMIT:
+                images.clear()
+            out = images[key] = _quat_apply(*self.key, v)
+        return out
 
 
 def _field_point_map(frame, point):
-    """phi_a over GF(p^k) on codes, with no table compiled for the point:
-    phi applies each distinct nonzero sigma_ij and delta_i of the frame
-    once (by identity), through the map's own compiled form, and combines
-    T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v) with the point's codes.
-    When q <= _CHUNK_ENTRIES, phi is tabulated on all q codes instead, so
-    a step is one lookup.
+    """phi_a over GF(p^k) on codes, from the linearized polynomials of the
+    frame's maps: T_i(v) = sum_e t_ie v^(p^e) with
+    t_ie = sum_j a_j c_e(sigma_ij) + c_e(delta_i), O(n terms) field
+    operations per point and no table, so a step is one lookup per term.
+    When q <= _CHUNK_ENTRIES, phi is tabulated on all q codes instead, so a
+    step is one lookup.
     """
     fld = frame.ring
-    add, mul = (xor if fld.p == 2 else fld.add_val), fld.mul_val
-    slots, applies, rows = {}, [], []  # rows[i] = the pairs (map slot, code) of T_i
+    exp, log, units, add = fld._exp, fld._log, fld._units, fld.add_val
+    rows = []  # rows[i] = {p^e: the code of t_ie}
     for sigma_row, delta in zip(frame.sigma, frame.delta):
-        row = []
-        for m, c in [*zip(sigma_row, [a.val for a in point]), (delta, 1)]:
-            if c and not m.is_zero_map():
-                s = slots.get(id(m))
-                if s is None:
-                    s = slots[id(m)] = len(applies)
-                    applies.append(m.apply_val)
-                row.append((s, c))
+        row = {shift: exp[lc] for shift, lc in delta.terms()}
+        for m, a in zip(sigma_row, point):
+            if a.val:
+                la = log[a.val]
+                for shift, lc in m.terms():
+                    row[shift] = add(row.get(shift, 0), exp[la + lc])
         rows.append(row)
+    # terms[i] = the pairs (p^e, log t_ie) of T_i
+    terms = [tuple([(shift, log[c]) for shift, c in row.items() if c]) for row in rows]
+    zero = (0,) * frame.n
 
     def apply(v):
-        images, out = [f(v) for f in applies], []
-        for row in rows:
+        if not v:
+            return zero
+        lv, out = log[v], []
+        for row in terms:
             acc = 0
-            for s, c in row:
-                acc = add(acc, mul(images[s], c))
+            for shift, lc in row:
+                acc = add(acc, exp[shift * lv % units + lc])
             out.append(acc)
         return tuple(out)
 

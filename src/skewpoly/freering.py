@@ -263,17 +263,17 @@ def frame_memo(frame):
 
 def _push(frame, v, a, memo):
     """(word) * a for the word u of node v of memo and a ring value a, as a
-    dict node -> nonzero left coefficient (a ring value): one image per
-    pair (w, P_(u,w)) of u's push list memo.pushes[v] (see _push_list),
-    memoized per (map, value) by Frame.push_image, zero images dropped."""
+    dict node -> nonzero left coefficient (a ring value): one image
+    P_(u,w)(a) per pair (w, P_(u,w)) of u's push list memo.pushes[v] (see
+    _push_list and frames.PushMap), zero images dropped."""
     if not a:
         return {}
     pushes = memo.pushes[v]
     if pushes is None:
         pushes = _push_list(frame, v, memo)
-    image, out = frame.push_image, {}
+    out = {}
     for w, m in pushes:
-        c = image(m, a)
+        c = m.apply(a)
         if c:
             out[w] = c
     return out

@@ -342,6 +342,8 @@ class FiniteField:
     Zech-logarithm tables of Lidl & Niederreiter, *Finite Fields*): a
     product is g^(log a + log b), an inverse g^(-log a), and a sum
     a + b = a (1 + g^(log b - log a)) = g^(log a + zech(log b - log a)).
+    In characteristic 2 a sum and a difference are the xor of the codes
+    instead, so add_val and sub_val are xor there.
     """
 
     def __init__(self, p, k=1, modulus=None):
@@ -366,6 +368,9 @@ class FiniteField:
         self._exp, self._log, self._zech = _build_tables(p, k, modulus)
         self._units = self.q - 1
         self._log_minus_one = self._log[p - 1]  # code p - 1 is the constant -1
+        if p == 2:
+            self.add_val = self.sub_val = xor
+        self._trace_dual = None
 
     # -- integer-code arithmetic -------------------------------------------
 
@@ -396,6 +401,26 @@ class FiniteField:
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return self._exp[self._units - self._log[a]]
+
+    def trace_dual(self):
+        """The codes of the trace-dual basis b_0, ..., b_(k-1) of the power
+        basis, Tr(b_j t^i) = 1 if i = j else 0, computed once: with f the
+        modulus and f(x) / (x - t) = sum_j beta_j x^j, b_j = beta_j / f'(t)
+        (Euler; Lidl & Niederreiter, *Finite Fields*, ch. 2), k products
+        and sums for the betas and k more for f'(t) and the quotients."""
+        if self._trace_dual is None:
+            p, f = self.p, self.modulus
+            add, mul, t = self.add_val, self.mul_val, self.gen().val
+            betas = [1]  # beta_(k-1) first: beta_(j-1) = f_j + t beta_j
+            for fj in f[-2:0:-1]:
+                betas.append(add(fj, mul(t, betas[-1])))
+            betas.reverse()
+            slope = 0  # f'(t) = sum_j j f_j t^(j-1), by Horner
+            for j in range(len(f) - 1, 0, -1):
+                slope = add(mul(slope, t), j * f[j] % p)
+            scale = self.inv_val(slope)
+            self._trace_dual = tuple(mul(b, scale) for b in betas)
+        return self._trace_dual
 
     def unwrap(self, a):
         """The code of an element of this field; RingMismatch for any other value."""

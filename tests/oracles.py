@@ -53,8 +53,11 @@ the frame's sigma/delta memos, which the library's compiled point maps
 replaced, with the fundamental table and the evaluation built on it.
 It also keeps the finite-field point map compiled for each point alone
 (chunk tables of the point's n image codes, or scaled columns for
-p > 16), which point maps built from the frame's own compiled maps
-replaced.
+p > 16), which the point's linearized polynomials replaced, and the
+column reference for a single GF(p^k) map, sum_j d_j col_j over the
+base-p digits d_j of the argument, against which the linearized
+polynomial of every map is checked, with the trace by digit arithmetic
+that checks the trace-dual basis.
 
 The module keeps the product and division that the library's word
 nodes replaced: the push of a coefficient through a word given as a
@@ -291,6 +294,27 @@ def matrix_apply_reference(m, v):
     fld = m.fld
     d = field_digits(fld, v)
     return field_code(fld, [sum(r * x for r, x in zip(row, d)) % fld.p for row in m.mat])
+
+
+def linear_map_reference(fld, cols, v):
+    """Code of the image of the code v under the GF(p)-linear map sending
+    t^j to the code cols[j]: sum_j d_j cols[j] over the base-p digits d_j
+    of v, added digit by digit."""
+    p, out = fld.p, [0] * fld.k
+    for d, col in zip(field_digits(fld, v), cols):
+        out = [(x + d * y) % p for x, y in zip(out, field_digits(fld, col))]
+    return field_code(fld, out)
+
+
+def trace_reference(fld, v):
+    """Tr(v) = v + v^p + ... + v^(p^(k-1)) by digit arithmetic, as a code."""
+    acc, power = 0, v
+    for _ in range(fld.k):
+        acc = digit_add(fld, acc, power)
+        x = power
+        for _ in range(fld.p - 1):
+            power = digit_mul(fld, power, x)
+    return acc
 
 
 def frame_laws_hold_all_pairs(frame):

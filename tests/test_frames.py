@@ -19,10 +19,13 @@ from skewpoly import (
 )
 from skewpoly.frames import _MEMO_LIMIT, Frame, QuatMap, block_frame
 from oracles import (
+    digit_mul,
     frac_parts,
     frame_laws_hold_all_pairs,
+    linear_map_reference,
     matrix_apply_reference,
     quat_map_reference,
+    trace_reference,
     value_parts,
 )
 from conftest import quaternion_values
@@ -288,6 +291,28 @@ def test_linear_map_application_matches_matrix_reference(p, k):
     for m in maps:
         for v in samples:
             assert m.apply(fld(v)).val == matrix_apply_reference(m, v)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 3), (17, 2), (257, 1), (2, 16)])
+def test_dense_linear_maps_match_the_column_reference(p, k):
+    # seeded dense matrices, most of whose linearized polynomials have k terms
+    fld = FiniteField(p, k)
+    rng = random.Random(f"dense-{p}-{k}")
+    args = [0, 1] + [fld.p ** j for j in range(k)] + [rng.randrange(fld.q) for _ in range(40)]
+    for _ in range(12):
+        m = _random_matrix_map(fld, rng)
+        for v in args:
+            assert m.apply_val(v) == linear_map_reference(fld, m._cols, v), (m, v)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (2, 4), (3, 3), (17, 2), (2, 8), (257, 1),
+                                 (2, 16)])
+def test_trace_dual_basis_is_dual_to_the_power_basis(p, k):
+    fld = FiniteField(p, k)
+    dual = fld.trace_dual()
+    for i in range(k):
+        for j, b in enumerate(dual):
+            assert trace_reference(fld, digit_mul(fld, b, p ** i)) == (i == j), (i, j)
 
 
 def _random_frames(fld, rng):

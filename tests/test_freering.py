@@ -399,7 +399,8 @@ def test_composite_pushes_over_an_infinite_order_map_survive_emptied_tables(
 def test_composite_tables_are_built_on_the_first_push_of_a_diagonal_frame(request):
     # a fresh frame has no tables; after one product, a frame whose every
     # branching is 1 has the one pair (u, sigma_u) in each list, and the
-    # others have some list of more pairs
+    # others have some list of more pairs; images are memoized over H only,
+    # a GF(p^k) image being one lookup per term
     for name in PUSH_FRAMES:
         frame = request.getfixturevalue(name)
         fresh = Frame(frame.ring, frame.sigma, frame.delta)
@@ -409,7 +410,8 @@ def test_composite_tables_are_built_on_the_first_push_of_a_diagonal_frame(reques
         mul(monomial(fresh, (1, 2, 1)), constant(fresh, a))
         memo = fresh._push_memo
         lists = [(v, p) for v, p in enumerate(memo.pushes) if p is not None]
-        assert len(lists) == 4 and fresh._push_maps and fresh._push_images, name
+        assert len(lists) == 4 and fresh._push_maps, name
+        assert bool(fresh._push_images) is not ring.is_finite, name
         if set(frame.branching) == {1}:
             assert all(len(p) == 1 and p[0][0] == v for v, p in lists), name
         else:

@@ -1,19 +1,19 @@
 """The point maps of Frame.point_map against the uncompiled step.
 
 phi_a(v) = (sum_j sigma_ij(v) a_j + delta_i(v))_i.  Over GF(p^k) with
-q <= 16 it is one table per point; for larger q no point compiles
-anything: phi applies each distinct nonzero sigma_ij and delta_i through
-the map's own compiled form (chunk tables of its argument's digits, or
-scaled columns for p > 16, built when the map is first applied) and
-combines the images with the point's codes.  Over the quaternions it is
-one 4 x 4 integer matrix per variable.  Every frame shape is covered:
-k = 1 (GF(5)), odd p (GF(9), and GF(27), whose digits fill two chunks),
-both non-diagonal GF(8) frames, with and without delta, the quaternion
-inner frame, GF(2^8) and GF(2^16) (two and four chunks, the latter with
-an inner delta), the non-diagonal GF(2^8) frame with an inner delta,
-whose point maps apply six distinct maps, and GF(17^2) (p > 16, each
-digit scaling its column).  The finite-field maps are also checked
-against the per-point compile they replaced (oracles).
+q <= 16 it is one table per point; for larger q no point builds a table:
+each T_i is a linearized polynomial sum_e t_ie v^(p^e), its coefficients
+summed from those of the frame's maps (each map linearized once, when its
+terms are first read), and a step is one lookup per term.  Over the
+quaternions it is one 4 x 4 integer matrix per variable.  Every frame
+shape is covered: k = 1 (GF(5)), odd p (GF(9), GF(27)), both
+non-diagonal GF(8) frames, with and without delta, the quaternion inner
+frame, GF(2^8) and GF(2^16) (the latter with an inner delta), the
+non-diagonal GF(2^8) frame with an inner delta, whose T_i have three
+terms (v, v^2 and v^4), and GF(17^2) (p > 16).  The finite-field point
+maps are also checked against the per-point chunk-table compile of an
+earlier version (oracles), and every map of the frames and of their
+push lists against the column reference sum_j d_j col_j.
 """
 
 import json
@@ -32,8 +32,8 @@ from skewpoly import (
     evaluate,
     frobenius_frame,
     fundamental_table,
+    mul,
 )
-from skewpoly import frames as frames_module
 from skewpoly.frames import _POINT_MEMO_LIMIT, Frame, frame_from_json
 from skewpoly.rings import ring_from_json
 from conftest import nondiagonal_frame, random_nonzero_poly, random_point
@@ -43,6 +43,7 @@ from oracles import (
     extend_reference,
     field_point_map_reference,
     fundamental_table_reference,
+    linear_map_reference,
     quat_point_map_reference,
 )
 
@@ -119,30 +120,49 @@ def test_field_point_map_matches_the_per_point_compile(name, frames):
             assert phi(v) == ref(v), (a, v)
 
 
+@pytest.mark.parametrize("name", FIELD_FRAMES)
+def test_frame_and_push_maps_match_the_linear_map_reference(name, frames):
+    # every sigma_ij and delta_i, then every push-list map a few products made
+    shared = frames[name]
+    frame, fld = Frame(shared.ring, shared.sigma, shared.delta), shared.ring
+    rng = random.Random(f"linearized-{name}")
+    args = [v.val for v in _inputs(fld, rng, count=20)] + [1]
+    for m in [m for row in frame.sigma for m in row] + list(frame.delta):
+        for v in args:
+            assert m.apply_val(v) == linear_map_reference(fld, m._cols, v), (m, v)
+    for _ in range(3):
+        mul(random_nonzero_poly(frame, rng, max_deg=5), random_nonzero_poly(frame, rng, max_deg=2))
+    assert frame._push_maps
+    for m in frame._push_maps.values():
+        for v in args:
+            assert m.apply(v) == linear_map_reference(fld, m.key, v), (m.key, v)
+
+
 def test_point_maps_compile_no_table_per_point(frob_gf65536_2, monkeypatch):
-    # the one Frobenius map of the frame compiles its four chunk tables when
-    # first applied; 200 points then compile none
-    fld, span_codes, calls = frob_gf65536_2.ring, frames_module._span_codes, []
+    # each distinct map of the frame is linearized once, when the first point
+    # map reads its terms; 200 points then linearize nothing more
+    fld, linearize, calls = frob_gf65536_2.ring, LinearMap._linearize, []
 
-    def counted(*args):
-        calls.append(args)
-        return span_codes(*args)
+    def counted(m):
+        calls.append(m)
+        return linearize(m)
 
-    monkeypatch.setattr(frames_module, "_span_codes", counted)
+    monkeypatch.setattr(LinearMap, "_linearize", counted)
     frob, zero = LinearMap.frobenius(fld), LinearMap.zero(fld)
     frame = Frame(fld, [[frob, zero], [zero, frob]], [zero, zero])
     rng = random.Random("no-table-per-point")
     points = [random_point(frame, rng) for _ in range(200)]
     assert not calls
+    once = sorted([id(frob), id(zero)])
     for a in points:
         phi = frame.point_map_val(a)
-        assert len(calls) == (0 if a is points[0] else 4)
+        assert sorted(map(id, calls)) == once, a
         v = fld.random_element(rng)
         got = phi(v.val)
-        assert len(calls) == 4
-        # the shared frame holds equal maps, compiled in its validation
+        assert len(calls) == 2
+        # the shared frame holds equal maps, linearized in its validation
         assert got == tuple(map(fld.unwrap, extend_reference(frob_gf65536_2, v, a))), (a, v)
-    assert len(calls) == 4 and len(frame._point_cache) == 200
+    assert len(frame._point_cache) == 200
 
 
 @pytest.mark.parametrize("name", FRAMES)

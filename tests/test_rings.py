@@ -328,6 +328,23 @@ def test_table_arithmetic_matches_digit_arithmetic(p, k, modulus):
             assert digit_mul(F, a, F.inv_val(a)) == 1
 
 
+@pytest.mark.parametrize("k,pairs", [(4, None), (16, 20000)])
+def test_characteristic_2_sums_are_xor_and_match_the_zech_path(k, pairs):
+    # every pair of GF(2^4) codes, and seeded GF(2^16) pairs with the edges
+    F = FiniteField(2, k)
+    if pairs is None:
+        cases = [(a, b) for a in range(F.q) for b in range(F.q)]
+    else:
+        rng = random.Random(k)
+        edge = [0, 1, F.q - 1, 1 << (k - 1)]
+        cases = [(a, b) for a in edge for b in edge]
+        cases += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(pairs)]
+    zech = FiniteField.add_val  # the class's sum on logarithm tables
+    for a, b in cases:
+        assert F.add_val(a, b) == F.sub_val(a, b) == a ^ b == zech(F, a, b), (a, b)
+        assert zech(F, a, F.neg_val(b)) == a ^ b, (a, b)
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1), (13, 1)])
 def test_span_codes_match_digit_sums(p, k):
     # the code at index c is the sum of cols[j] taken digit_j(c) times, in
