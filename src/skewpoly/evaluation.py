@@ -31,7 +31,6 @@ from . import freering
 from .errors import DivisionByZero, InvalidInput, RingMismatch
 from .freering import (
     SkewPolynomial,
-    _accumulate,
     _check_push_budget,
     _divide_words,
     _product_words,
@@ -75,34 +74,36 @@ class DivisionResult:
     def reconstruct(self, frame, point):
         """Sum of quotient_i * (x_i - a_i) plus the remainder.
 
-        Runs on ring values, summed on the nodes of the frame's PushMemo: a
+        Runs on the ring's open sums, on the nodes of the frame's PushMemo: a
         quotient term c u gives c on the node of u x_i (u 1 = u, so the unit
         needs no push) and -c (u a_i) on the output nodes of the push of a_i
-        through u.  Only the nodes that survive are spelled, and one element
-        is built per result term.
+        through u.  Each sum is closed once, only the nodes that survive are
+        spelled, and one element is built per result term.
         """
         point = check_point(frame, point)
         ring = frame.ring
-        unwrap, add, times, neg = ring.unwrap, ring.add_val, ring.mul_val, ring.neg_val
+        unwrap, mul_add, neg = ring.unwrap, ring.mul_add_val, ring.neg_val
         for q in self.quotients:
             if q.frame is not frame:
                 raise RingMismatch("polynomials built over different frames")
         _check_push_budget(sum(_product_words(q, constant(frame, a))
                                for q, a in zip(self.quotients, point)), "the reconstruction")
-        out = {}  # node -> ring value
-        _accumulate(out, 0, unwrap(self.remainder), add)
+        out = {0: unwrap(self.remainder)}  # node -> open sum
+        one = unwrap(ring.one())
         memo = frame_memo(frame)
         node, append = memo.node, memo.append
         for i, (q, a) in enumerate(zip(self.quotients, point), 1):
             a = unwrap(a)
             for u, c in q.terms.items():
                 c, v = unwrap(c), node(u)
-                _accumulate(out, append(v, i), c, add)
+                x = append(v, i)
+                out[x] = mul_add(out.get(x, 0), c, one)
+                c = neg(c)
                 # looked up on its module, as in divide, so the tracer sees it
                 for w, pc in freering._push(frame, v, a, memo).items():
-                    _accumulate(out, w, neg(times(c, pc)), add)
-        word, wrap = memo.word, ring.wrap
-        return SkewPolynomial(frame, {word(v): wrap(c) for v, c in out.items()})
+                    out[w] = mul_add(out.get(w, 0), c, pc)
+        word = memo.word
+        return SkewPolynomial(frame, {word(v): c for v, c in ring.wrap_sums(out.items()).items()})
 
 
 def divide(F, point):
@@ -116,9 +117,11 @@ def divide(F, point):
 
     Words are nodes of the frame's PushMemo, the prefix m of a node its
     parent.  The monomials to kill come off a heap keyed by degree,
-    largest first.  A node enters the heap when it enters the remainder;
-    an entry whose node has since cancelled out of it is stale and
-    skipped.  The remainder and the quotients hold ring values until the end.
+    largest first.  A node enters the heap when it enters the remainder,
+    and a kill only makes shallower words, so no node enters twice.  The
+    remainder holds the ring's open sums: each is closed once, when its
+    node is popped, and skipped when it closes to zero; the constant term
+    is closed at the end.  A quotient gets one closed value per kill.
 
     A division whose pushes _divide_words predicts to make more than
     PUSH_TERM_LIMIT words is refused before the first push.
@@ -127,36 +130,35 @@ def divide(F, point):
     point = check_point(frame, point)
     ring = frame.ring
     _check_push_budget(_divide_words(frame, F.terms), "the division")
-    unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
+    unwrap, mul_add, close = ring.unwrap, ring.mul_add_val, ring.close_val
     point = [unwrap(a) for a in point]
     memo = frame_memo(frame)
     parent, letter, depth, spelled = memo.parent, memo.letter, memo.depth, memo.spelled
-    rem = {memo.node(w): unwrap(c) for w, c in F.terms.items()}
+    rem = {memo.node(w): unwrap(c) for w, c in F.terms.items()}  # node -> open sum
     heap = [(-depth[v], v) for v in rem if v]
     heapify(heap)
     quot = [dict() for _ in range(frame.n)]
     while heap:
         v = heappop(heap)[1]
-        c = rem.pop(v, None)
-        if c is None:
+        c = close(rem.pop(v))
+        if not c:
             continue
         prefix, i = parent[v], letter[v] - 1
         if spelled[prefix] is None:
             # a slice of the killed word, not a walk up from the prefix
             spelled[prefix] = memo.word(v)[:-1]
             memo.letters += depth[prefix]
-        _accumulate(quot[i], prefix, c, add)
+        quot[i][prefix] = c  # v is prefix x_(i+1), killed once
         # F <- F - c * prefix * (x_i - a_i), the x_i part cancelled above;
         # _push is looked up on its module so that a wrapper there sees it
         for w, pc in freering._push(frame, prefix, point[i], memo).items():
             if w and w not in rem:
                 heappush(heap, (-depth[w], w))
-            _accumulate(rem, w, times(c, pc), add)
+            rem[w] = mul_add(rem.get(w, 0), c, pc)
     wrap = ring.wrap
-    remainder = rem.get(0)
     return DivisionResult(
         [SkewPolynomial(frame, {spelled[v]: wrap(q) for v, q in quo.items()}) for quo in quot],
-        ring.zero() if remainder is None else wrap(remainder))
+        wrap(close(rem.get(0, 0))))
 
 
 def fundamental(frame, word, point):
@@ -218,14 +220,15 @@ def evaluate(F, point):
     v * (n + 1) + letter to the node of the suffix extended by the letter,
     for the children that some word visits.  So an extended node costs
     one tuple, phi's result.  The walk is iterative, so word length is
-    bounded by memory only.  It runs on ring values and builds one
-    element, the value.
+    bounded by memory only.  It runs on ring values, which stay canonical
+    in the trie since each feeds the next step, sums F_m N_m(a) as one
+    open sum of the ring, and builds one element, the value.
     """
     frame = F.frame
     point = check_point(frame, point)
     phi = frame.point_map_val(point)
     ring = frame.ring
-    unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
+    unwrap, mul_add = ring.unwrap, ring.mul_add_val
     stride, total = frame.n + 1, 0
     vals, exts, children = [unwrap(ring.one())], [None], {}
     for w, c in F.terms.items():
@@ -241,8 +244,8 @@ def evaluate(F, point):
                 vals.append(ext[i - 1])
                 exts.append(None)
             node = child
-        total = add(total, times(unwrap(c), vals[node]))
-    return ring.wrap(total)
+        total = mul_add(total, unwrap(c), vals[node])
+    return ring.wrap(ring.close_val(total))
 
 
 def conjugate(frame, point, c):

@@ -77,11 +77,13 @@ class LinearMap:
 
     def apply_val(self, v):
         """The map on the integer code v of an element."""
-        terms, exp, log, units, add = self._linearized or self._linearize()
-        if not v:
+        terms, rest, exp, log, units, add = self._linearized or self._linearize()
+        if not (v and terms):
             return 0
-        lv, out = log[v], 0
-        for shift, lc in terms:
+        lv = log[v]
+        shift, lc = terms[0]
+        out = exp[shift * lv % units + lc]
+        for shift, lc in rest:
             out = add(out, exp[shift * lv % units + lc])
         return out
 
@@ -91,8 +93,9 @@ class LinearMap:
         return (self._linearized or self._linearize())[0]
 
     def _linearize(self):
-        """The compiled form (terms, exp, log, q - 1, add): the terms, then
-        the field's tables and its sum; k^2 field operations, once."""
+        """The compiled form (terms, terms after the first, exp, log, q - 1,
+        add): the terms, then the field's tables and its sum; k^2 field
+        operations, once."""
         fld = self.fld
         p, exp, log, units, add = fld.p, fld._exp, fld._log, fld._units, fld.add_val
         cols = [(log[c], log[b]) for c, b in zip(self._cols, fld.trace_dual()) if c]
@@ -103,7 +106,7 @@ class LinearMap:
                 c = add(c, exp[lc + shift * lb % units])
             if c:
                 terms.append((shift, log[c]))
-        self._linearized = out = (tuple(terms), exp, log, units, add)
+        self._linearized = out = (tuple(terms), tuple(terms[1:]), exp, log, units, add)
         return out
 
     @classmethod
@@ -558,17 +561,19 @@ def _field_point_map(frame, point):
                 for shift, lc in m.terms():
                     row[shift] = add(row.get(shift, 0), exp[la + lc])
         rows.append(row)
-    # terms[i] = the pairs (p^e, log t_ie) of T_i
-    terms = [tuple([(shift, log[c]) for shift, c in row.items() if c]) for row in rows]
+    # terms[i] = the pairs (p^e, log t_ie) of T_i: the first (None when
+    # T_i = 0), whose image starts the sum, and the others
+    pairs = [[(shift, log[c]) for shift, c in row.items() if c] for row in rows]
+    terms = [(row[0] if row else None, tuple(row[1:])) for row in pairs]
     zero = (0,) * frame.n
 
     def apply(v):
         if not v:
             return zero
         lv, out = log[v], []
-        for row in terms:
-            acc = 0
-            for shift, lc in row:
+        for first, rest in terms:
+            acc = exp[first[0] * lv % units + first[1]] if first else 0
+            for shift, lc in rest:
                 acc = add(acc, exp[shift * lv % units + lc])
             out.append(acc)
         return tuple(out)

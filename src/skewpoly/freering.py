@@ -20,10 +20,13 @@ when sigma is diagonal and delta zero the list is the one map sigma_u.
 Coefficients there are ring values, not elements (the code over GF(p^k),
 the normal-form tuple (w, x, y, z, den) over H, 0 for zero in both),
 which the memos hash and compare in C: the ring's unwrap checks each one
-where it enters, its *_val arithmetic combines them, and its wrap builds
-each result element once.  When sigma is not diagonal or delta is not
-zero, one push can make exponentially many words, so mul and divide
-refuse a job predicted past PUSH_TERM_LIMIT words before the first push.
+where it enters.  Their products are summed by the ring's mul_add_val
+into open sums, off the normal form over H (numerators over one
+denominator, no gcd), which never reach a memo key; its wrap_sums
+closes a result dict once, drops the sums that cancel, and builds each
+result element once.  When sigma is not diagonal or delta is not zero,
+one push can make exponentially many words, so mul and divide refuse a
+job predicted past PUSH_TERM_LIMIT words before the first push.
 """
 
 from __future__ import annotations
@@ -320,7 +323,9 @@ def _push_list(frame, v, memo):
 
 def _accumulate(terms, w, c, add=_add):
     """terms[w] = add(terms[w], c), dropping the entry when the sum is zero;
-    on elements by default, on ring values with the ring's add_val."""
+    on elements by default, on ring values with the ring's add_val.  The
+    sums of products in mul, divide, reconstruct and evaluate run on the
+    ring's open sums instead (mul_add_val)."""
     cur = terms.get(w)
     new = c if cur is None else add(cur, c)
     if new:
@@ -358,9 +363,6 @@ class SkewPolynomial:
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading monomial")
         return max(self.terms, key=mono_key)
-
-    def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
 
     def coefficient(self, word):
         c = self.terms.get(tuple(word))
@@ -564,10 +566,10 @@ def mul(F, G):
         raise RingMismatch("polynomials built over different frames")
     frame = F.frame
     ring = frame.ring
-    unwrap, add, times = ring.unwrap, ring.add_val, ring.mul_val
+    unwrap, mul_add = ring.unwrap, ring.mul_add_val
     g_terms = [(nw, unwrap(gc)) for nw, gc in G.terms.items()]
     _check_push_budget(_product_words(F, G), "the product")
-    out = {}
+    out = {}  # word -> open sum
     memo = frame_memo(frame)
     spelled = memo.spelled
     for mw, fc in F.terms.items():
@@ -576,6 +578,6 @@ def mul(F, G):
         for nw, gc in g_terms:
             for w, c in _push(frame, v, gc, memo).items():
                 t = spelled[w]
-                _accumulate(out, (memo.word(w) if t is None else t) + nw, times(fc, c), add)
-    wrap = ring.wrap
-    return SkewPolynomial(frame, {w: wrap(c) for w, c in out.items()})
+                x = (memo.word(w) if t is None else t) + nw
+                out[x] = mul_add(out.get(x, 0), fc, c)
+    return SkewPolynomial(frame, ring.wrap_sums(out.items()))

@@ -18,7 +18,7 @@ from array import array
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
-from operator import xor
+from operator import index, xor
 
 from .errors import DivisionByZero, InvalidInput, NotFinite, RingMismatch
 
@@ -229,6 +229,28 @@ def default_modulus(p, k):
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def _field_mul_add(p, exp, log, zech, units):
+    """The kernel acc + a b on codes of the field of these tables: a xor
+    when p = 2, otherwise one Zech step on the product's logarithm."""
+    if p == 2:
+        def mul_add(acc, a, b):
+            return acc ^ exp[log[a] + log[b]] if a and b else acc
+    else:
+        def mul_add(acc, a, b):
+            if not (a and b):
+                return acc
+            lp = log[a] + log[b]
+            if not acc:
+                return exp[lp]
+            la = log[acc]
+            d = lp - la  # in (-units, 2 units): a negative index wraps
+            if d >= units:
+                d -= units
+            z = zech[d]
+            return 0 if z == units else exp[la + z]
+    return mul_add
+
+
 def _power(a, e, one):
     """a^e by repeated squaring, one being the unit of a's ring; a negative
     e inverts a first."""
@@ -343,7 +365,8 @@ class FiniteField:
     product is g^(log a + log b), an inverse g^(-log a), and a sum
     a + b = a (1 + g^(log b - log a)) = g^(log a + zech(log b - log a)).
     In characteristic 2 a sum and a difference are the xor of the codes
-    instead, so add_val and sub_val are xor there.
+    instead, so add_val and sub_val are xor there.  The kernel acc + a b
+    of sums of products, mul_add_val, is one closure per field.
     """
 
     def __init__(self, p, k=1, modulus=None):
@@ -370,6 +393,7 @@ class FiniteField:
         self._log_minus_one = self._log[p - 1]  # code p - 1 is the constant -1
         if p == 2:
             self.add_val = self.sub_val = xor
+        self.mul_add_val = _field_mul_add(p, self._exp, self._log, self._zech, self._units)
         self._trace_dual = None
 
     # -- integer-code arithmetic -------------------------------------------
@@ -401,6 +425,14 @@ class FiniteField:
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return self._exp[self._units - self._log[a]]
+
+    # a code is canonical, so an open sum of mul_add_val is its own value
+    close_val = staticmethod(index)
+
+    def wrap_sums(self, pairs):
+        """{key: the element of s} for the pairs (key, open sum s) whose sum
+        is not zero."""
+        return {key: FieldElement(self, s) for key, s in pairs if s}
 
     def trace_dual(self):
         """The codes of the trace-dual basis b_0, ..., b_(k-1) of the power
@@ -549,9 +581,10 @@ def _quat_value(w, x, y, z, den):
     (w, x, y, z, den) in normal form, with gcd(w, x, y, z, den) = 1.
 
     Equal quaternions have equal values, so values hash, compare and test
-    for zero as plain tuples and ints.  Every arithmetic result and every
+    for zero as plain tuples and ints.  Every *_val result and every
     compiled map application is normalized here, with one gcd; its den is
-    a product of positive denominators, or a norm.
+    a product of positive denominators, or a norm.  A sum of products
+    (_quat_mul_add) is normalized once instead, when it is closed.
     """
     if not (w or x or y or z):
         return 0
@@ -598,6 +631,54 @@ def _quat_mul_val(a, b):
         aw * bz + ax * by - ay * bx + az * bw,
         da * db,
     )
+
+
+def _quat_mul_add(acc, a, b):
+    """acc + a b for ring values a, b and an open sum acc: the int 0 or
+    numerators over a positive den in any terms, so a cancelled sum is a
+    truthy (0, 0, 0, 0, den).  No gcd: the product joins acc on the larger
+    den when one divides the other, and cross-multiplies otherwise."""
+    if not (a and b):
+        return acc
+    aw, ax, ay, az, da = a
+    bw, bx, by, bz, db = b
+    w = aw * bw - ax * bx - ay * by - az * bz
+    x = aw * bx + ax * bw + ay * bz - az * by
+    y = aw * by - ax * bz + ay * bw + az * bx
+    z = aw * bz + ax * by - ay * bx + az * bw
+    d = da * db
+    if not acc:
+        return w, x, y, z, d
+    sw, sx, sy, sz, ds = acc
+    if ds == d:
+        return sw + w, sx + x, sy + y, sz + z, d
+    if ds % d == 0:
+        s = ds // d
+        return sw + w * s, sx + x * s, sy + y * s, sz + z * s, ds
+    if d % ds == 0:
+        s = d // ds
+        return sw * s + w, sx * s + x, sy * s + y, sz * s + z, d
+    return sw * d + w * ds, sx * d + x * ds, sy * d + y * ds, sz * d + z * ds, ds * d
+
+
+def _quat_close(s):
+    """The ring value of the open sum s (see _quat_mul_add)."""
+    return _quat_value(*s) if s else 0
+
+
+def _quat_wrap_sums(ring, pairs):
+    """{key: the quaternion of s} for the pairs (key, open sum s) whose sum
+    is not zero, each normalized with one gcd."""
+    out = {}
+    for key, s in pairs:
+        if s:
+            w, x, y, z, den = s
+            if w or x or y or z:
+                g = gcd(w, x, y, z, den)
+                q = out[key] = _new(Quaternion)
+                q.ring = ring
+                q.val = s if g == 1 else (w // g, x // g, y // g, z // g, den // g)
+    return out
 
 
 def _quat_inv_val(a):
@@ -744,7 +825,8 @@ class QuaternionRing:
     memos and eliminations over H hash and compare in C.  The *_val
     arithmetic, named as in FiniteField's code arithmetic, takes and
     returns these values; unwrap reads an element's value and wrap builds
-    the element of a value.
+    the element of a value.  A sum of products is built open, off the
+    normal form, by mul_add_val, and read once, by close_val or wrap_sums.
     """
 
     add_val = staticmethod(_quat_add_val)
@@ -752,6 +834,9 @@ class QuaternionRing:
     neg_val = staticmethod(_quat_neg_val)
     mul_val = staticmethod(_quat_mul_val)
     inv_val = staticmethod(_quat_inv_val)
+    mul_add_val = staticmethod(_quat_mul_add)
+    close_val = staticmethod(_quat_close)
+    wrap_sums = _quat_wrap_sums
 
     def unwrap(self, a):
         """The ring value of a quaternion; RingMismatch for any other value."""

@@ -104,6 +104,37 @@ def test_reconstruct_matches_reference(frob_gf65536_2, quat_inner_2):
         assert bad.reconstruct(frame, a) == reconstruct_reference(bad, frame, a)
 
 
+def _cancelling_pair(ring):
+    """Two nonzero elements of the ring: over H, with coprime denominators."""
+    if ring.is_finite:
+        return ring(5), ring(7)
+    return ring("1/2", 1, 0, "1/3"), ring("2/3", 0, "1/5", 1)
+
+
+@pytest.mark.parametrize("name", ["quat", "gf9"])
+def test_sums_that_cancel_are_dropped_in_divide_and_reconstruct(name, request, monkeypatch):
+    ring = request.getfixturevalue(name)
+    frame = conventional_frame(ring, 1)
+    c, a = _cancelling_pair(ring)
+    pushes, push = [0], freering._push
+
+    def counted_push(*args):
+        pushes[0] += 1
+        return push(*args)
+
+    monkeypatch.setattr(freering, "_push", counted_push)
+    # F = c x (x - a): killing x^2 cancels the x term, which closes to zero
+    # and is skipped, not killed; the remainder at this zero of F is 0
+    F = from_terms(frame, [((1, 1), c), ((1,), -(c * a))])
+    res = divide(F, (a,))
+    assert pushes[0] == 1
+    assert res.quotients[0].terms == {(1,): c}
+    assert res.remainder == ring.zero() and res.remainder.val == 0
+    # c (x - a) + c a = c x: the constant term cancels
+    res = DivisionResult([constant(frame, c)], c * a)
+    assert res.reconstruct(frame, (a,)).terms == {(1,): c}
+
+
 DIVIDE_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondiag_gf8_2",
                  "nondiag_gf8_2_inner")
 

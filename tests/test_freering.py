@@ -136,6 +136,19 @@ def test_mul_monomial_constant_examples(conv_gf5_2, frob_gf4_2):
     assert mul_monomial_constant(frob_gf4_2, (1,), w) == monomial(frob_gf4_2, (1,), w * w)
 
 
+@pytest.mark.parametrize("name", ["quat", "gf9"])
+def test_products_drop_the_sums_that_cancel(name, request):
+    # (x + c)(d x + e) = d x^2 + (e + c d) x + c e, and e = -c d cancels
+    # the x term, summed from two pushes
+    ring = request.getfixturevalue(name)
+    frame = conventional_frame(ring, 1)
+    c, d = (ring(5), ring(7)) if ring.is_finite else (ring("1/2", 1, 0, "1/3"), ring("2/3", 0, "1/5", 1))
+    e = -(c * d)
+    F = from_terms(frame, [((1,), ring.one()), ((), c)])
+    G = from_terms(frame, [((1,), d), ((), e)])
+    assert mul(F, G).terms == {(1, 1): d, (): c * e}
+
+
 def test_mul_gf4_frobenius_hand_value(frob_gf4_2):
     gf4 = frob_gf4_2.ring
     w = gf4.gen()
@@ -714,7 +727,8 @@ def test_products_and_divisions_build_elements_per_term_not_per_push(monkeypatch
 def test_quaternion_kernels_build_elements_per_term_not_per_push(quat_inner_2, monkeypatch):
     # the pushes, the division and the evaluation run on ring values: an
     # element is built per term or value returned, plus the unit 1 the
-    # evaluation starts from, never once per normalized ring value
+    # evaluation starts from, never once per ring value normalized or
+    # summed: per map image, product added into an open sum, or sum closed
     from skewpoly import evaluate, frames, rings
 
     quat = quat_inner_2.ring
@@ -726,6 +740,7 @@ def test_quaternion_kernels_build_elements_per_term_not_per_push(quat_inner_2, m
     point = (quat.random_nonzero(rng), quat.random_nonzero(rng))
     made, ops = [0], [0]
     new, init, value = rings._new, rings.Quaternion.__init__, rings._quat_value
+    mul_add, wrap_sums = rings._quat_mul_add, rings._quat_wrap_sums
 
     def counted_new(cls):
         made[0] += cls is rings.Quaternion
@@ -739,17 +754,29 @@ def test_quaternion_kernels_build_elements_per_term_not_per_push(quat_inner_2, m
         ops[0] += 1
         return value(*parts)
 
+    def counted_mul_add(acc, a, b):
+        ops[0] += 1
+        return mul_add(acc, a, b)
+
+    def counted_wrap_sums(ring, pairs):
+        pairs = list(pairs)
+        ops[0] += len(pairs)
+        return wrap_sums(ring, pairs)
+
     monkeypatch.setattr(rings, "_new", counted_new)
     monkeypatch.setattr(rings.Quaternion, "__init__", counted_init)
     for module in (rings, frames):
         monkeypatch.setattr(module, "_quat_value", counted_value)
+    monkeypatch.setattr(rings.QuaternionRing, "mul_add_val", staticmethod(counted_mul_add))
+    monkeypatch.setattr(rings.QuaternionRing, "wrap_sums", counted_wrap_sums)
 
     def run(fn, *args):
         made[0] = ops[0] = 0
         return fn(*args)
 
-    # a push is one normalized image per output word, so the products and
-    # the division make about two ring values per element they build
+    # a push is one normalized image per output word, each added into an
+    # open sum, and each sum is closed once, so the products and the
+    # division make at least two ring values per element they build
     P = run(mul, F, G)
     assert made[0] == len(P.terms) and ops[0] >= 2 * made[0]
     res = run(divide, F, point)

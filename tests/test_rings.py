@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewpoly import (
     DivisionByZero,
@@ -300,6 +301,57 @@ def test_quaternion_value_arithmetic_matches_fractions_in_normal_form(a, b):
             H.inv_val(a)
     # unwrap and wrap carry a value unchanged
     assert H.unwrap(H.wrap(a)) is a and H.wrap(a) == H(*fa)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.tuples(quaternion_values, quaternion_values), max_size=8), st.booleans())
+def test_quaternion_open_sums_close_to_the_fraction_sum_in_normal_form(pairs, cancel):
+    # the denominators 1, 2, 3, 4, 6 and 12 of quaternion_values make
+    # products whose denominators are equal, divide each other or are
+    # coprime; cancel appends the negated products, so the sum is 0
+    H = QuaternionRing()
+    if cancel:
+        pairs = pairs + [(H.neg_val(a), b) for a, b in pairs]
+    acc, want = 0, (Fraction(0),) * 4
+    for a, b in pairs:
+        acc = H.mul_add_val(acc, a, b)
+        want = tuple(u + v for u, v in zip(want, frac_quat_mul(value_parts(a), value_parts(b))))
+    assert value_parts(H.close_val(acc)) == want
+    assert H.wrap_sums([("s", acc)]) == ({"s": H(*want)} if any(want) else {})
+    if cancel:
+        assert H.close_val(acc) == 0
+
+
+def test_quaternion_open_sums_keep_the_larger_denominator():
+    # after the first product, each step takes one branch of the kernel:
+    # acc's denominator divides the product's, the product's divides acc's,
+    # the two are equal, then coprime; then the sum cancels to an open
+    # zero, which is truthy
+    H = QuaternionRing()
+    one = H.one().val
+    steps = [(H(0, "1/2", 0, 0), 2), (H("1/4", 0, 1, 0), 4), (H("1/2", 0, 0, 1), 4),
+             (H("3/4", 0, 0, 0), 4), (H(0, 0, "1/3", 0), 12)]
+    acc = 0
+    for q, den in steps:
+        acc = H.mul_add_val(acc, q.val, one)
+        assert acc[4] == den
+    total = sum((q for q, _ in steps), H.zero())
+    assert H.wrap(H.close_val(acc)) == total and H.close_val(acc) == total.val
+    for q, _ in steps:
+        acc = H.mul_add_val(acc, H.neg_val(q.val), one)
+    assert acc and not any(acc[:4])
+    assert H.close_val(acc) == 0 and H.wrap_sums([((), acc)]) == {}
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (2, 4)])
+def test_field_open_sums_match_add_and_mul_exhaustively(p, k):
+    F = FiniteField(p, k)
+    codes = range(F.q)
+    for acc, a, b in product(codes, codes, codes):
+        assert F.mul_add_val(acc, a, b) == F.add_val(acc, F.mul_val(a, b)), (acc, a, b)
+    # a code is its own closed value, and a sum that cancels is dropped
+    assert all(F.close_val(v) is v for v in codes)
+    assert F.wrap_sums((v, v) for v in codes) == {v: F(v) for v in codes if v}
 
 
 # the fields of the digit-arithmetic comparison: GF(2^8) under the default
