@@ -10,16 +10,13 @@ per-monomial fundamental functions
 
 which the evaluate() fast path uses.  For a fixed point a every T_i is
 additive in v (Leroy's pseudo-linear map of a, in n variables), so
-Frame.point_map_val builds the n maps of a once, on ring values, and
-caches them per frame.  One step of the recursion is then, over GF(p^k),
-a single table lookup when q <= 16 and otherwise one lookup per term of
-the linearized polynomials of the T_i; over the quaternions it is one
-4 x 4 integer product per variable.  evaluate, fundamental,
-fundamental_table and conjugate all step through them.
-_value_rows is the one walker of the recursion over several points at
-once: the Vandermonde rows, fundamental_table, the value rows of the
-standard monomials and the closure residues all come from it.  Points
-are plain tuples of ring elements of length frame.n.
+Frame.point_table builds the n maps of a once, on ring values, and keeps
+the values N_w(a) found beside them, up to a bound.  PointTable.node is
+the one walker of the recursion on that table, and evaluate, fundamental,
+fundamental_table, conjugate and _value_rows (the Vandermonde rows, the
+value rows of the standard monomials and the closure residues, at
+several points) all read it.  Points are plain tuples of ring elements
+of length frame.n.
 """
 
 from __future__ import annotations
@@ -45,11 +42,17 @@ from .freering import (
 def check_point(frame, point):
     """Validate and normalize a point to a tuple of frame.n ring elements."""
     point = tuple(point)
+    _point_values(frame, point)
+    return point
+
+
+def _point_values(frame, point):
+    """The ring values of a point's coordinates, the key of its PointTable:
+    InvalidInput for a wrong length, RingMismatch for a foreign element."""
+    point = tuple(point)
     if len(point) != frame.n:
         raise InvalidInput(f"point has {len(point)} coordinates, frame has n={frame.n}")
-    for a in point:
-        frame.ring.unwrap(a)
-    return point
+    return tuple(map(frame.ring.unwrap, point))
 
 
 def point_to_json(frame, point):
@@ -103,7 +106,8 @@ class DivisionResult:
                 for w, pc in freering._push(frame, v, a, memo).items():
                     out[w] = mul_add(out.get(w, 0), c, pc)
         word = memo.word
-        return SkewPolynomial(frame, {word(v): c for v, c in ring.wrap_sums(out.items()).items()})
+        return SkewPolynomial._made(frame, {word(v): c
+                                            for v, c in ring.wrap_sums(out.items()).items()})
 
 
 def divide(F, point):
@@ -157,41 +161,36 @@ def divide(F, point):
             rem[w] = mul_add(rem.get(w, 0), c, pc)
     wrap = ring.wrap
     return DivisionResult(
-        [SkewPolynomial(frame, {spelled[v]: wrap(q) for v, q in quo.items()}) for quo in quot],
+        [SkewPolynomial._made(frame, {spelled[v]: wrap(q) for v, q in quo.items()})
+         for quo in quot],
         wrap(close(rem.get(0, 0))))
 
 
 def fundamental(frame, word, point):
-    """Value of the fundamental function of the given monomial at the point.
-
-    Consumes the word from its right end, so the running value is the
-    fundamental function of an ever longer suffix.
-    """
-    point = check_point(frame, point)
-    word = check_word(frame, word)
-    phi, ring = frame.point_map_val(point), frame.ring
-    val = ring.unwrap(ring.one())
-    for idx in range(len(word) - 1, -1, -1):
-        val = phi(val)[word[idx] - 1]
-    return ring.wrap(val)
+    """Value of the fundamental function of the given monomial at the point."""
+    table = frame.point_table(_point_values(frame, point))
+    return frame.ring.wrap(table.value(frame, check_word(frame, word)))
 
 
 def _value_rows(frame, words, points, rows=None):
     """Values (N_w(b_1), ..., N_w(b_M)), as ring values, of the empty word
-    and of every x_i w with w in words, each from the row of its tail.
-
-    The tail of each word must come earlier in words (or be empty): one
-    compiled-map application per word and point gives all n extensions.
-    Given rows, the table of an earlier call over the same points, the new
-    rows go into it and the tails may be its words too, so a table can
-    grow one degree at a time.
-    """
-    maps = [frame.point_map_val(b) for b in points]
-    if rows is None:
-        ring = frame.ring
-        rows = {(): [ring.unwrap(ring.one())] * len(points)}
+    and of every x_i w with w in words, the tail of each word coming earlier
+    in words (or empty): the node of w in each point's table gives all n
+    extensions with one phi, kept there (PointTable.ext).  Given rows, an
+    earlier call's over the same points, the new rows go into it, and a
+    word a table does not index is extended from its row, neither walked
+    nor held, so rows grown a degree at a time run phi once per row and point."""
+    tables = [frame.point_table(_point_values(frame, b)) for b in points]
+    given = rows is not None
+    if not given:
+        rows = {(): [t.vals[0] for t in tables]}
     for w in words:
-        ext = [phi(v) for phi, v in zip(maps, rows[w])]
+        if given:
+            ext = [t.ext(t.index[w]) if w in t.index else t.phi(v)
+                   for t, v in zip(tables, rows[w])]
+        else:
+            tail = w[1:]
+            ext = [t.ext(t.node(frame, w, tail)) for t in tables]
         for i in range(frame.n):
             rows[(i + 1,) + w] = [e[i] for e in ext]
     return rows
@@ -201,7 +200,6 @@ def fundamental_table(frame, point, d):
     """Fundamental values of every monomial of degree < d at one point,
     by _value_rows over the monomials of degree < d - 1.  Results match
     the naive recursion exactly."""
-    point = check_point(frame, point)
     wrap = frame.ring.wrap
     rows = _value_rows(frame, monomials_below(frame.n, d - 1), (point,))
     return {w: wrap(r[0]) for w, r in rows.items()}
@@ -211,39 +209,20 @@ def evaluate(F, point):
     """F(a) as the left combination sum_m F_m N_m(a).
 
     Agrees with divide(F, point).remainder; the division path is kept
-    as an independent cross-check.  The fundamental values are cached in
-    a trie of word suffixes: each word walks down its longest cached
-    suffix from the right, then extends leftwards.  The trie is flat:
-    node 0 is the empty suffix, vals[v] is N of node v's suffix, exts[v]
-    the n values of its one-letter extensions once the point map has run
-    on it (at most once per node), and children maps
-    v * (n + 1) + letter to the node of the suffix extended by the letter,
-    for the children that some word visits.  So an extended node costs
-    one tuple, phi's result.  The walk is iterative, so word length is
-    bounded by memory only.  It runs on ring values, which stay canonical
-    in the trie since each feeds the next step, sums F_m N_m(a) as one
-    open sum of the ring, and builds one element, the value.
+    as an independent cross-check.  A word indexed in the point's table,
+    which the frame keeps up to its bound (see Frame), costs one lookup, any
+    other a walk (PointTable.node).  The sum runs as one open sum of the
+    ring on ring values, and one element is built, the value.
     """
     frame = F.frame
-    point = check_point(frame, point)
-    phi = frame.point_map_val(point)
+    table = frame.point_table(_point_values(frame, point))
     ring = frame.ring
-    unwrap, mul_add = ring.unwrap, ring.mul_add_val
-    stride, total = frame.n + 1, 0
-    vals, exts, children = [unwrap(ring.one())], [None], {}
+    unwrap, mul_add, index, vals = ring.unwrap, ring.mul_add_val, table.index, table.vals
+    total = 0
     for w, c in F.terms.items():
-        node = 0
-        for i in reversed(w):
-            key = node * stride + i
-            child = children.get(key)
-            if child is None:
-                ext = exts[node]
-                if ext is None:
-                    ext = exts[node] = phi(vals[node])
-                child = children[key] = len(vals)
-                vals.append(ext[i - 1])
-                exts.append(None)
-            node = child
+        node = index.get(w)
+        if node is None:
+            node = table.node(frame, w)
         total = mul_add(total, unwrap(c), vals[node])
     return ring.wrap(ring.close_val(total))
 
@@ -252,13 +231,13 @@ def conjugate(frame, point, c):
     """The twisted conjugate sigma(c) a c^(-1) + delta(c) c^(-1) of a point:
     the compiled maps of the point applied to c, scaled by c^(-1) on the
     right."""
-    point = check_point(frame, point)
+    table = frame.point_table(_point_values(frame, point))
     ring = frame.ring
     c = ring.unwrap(c)
     if not c:
         raise DivisionByZero("conjugation by zero")
     cinv, times, wrap = ring.inv_val(c), ring.mul_val, ring.wrap
-    return tuple([wrap(times(y, cinv)) for y in frame.point_map_val(point)(c)])
+    return tuple([wrap(times(y, cinv)) for y in table.phi(c)])
 
 
 @dataclass

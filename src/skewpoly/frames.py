@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 from .errors import InvalidFrame, RingMismatch
 from .linalg import Matrix, mat_mul
-from .rings import FieldElement, FiniteField, Quaternion, _digits, _encode, _quat_value
+from .rings import _ONE, FieldElement, FiniteField, Quaternion, _digits, _encode, _quat_value
 
 # Fixed seed for the sampled part of quaternion-frame validation.
 _QUAT_SAMPLE_SEED = 0x5EED
@@ -33,8 +33,9 @@ _QUAT_SAMPLE_PAIRS = 256
 
 # Entries a sigma or delta memo of one frame holds before it is emptied.
 _MEMO_LIMIT = 1 << 14
-# Compiled points one frame keeps before its point cache is emptied.
+# Points, and values plus indexed letters, a point cache holds before it is emptied.
 _POINT_MEMO_LIMIT = 1 << 10
+_POINT_VALUE_LIMIT = 1 << 12
 # The most elements a field may have for its point maps to be one table.
 _CHUNK_ENTRIES = 16
 
@@ -178,7 +179,7 @@ class QuatMap:
         if op in ("lmul", "rmul"):
             if not isinstance(c, Quaternion):
                 raise ValueError(f"{op} needs a quaternion constant")
-            compiled = _mul_matrix(c, op == "lmul")
+            compiled = _mul_matrix(c.val, op == "lmul")
         elif op == "conj":
             compiled = _CONJ_MATRIX
         elif op in ("sum", "compose"):
@@ -256,14 +257,14 @@ def _quat_apply(mat, den, v):
     )
 
 
-def _mul_matrix(c, left):
-    """Matrix of a -> c a (left) or a -> a c on the coordinates (w, x, y, z)."""
-    w, x, y, z = c.num
+def _mul_matrix(v, left):
+    """Matrix of a -> v a (left) or a -> a v on (w, x, y, z), v a ring value."""
+    w, x, y, z, den = v or (0, 0, 0, 0, 1)
     if left:
         mat = (w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w)
     else:
         mat = (w, -x, -y, -z, x, w, z, -y, y, -z, w, x, z, y, -x, w)
-    return mat, c.den
+    return mat, den
 
 
 def _normal_matrix(mat, den):
@@ -282,14 +283,14 @@ def _matrix_sum(pairs):
     return _normal_matrix(acc, den)
 
 
-def _matrix_product(pairs):
-    """The normalized product of the (matrix, denominator) pairs, left to right."""
+def _matrix_product(pairs, normal=True):
+    """The product of the (matrix, denominator) pairs, left to right, normalized if normal."""
     (a, den), *rest = pairs
     for b, d in rest:
         a = [a[r] * b[c] + a[r + 1] * b[c + 4] + a[r + 2] * b[c + 8] + a[r + 3] * b[c + 12]
              for r in (0, 4, 8, 12) for c in (0, 1, 2, 3)]
         den *= d
-    return _normal_matrix(a, den)
+    return _normal_matrix(a, den) if normal else (a, den)
 
 
 def additive_map_from_json(ring, obj):
@@ -329,10 +330,9 @@ class Frame:
     value (the code of a field element, the tuple of a quaternion) are
     memoized per frame, so sharing one frame across calls is cheap.  Each
     memo is emptied when it reaches _MEMO_LIMIT entries, which bounds its memory.
-    The point maps of point_map_val are cached the same way, up to
-    _POINT_MEMO_LIMIT points; over GF(p^k) with q > 16 each holds the
-    terms of the point's n linearized polynomials, summed from those of
-    the frame's maps, each map linearized once (see LinearMap).
+    The point cache, a PointTable per point keyed by its ring values, is
+    emptied before it holds more than _POINT_MEMO_LIMIT points or, counting
+    values and the letters of indexed words, _POINT_VALUE_LIMIT.
     branching[i] counts the words one push step makes of the letter x_i:
     its nonzero sigma_ij, plus 1 when delta_i is not zero.  reach is
     (alpha, beta): alpha the most letters one letter reaches through
@@ -352,8 +352,8 @@ class Frame:
     """
 
     __slots__ = ("ring", "n", "sigma", "delta", "branching", "reach", "_sig_cache",
-                 "_del_cache", "_point_cache", "_push_maps", "_push_images", "_push_memo",
-                 "_factored")
+                 "_del_cache", "_point_cache", "_point_held", "_push_maps", "_push_images",
+                 "_push_memo", "_factored")
 
     def __init__(self, ring, sigma, delta):
         n = len(sigma)
@@ -373,7 +373,7 @@ class Frame:
                       max(sum(self.branching[j] for j in r) for r in reach))
         self._sig_cache = {}
         self._del_cache = {}
-        self._point_cache = {}
+        self._point_cache, self._point_held = {}, 0
         self._push_maps, self._push_images, self._push_memo = {}, {}, None
         self._factored = None
 
@@ -468,35 +468,33 @@ class Frame:
         ring = self.ring
         return tuple(map(ring.wrap, self.delta_val(ring.unwrap(a))))
 
-    def point_map_val(self, point):
-        """phi_a: v -> (T_1(v), ..., T_n(v)), T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v),
-        on ring values (see the ring's unwrap), for a point a (a tuple of n
-        ring elements), compiled on first use.
-
-        T_i is additive in v: it is the multivariate form of Leroy's
-        pseudo-linear map of a (Leroy, *Pseudo-linear transformations and
-        evaluation in Ore extensions*, 1995), and it maps N_m(a) to
-        N_(x_i m)(a).  Over GF(p^k) one application is one table lookup
-        when q <= 16, and otherwise one lookup per term of the linearized
-        polynomials of the T_i (see _field_point_map); over the quaternions
-        it is one 4 x 4 integer product per i.
-        """
+    def point_table(self, point):
+        """The PointTable of a point of n ring values, made on first use with
+        phi_a: v -> (T_i(v))_i, T_i(v) = sum_j sigma_ij(v) a_j + delta_i(v),
+        additive in v: Leroy's pseudo-linear map of a in n variables
+        (*Pseudo-linear transformations and evaluation in Ore extensions*,
+        1995), mapping N_m(a) to N_(x_i m)(a).  A step is one lookup over
+        GF(p^k) with q <= 16, else one per term of the linearized polynomials
+        (_field_point_map); over H one 4 x 4 product per i."""
         cache = self._point_cache
-        try:
-            return cache[point]
-        except KeyError:
-            out = (_field_point_map if isinstance(self.ring, FiniteField)
-                   else _quat_point_map)(self, point)
-            if len(cache) >= _POINT_MEMO_LIMIT:
+        table = cache.get(point)
+        if table is None:
+            if len(cache) >= _POINT_MEMO_LIMIT or self._point_held >= _POINT_VALUE_LIMIT:
                 cache.clear()
-            cache[point] = out
-            return out
+                self._point_held = 0
+            field = isinstance(self.ring, FiniteField)  # the unit's value: 1 or _ONE
+            phi = (_field_point_map if field else _quat_point_map)(self, point)
+            table = cache[point] = PointTable(phi, self.n, 1 if field else _ONE)
+            self._point_held += 1
+        return table
 
-    def point_map(self, point):
-        """phi_a on elements: point_map_val's map, unwrapping its argument and
-        wrapping its images as LinearMap.apply wraps apply_val."""
-        phi, unwrap, wrap = self.point_map_val(point), self.ring.unwrap, self.ring.wrap
-        return lambda a: tuple(map(wrap, phi(unwrap(a))))
+    def held_values(self, count):
+        """Count values and indexed letters a PointTable took on; past the
+        bound, empty the cache (a walk in progress keeps its own tables)."""
+        self._point_held += count
+        if self._point_held > _POINT_VALUE_LIMIT:
+            self._point_cache.clear()
+            self._point_held = 0
 
     def to_json(self):
         return {
@@ -507,6 +505,59 @@ class Frame:
 
     def __repr__(self):
         return f"Frame(ring={self.ring!r}, n={self.n})"
+
+
+class PointTable:
+    """A point's map phi and the values N_w(a) found so far, in a flat trie
+    of suffixes: vals[v] is N of node v's suffix (node 0 the empty one),
+    exts[v] phi(vals[v]) once run, children maps v * (n + 1) + letter to the
+    suffix extended on the left, and index maps each word asked for to its
+    node.  The evaluation walkers all read and grow it (Frame.point_table)."""
+
+    __slots__ = ("phi", "stride", "vals", "exts", "children", "index")
+
+    def __init__(self, phi, n, one):
+        self.phi, self.stride = phi, n + 1
+        self.vals, self.exts, self.children, self.index = [one], [None], {}, {(): 0}
+
+    def ext(self, v):
+        """phi(vals[v]), the values of node v's n left extensions, run once."""
+        e = self.exts[v]
+        if e is None:
+            e = self.exts[v] = self.phi(self.vals[v])
+        return e
+
+    def node(self, frame, word, tail=None):
+        """The node of word, indexed: one step from the node of tail, the
+        word less its first letter, when given and indexed, else a walk down
+        its longest held suffix from the right end, extended leftwards.  The
+        new nodes and the word's letters count towards frame's bound."""
+        node = self.index.get(word)
+        if node is None:
+            vals, children, size = self.vals, self.children, len(self.vals)
+            node = None if tail is None else self.index.get(tail)
+            node, letters = (0, reversed(word)) if node is None else (node, word[:1])
+            for i in letters:
+                key = node * self.stride + i
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = len(vals)
+                    vals.append(self.ext(node)[i - 1])
+                    self.exts.append(None)
+                node = child
+            self.index[word] = node
+            frame.held_values(len(vals) - size + len(word))
+        return node
+
+    def value(self, frame, word):
+        """N_word(a): held at the word's node, unless its letters and values
+        would pass the bound alone; then one phi per letter, nothing held."""
+        if 2 * len(word) <= _POINT_VALUE_LIMIT or word in self.index:
+            return self.vals[self.node(frame, word)]
+        v = self.vals[0]
+        for i in reversed(word):
+            v = self.phi(v)[i - 1]
+        return v
 
 
 class PushMap:
@@ -543,8 +594,8 @@ class PushMap:
 
 
 def _field_point_map(frame, point):
-    """phi_a over GF(p^k) on codes, from the linearized polynomials of the
-    frame's maps: T_i(v) = sum_e t_ie v^(p^e) with
+    """phi_a over GF(p^k) on codes, for a point given by its codes, from the
+    linearized polynomials of the frame's maps: T_i(v) = sum_e t_ie v^(p^e) with
     t_ie = sum_j a_j c_e(sigma_ij) + c_e(delta_i), O(n terms) field
     operations per point and no table, so a step is one lookup per term.
     When q <= _CHUNK_ENTRIES, phi is tabulated on all q codes instead, so a
@@ -556,8 +607,8 @@ def _field_point_map(frame, point):
     for sigma_row, delta in zip(frame.sigma, frame.delta):
         row = {shift: exp[lc] for shift, lc in delta.terms()}
         for m, a in zip(sigma_row, point):
-            if a.val:
-                la = log[a.val]
+            if a:
+                la = log[a]
                 for shift, lc in m.terms():
                     row[shift] = add(row.get(shift, 0), exp[la + lc])
         rows.append(row)
@@ -581,16 +632,21 @@ def _field_point_map(frame, point):
     return list(map(apply, range(fld.q))).__getitem__ if fld.q <= _CHUNK_ENTRIES else apply
 
 
-def _quat_point_map(frame, point):
-    """phi_a over the quaternions: each T_i = sum_j R(a_j) S_ij + D_i summed
-    straight into one normalized 4 x 4 integer matrix over a denominator,
-    R(a) the matrix of right multiplication by a, S_ij and D_i those of
-    sigma_ij and delta_i."""
-    applies = []
+def _quat_point_matrices(frame, point):
+    """The (matrix, den) of each T_i = sum_j R(a_j) S_ij + D_i for a point of
+    ring values, R(a) right multiplication by a: the products unnormalized,
+    their sum on one denominator normalized once."""
+    out = []
     for row, d in zip(frame.sigma, frame.delta):
-        parts = [_matrix_product([_mul_matrix(a, False), _compiled(s)])
-                 for s, a in zip(row, point) if a.val and any(s.mat)]
-        applies.append(partial(_quat_apply, *_matrix_sum([_compiled(d)] + parts)))
+        parts = [_matrix_product([_mul_matrix(a, left=False), _compiled(s)], normal=False)
+                 for s, a in zip(row, point) if a and any(s.mat)]
+        out.append(_matrix_sum([_compiled(d)] + parts))
+    return out
+
+
+def _quat_point_map(frame, point):
+    """phi_a over the quaternions: one 4 x 4 integer product per T_i."""
+    applies = [partial(_quat_apply, *pair) for pair in _quat_point_matrices(frame, point)]
     return lambda v: tuple([f(v) for f in applies])
 
 

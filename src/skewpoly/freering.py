@@ -348,6 +348,13 @@ class SkewPolynomial:
         self.frame = frame
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
+    @classmethod
+    def _made(cls, frame, terms):
+        """The polynomial of terms with no zero coefficient, not tested again."""
+        F = object.__new__(cls)
+        F.frame, F.terms = frame, terms
+        return F
+
     # -- queries -------------------------------------------------------------
 
     def is_zero(self):
@@ -580,4 +587,4 @@ def mul(F, G):
                 t = spelled[w]
                 x = (memo.word(w) if t is None else t) + nw
                 out[x] = mul_add(out.get(x, 0), fc, c)
-    return SkewPolynomial(frame, ring.wrap_sums(out.items()))
+    return SkewPolynomial._made(frame, ring.wrap_sums(out.items()))

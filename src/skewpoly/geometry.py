@@ -36,7 +36,8 @@ from functools import cached_property
 from itertools import product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import _value_rows, check_point, conjugate, point_from_json, point_to_json
+from .evaluation import (_point_values, _value_rows, check_point, conjugate, point_from_json,
+                         point_to_json)
 from .freering import count_monomials_below, monomials_of_degree
 from .linalg import Matrix, _combine, _reduce_with_transform, echelon_insert
 from .rings import _span_codes
@@ -50,9 +51,9 @@ MEMBERSHIP_WORK_LIMIT = 1 << 22    # predicted n * M^2 * (k M + t) of the member
 
 
 def check_point_set(frame, points):
-    """Validate an ordered collection of distinct points."""
-    pts = tuple(check_point(frame, p) for p in points)
-    if len(set(pts)) != len(pts):
+    """Validate an ordered collection of distinct points (by their ring values)."""
+    pts = tuple(map(tuple, points))
+    if len({_point_values(frame, p) for p in pts}) != len(pts):
         raise DuplicatePoint("point sets must contain distinct points")
     return pts
 
@@ -87,38 +88,43 @@ def vandermonde_rows(n, d):
     return count_monomials_below(n, d if n == 1 else min(d, 64))
 
 
+def _check_vandermonde(n, M, d, solve=False):
+    """Refuse a degree-d Vandermonde over M points past VANDERMONDE_CELL_LIMIT
+    cells (for n = 1 the d(d - 1)/2 letters of the labels x1^e, e < d, count
+    too) and, when solved, past VERIFIER_WORK_LIMIT rows * M^2 ring operations."""
+    nrows = vandermonde_rows(n, d)
+    if solve and nrows * M * M > VERIFIER_WORK_LIMIT:  # exact: n = 1, or a degree the rows reach
+        raise InvalidInput(f"the Vandermonde solve over {M} points takes about {nrows * M * M} "
+                           f"ring operations, over the limit of {VERIFIER_WORK_LIMIT}")
+    cells = nrows * max(M, 1) + (d * (d - 1) // 2 if n == 1 else 0)
+    if cells > VANDERMONDE_CELL_LIMIT:
+        size = cells if n == 1 or d <= 64 else f"more than {cells}"
+        raise InvalidInput(f"a degree-{d} Vandermonde over {M} points has {size} cells, "
+                           f"over the limit of {VANDERMONDE_CELL_LIMIT}")
+
+
 def _vandermonde_values(frame, points, d, least=False):
     """The checked points, the row labels and the rows of ring values of
     vandermonde(frame, points, d), refused unbuilt past the cell limit.
 
-    The rows grow one degree at a time.  With least=True they stop at the
-    least degree e < d at which they have full column rank, giving the
-    labels and rows of vandermonde(frame, points, e), a prefix of degree
-    d's; when no such e exists they run on to d.  The rank is read off a
-    left echelon (echelon_insert) of the rows in order, tested only when
-    some degree below d has #points rows (never when n = 1), and a row
-    only when its tail's row entered the echelon: the row of x_i w is
-    T_i(row of w), T_i the frame's map of the point in each column, and
-    T_i(c r) = sum_l sigma_il(c) T_l(r) + delta_i(c) r, so a row that is a
-    left combination of earlier rows sends x_i to a combination of rows
-    already built.  The tested rows, at most 1 + n #points, thus span
-    what all rows of degree < e span.
+    The rows grow one degree at a time.  With least=True (the verifier's
+    solve) they stop at the least degree e < d with full column rank,
+    giving the rows of vandermonde(frame, points, e), or run on to d; when
+    n >= 2 each degree's budgets are checked before it is built.  The rank
+    is read off a left echelon (echelon_insert) of the rows in order,
+    tested only when some degree below d has #points rows (never when
+    n = 1), and a row only when its tail's row entered: the row of x_i w is
+    T_i(row of w), T_i the point's map in each column, and T_i(c r) =
+    sum_l sigma_il(c) T_l(r) + delta_i(c) r, so a row that is a left
+    combination of earlier rows sends x_i to a combination of rows already
+    built.  The at most 1 + n #points tested rows span all of degree < e.
     """
     if d < 1:
         raise InvalidInput("degree bound must be >= 1")
     points = tuple(check_point(frame, p) for p in points)
-    n = frame.n
-    nrows = vandermonde_rows(n, d)
-    cells = nrows * max(len(points), 1)
-    if n == 1:
-        cells += d * (d - 1) // 2
-    if cells > VANDERMONDE_CELL_LIMIT:
-        size = cells if n == 1 or d <= 64 else f"more than {cells}"
-        raise InvalidInput(
-            f"a degree-{d} Vandermonde over {len(points)} points has {size} cells, "
-            f"over the limit of {VANDERMONDE_CELL_LIMIT}"
-        )
-    M, ring = len(points), frame.ring
+    n, M, ring = frame.n, len(points), frame.ring
+    per_degree = least and n > 1
+    _check_vandermonde(n, M, 1 if per_degree else d, per_degree)
     rows, monos, span, entered = _value_rows(frame, (), points), [()], {}, set()
     test = least and vandermonde_rows(n, d - 1) >= M
     for e in range(1, d):  # monos holds the monomials of degree < e
@@ -131,6 +137,8 @@ def _vandermonde_values(frame, points, d, least=False):
                         break
             if len(span) == M:
                 break
+        if per_degree:
+            _check_vandermonde(n, M, e + 1, True)
         _value_rows(frame, last, points, rows)
         monos.extend(monomials_of_degree(n, e))
     return points, monos, [rows[m] for m in monos]
@@ -142,9 +150,8 @@ def vandermonde(frame, points, d):
     Rows run over the monomials of degree < d in the global monomial
     order, columns over the given points.  Row count is d for n = 1
     and (n^d - 1)/(n - 1) otherwise; a matrix predicted to exceed
-    VANDERMONDE_CELL_LIMIT cells (rows x points) is refused unbuilt.
-    For n = 1 the row labels x1^e, e < d, spell d(d - 1)/2 letters,
-    which outgrow the d M cells, so they count as cells too.
+    VANDERMONDE_CELL_LIMIT cells (rows x points, see _check_vandermonde)
+    is refused unbuilt.
     """
     points, monos, rows = _vandermonde_values(frame, points, d)
     wrap, elements = frame.ring.wrap, {}  # one element per distinct value
@@ -188,7 +195,7 @@ def _image_echelon(frame, points):
     if not M:
         return (), ()
     ring = frame.ring
-    maps = [frame.point_map_val(b) for b in points]
+    maps = [frame.point_table(_point_values(frame, b)).phi for b in points]
     span = {}
     standard = []
     queue = deque([((), [ring.unwrap(ring.one())] * M)])

@@ -29,10 +29,10 @@ from .errors import (
     NotSeparable,
 )
 from .evaluation import check_point, evaluate
-from .freering import from_terms, zero
+from .freering import SkewPolynomial, zero
 from .geometry import (
-    VERIFIER_WORK_LIMIT,
     _basis_square,
+    _check_vandermonde,
     _factored,
     _inverse_square,
     _vandermonde_values,
@@ -40,7 +40,6 @@ from .geometry import (
     find_p_basis,
     is_two_sided,
     vandermonde,
-    vandermonde_rows,
 )
 from .linalg import _combine, _solve, _values, echelon_insert
 
@@ -85,10 +84,10 @@ def lagrange_interpolate(frame, basis, values):
 
 
 def _polynomial(frame, monos, coeffs):
-    """The polynomial with the ring values coeffs on monos, building one
-    element per nonzero coefficient."""
+    """The polynomial with the ring values coeffs on the distinct words
+    monos, building one element per nonzero coefficient."""
     wrap = frame.ring.wrap
-    return from_terms(frame, [(m, wrap(c)) for m, c in zip(monos, coeffs) if c])
+    return SkewPolynomial._made(frame, {m: wrap(c) for m, c in zip(monos, coeffs) if c})
 
 
 def lagrange_via_vandermonde(frame, basis, values):
@@ -101,9 +100,9 @@ def lagrange_via_vandermonde(frame, basis, values):
     over all of degree M's rows: V's rows come first among them, and once
     they have rank M the elimination finds every pivot among them, so the
     later rows get coefficient 0.  Only the Vandermonde rows decide d.
-    The solve takes about rows * M^2 ring operations; a job predicted at
-    degree M to exceed VERIFIER_WORK_LIMIT, or VANDERMONDE_CELL_LIMIT
-    cells, is refused before anything is built.
+    The solve takes about rows * M^2 ring operations; past VERIFIER_WORK_LIMIT
+    or VANDERMONDE_CELL_LIMIT cells a job is refused before any row is built
+    when n = 1, else before the degree that would pass (_vandermonde_values).
     """
     basis = check_point_set(frame, basis)
     values = tuple(values)
@@ -112,13 +111,8 @@ def lagrange_via_vandermonde(frame, basis, values):
     if not basis:
         return zero(frame)
     M = len(basis)
-    work = vandermonde_rows(frame.n, M) * M * M
-    if work > VERIFIER_WORK_LIMIT:
-        size = work if frame.n == 1 or M <= 64 else f"more than {work}"
-        raise InvalidInput(
-            f"the Vandermonde solve over {M} points takes about {size} ring operations, "
-            f"over the limit of {VERIFIER_WORK_LIMIT}"
-        )
+    if frame.n == 1:  # the rows run to d = M
+        _check_vandermonde(1, M, M, True)
     ring = frame.ring
     _, monos, rows = _vandermonde_values(frame, basis, M, True)  # least degree
     try:

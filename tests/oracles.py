@@ -111,7 +111,7 @@ from skewpoly import (
 from skewpoly import freering
 from skewpoly.errors import RingMismatch
 from skewpoly.evaluation import _value_rows, check_point
-from skewpoly.frames import _CHUNK_ENTRIES, QuatMap
+from skewpoly.frames import _CHUNK_ENTRIES, QuatMap, _matrix_product, _matrix_sum, _mul_matrix
 from skewpoly.freering import (PUSH_TERM_LIMIT, _accumulate, _check_push_budget,
                                _product_words, count_monomials_below, frame_memo)
 from skewpoly.interpolation import independent_rows
@@ -887,6 +887,18 @@ def quat_point_map_reference(frame, point):
     return [QuatMap(ring, "sum", maps=[QuatMap(ring, "compose", maps=(QuatMap(ring, "rmul", a), s))
                                        for s, a in zip(row, point) if not s.is_zero_map()] + [d])
             for row, d in zip(frame.sigma, frame.delta)]
+
+
+def quat_point_matrices_reference(frame, point):
+    """The (matrix, den) pair of each T_i built as an earlier version built
+    it: each R(a_j) S_ij a normalized product, then their sum with D_i
+    normalized once more."""
+    out = []
+    for row, d in zip(frame.sigma, frame.delta):
+        parts = [_matrix_product([_mul_matrix(a.val, False), (s.mat, s.den)])
+                 for s, a in zip(row, point) if a.val and any(s.mat)]
+        out.append(_matrix_sum([(d.mat, d.den)] + parts))
+    return out
 
 
 def fundamental_table_reference(frame, point, d):

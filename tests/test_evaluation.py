@@ -238,7 +238,9 @@ def test_both_evaluation_paths_agree(
 
 
 def test_evaluate_runs_the_point_map_once_per_extended_suffix(frob_gf65536_2, monkeypatch):
-    frame = frob_gf65536_2
+    # a frame of its own, so the point's table starts empty
+    shared = frob_gf65536_2
+    frame = Frame(shared.ring, shared.sigma, shared.delta)
     rng = random.Random("walk")
     u = tuple(rng.randint(1, 2) for _ in range(1000))
     # words u g and x2 x1 u g: every suffix of the first is one of the second
@@ -246,10 +248,10 @@ def test_evaluate_runs_the_point_map_once_per_extended_suffix(frob_gf65536_2, mo
     P = mul(U + monomial(frame, (2, 1) + u, frame.ring.random_nonzero(rng)),
             random_nonzero_poly(frame, rng))
     a = random_point(frame, rng)
-    expect, point_map_val, calls = divide(P, a).remainder, Frame.point_map_val, []
+    expect, point_map, calls = divide(P, a).remainder, frames._field_point_map, []
 
-    def counted(self, point):
-        phi = point_map_val(self, point)
+    def counted(frame, point):
+        phi = point_map(frame, point)
 
         def wrapped(v):
             calls.append(v)
@@ -257,7 +259,7 @@ def test_evaluate_runs_the_point_map_once_per_extended_suffix(frob_gf65536_2, mo
 
         return wrapped
 
-    monkeypatch.setattr(Frame, "point_map_val", counted)
+    monkeypatch.setattr(frames, "_field_point_map", counted)
     assert evaluate(P, a) == expect
     # the suffixes w[j:] that a walk from the right end extends by w[j - 1]
     extended = {w[j:] for w in P.terms for j in range(1, len(w) + 1)}

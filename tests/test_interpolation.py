@@ -288,19 +288,48 @@ def test_verifier_matches_the_whole_degree_solve(gf3, gf4, gf5, frob_gf4_2, nond
     assert {(True, False, False), (True, True, False), (False, False, True)} <= seen
 
 
-def test_verifier_cell_budget_refuses_before_any_row(gf5, monkeypatch):
-    # 10 points of GF(5)^3 pass the work budget (29524 rows x 10^2) and
-    # reach full rank below degree 10, but the cell budget at degree 10
-    # refuses them before any Vandermonde row is built
+def test_verifier_budgets_follow_the_degree_it_stops_at(gf5, monkeypatch):
+    # 10 points of GF(5)^3 reach full rank at degree 6 (364 rows), so the
+    # verifier answers without the degree-10 Vandermonde (29524 rows, 295240
+    # cells) that its own degree, M = 10, would build
+    frame = conventional_frame(gf5, 3)
+    pts = list(all_points(frame))[:10]
+    rng = random.Random("gf5-cubed")
+    values = [gf5.random_nonzero(rng) for _ in pts]
+    start = time.perf_counter()
+    G = lagrange_via_vandermonde(frame, pts, values)
+    assert time.perf_counter() - start < 1
+    F = lagrange_interpolate(frame, pts, values)
+    assert [evaluate(G, p) for p in pts] == [evaluate(F, p) for p in pts] == values
+    # the vandermonde verb builds the degree it is given, so the cell budget
+    # at degree 10 still refuses it before any row is built
     def refuse(*args):
         raise AssertionError("a Vandermonde row was built")
 
     monkeypatch.setattr(geometry, "_value_rows", refuse)
-    frame = conventional_frame(gf5, 3)
-    pts = list(all_points(frame))[:10]
     with pytest.raises(InvalidInput, match="a degree-10 Vandermonde over 10 points has 295240 "
                                            "cells, over the limit of 262144"):
-        lagrange_via_vandermonde(frame, pts, [gf5.one()] * len(pts))
+        vandermonde(frame, pts, 10)
+
+
+def test_verifier_budgets_refuse_the_degree_that_passes_them(monkeypatch):
+    # a P-dependent set never reaches full rank and runs on towards d = M:
+    # the 16 points of the Frobenius GF(4)^2 plane have rank 11, and degree
+    # 15 (32767 rows x 16^2) is the first to pass the work budget, so the
+    # rows of degree 13 are the last built
+    frame = frobenius_frame(FiniteField(2, 2), 2)
+    plane = list(all_points(frame))
+    built, value_rows = [], geometry._value_rows
+
+    def counted(frame, words, points, rows=None):
+        built.extend(words)
+        return value_rows(frame, words, points, rows)
+
+    monkeypatch.setattr(geometry, "_value_rows", counted)
+    with pytest.raises(InvalidInput, match="the Vandermonde solve over 16 points takes about "
+                                           "8388352 ring operations, over the limit of 4194304"):
+        lagrange_via_vandermonde(frame, plane, [frame.ring.one()] * len(plane))
+    assert max(map(len, built)) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +627,18 @@ class _Admitted(Exception):
 
 
 def test_verifier_work_budget_admits_the_largest_jobs(gf5, monkeypatch):
-    # the budget (VERIFIER_WORK_LIMIT = 2^22) is checked before the
-    # Vandermonde is built: a stub in its place tells admitted jobs from
-    # refused ones without solving any
+    # 14 points of GF(5)^2, whose degree-14 rows (16383 x 14^2) are the most
+    # the budget (VERIFIER_WORK_LIMIT = 2^22) admits, answer on the real
+    # path, with each degree's budget checked as it is built
+    frame = conventional_frame(gf5, 2)
+    pts = list(all_points(frame))[:14]
+    rng = random.Random("gf5-squared")
+    values = [gf5.random_nonzero(rng) for _ in pts]
+    G = lagrange_via_vandermonde(frame, pts, values)
+    F = lagrange_interpolate(frame, pts, values)
+    assert [evaluate(G, p) for p in pts] == [evaluate(F, p) for p in pts] == values
+    # for n = 1 the budget is checked before the Vandermonde is built: a
+    # stub in its place tells admitted jobs from refused ones unsolved
     def stub(*args):
         raise _Admitted
 
@@ -608,18 +646,39 @@ def test_verifier_work_budget_admits_the_largest_jobs(gf5, monkeypatch):
     gf = FiniteField(2, 16)
     line = conventional_frame(gf, 1)
     elements = list(gf.elements())
-    plane = list(all_points(conventional_frame(gf5, 2)))
-    admitted = (
-        # 14 points of GF(5)^2: 16383 rows x 14^2
-        (conventional_frame(gf5, 2), plane[:14]),
-        # 161 univariate points: 161^3 = 4173281
-        (line, [(e,) for e in elements[:161]]),
-    )
-    for frame, pts in admitted:
-        with pytest.raises(_Admitted):
-            lagrange_via_vandermonde(frame, pts, [frame.ring.one()] * len(pts))
+    # 161 univariate points: 161^3 = 4173281
+    with pytest.raises(_Admitted):
+        lagrange_via_vandermonde(line, [(e,) for e in elements[:161]], [gf.one()] * 161)
     with pytest.raises(InvalidInput, match="4251528"):
         lagrange_via_vandermonde(line, [(e,) for e in elements[:162]], [gf.one()] * 162)
+
+
+def test_vandermonde_rows_run_the_point_map_once_per_row_and_point(monkeypatch):
+    # rows grown a degree at a time extend each row from the one below:
+    # 64 points and degree 200 (12800 cells, past the point cache's bound)
+    # run each point's map once per row and compile each point once
+    from skewpoly import frames
+
+    gf = FiniteField(2, 8)
+    frame = conventional_frame(gf, 1)
+    pts = [(e,) for e in list(gf.elements())[:64]]
+    point_map, compiled, calls = frames._field_point_map, [], []
+
+    def counted(frame, point):
+        compiled.append(point)
+        phi = point_map(frame, point)
+
+        def wrapped(v):
+            calls.append(v)
+            return phi(v)
+
+        return wrapped
+
+    monkeypatch.setattr(frames, "_field_point_map", counted)
+    V = vandermonde(frame, pts, 200)
+    assert len(compiled) == 64 and len(calls) <= 64 * 200
+    # conventional maps: the row of x1^e holds the powers b^e
+    assert list(V.rows[199]) == [e ** 199 for (e,) in pts]
 
 
 # ---------------------------------------------------------------------------

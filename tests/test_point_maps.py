@@ -1,4 +1,4 @@
-"""The point maps of Frame.point_map against the uncompiled step.
+"""The point maps of Frame.point_table against the uncompiled step.
 
 phi_a(v) = (sum_j sigma_ij(v) a_j + delta_i(v))_i.  Over GF(p^k) with
 q <= 16 it is one table per point; for larger q no point builds a table:
@@ -19,6 +19,7 @@ push lists against the column reference sum_j d_j col_j.
 import json
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,14 +28,28 @@ from hypothesis import strategies as st
 from skewpoly import (
     FiniteField,
     LinearMap,
+    QuaternionRing,
     conjugate,
     conventional_frame,
+    divide,
     evaluate,
     frobenius_frame,
+    fundamental,
     fundamental_table,
+    monomial,
+    monomials_below,
     mul,
 )
-from skewpoly.frames import _POINT_MEMO_LIMIT, Frame, frame_from_json
+from skewpoly import frames as frames_module
+from skewpoly.errors import InvalidInput, RingMismatch
+from skewpoly.evaluation import _value_rows
+from skewpoly.frames import (
+    _POINT_MEMO_LIMIT,
+    Frame,
+    QuatMap,
+    _quat_point_matrices,
+    frame_from_json,
+)
 from skewpoly.rings import ring_from_json
 from conftest import nondiagonal_frame, random_nonzero_poly, random_point
 from oracles import (
@@ -45,6 +60,7 @@ from oracles import (
     fundamental_table_reference,
     linear_map_reference,
     quat_point_map_reference,
+    quat_point_matrices_reference,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -92,6 +108,18 @@ def _inputs(ring, rng, count=12):
     return [ring.zero()] + ring.additive_basis() + [_element(ring, rng) for _ in range(count)]
 
 
+def _phi_val(frame, a):
+    """phi_a on ring values: the map of the point's table."""
+    return frame.point_table(tuple(map(frame.ring.unwrap, a))).phi
+
+
+def _phi(frame, a):
+    """phi_a on elements: _phi_val's map, unwrapping its argument and
+    wrapping its images."""
+    phi, unwrap, wrap = _phi_val(frame, a), frame.ring.unwrap, frame.ring.wrap
+    return lambda v: tuple(map(wrap, phi(unwrap(v))))
+
+
 def _points(frame, rng, count=4):
     zero = tuple(frame.ring.zero() for _ in range(frame.n))
     basis = frame.ring.additive_basis()
@@ -103,8 +131,8 @@ def test_point_map_matches_the_uncompiled_step(name, frames):
     frame = frames[name]
     rng = random.Random(f"point-map-{name}")
     for a in _points(frame, rng):
-        phi = frame.point_map(a)
-        assert frame.point_map_val(a) is frame.point_map_val(a)
+        phi = _phi(frame, a)
+        assert _phi_val(frame, a) is _phi_val(frame, a)
         for v in _inputs(frame.ring, rng):
             assert phi(v) == tuple(extend_reference(frame, v, a)), (a, v)
 
@@ -115,7 +143,7 @@ def test_field_point_map_matches_the_per_point_compile(name, frames):
     ring = frame.ring
     rng = random.Random(f"per-point-{name}")
     for a in _points(frame, rng):
-        phi, ref = frame.point_map_val(a), field_point_map_reference(frame, a)
+        phi, ref = _phi_val(frame, a), field_point_map_reference(frame, a)
         for v in map(ring.unwrap, _inputs(ring, rng)):
             assert phi(v) == ref(v), (a, v)
 
@@ -155,7 +183,7 @@ def test_point_maps_compile_no_table_per_point(frob_gf65536_2, monkeypatch):
     assert not calls
     once = sorted([id(frob), id(zero)])
     for a in points:
-        phi = frame.point_map_val(a)
+        phi = _phi_val(frame, a)
         assert sorted(map(id, calls)) == once, a
         v = fld.random_element(rng)
         got = phi(v.val)
@@ -186,7 +214,7 @@ def test_point_map_matches_the_uncompiled_step_on_drawn_values(frames, name, see
     rng = random.Random(seed)
     a = random_point(frame, rng, height=4)
     v = _element(frame.ring, rng)
-    assert frame.point_map(a)(v) == tuple(extend_reference(frame, v, a))
+    assert _phi(frame, a)(v) == tuple(extend_reference(frame, v, a))
 
 
 def test_quaternion_point_maps_match_their_catalog_trees(quat, quat_inner_2):
@@ -194,7 +222,7 @@ def test_quaternion_point_maps_match_their_catalog_trees(quat, quat_inner_2):
     # additive basis (which fixes a Q-linear map) and on seeded values
     rng = random.Random("catalog-trees")
     for a in _points(quat_inner_2, rng, count=20):
-        phi, trees = quat_inner_2.point_map_val(a), quat_point_map_reference(quat_inner_2, a)
+        phi, trees = _phi_val(quat_inner_2, a), quat_point_map_reference(quat_inner_2, a)
         for v in _inputs(quat, rng, count=4):
             v = quat.unwrap(v)
             assert phi(v) == tuple(t.apply_val(v) for t in trees), (a, v)
@@ -204,8 +232,130 @@ def test_point_cache_is_bounded(quat):
     frame = conventional_frame(quat, 2)
     points = [(quat(k, 1, 0, 0), quat.j()) for k in range(_POINT_MEMO_LIMIT + 10)]
     for a in points:
-        frame.point_map(a)
+        _phi(frame, a)
         assert len(frame._point_cache) <= _POINT_MEMO_LIMIT
     v = quat(1, 2, 3, 4)
     for a in points[:3] + points[-3:]:
-        assert frame.point_map(a)(v) == tuple(extend_reference(frame, v, a))
+        assert _phi(frame, a)(v) == tuple(extend_reference(frame, v, a))
+
+
+def test_quaternion_point_matrices_match_the_product_by_product_sums(quat, quat_inner_2):
+    # each T_i summed on one denominator and normalized once, against the
+    # normalized products summed with D_i, on the acceptance frame, the
+    # conventional frame and a frame with conjugation, zero coordinates too
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    delta = QuatMap(quat, "sum", maps=(QuatMap(quat, "lmul", quat(half, 1, 0, 0)),
+                                       QuatMap(quat, "rmul", quat(-third, 0, half, 0))))
+    conj = Frame(quat, [[QuatMap(quat, "conj")]], [delta])
+    rng = random.Random("one-denominator")
+    for frame in (quat_inner_2, conventional_frame(quat, 2), conj):
+        for a in _points(frame, rng, count=40):
+            got = _quat_point_matrices(frame, tuple(map(quat.unwrap, a)))
+            assert got == quat_point_matrices_reference(frame, a), a
+
+
+# ---------------------------------------------------------------------------
+# The point tables: one cache of fundamental values per point
+# ---------------------------------------------------------------------------
+
+def _fresh(frame):
+    """A frame of the same maps whose point cache starts empty."""
+    return Frame(frame.ring, frame.sigma, frame.delta)
+
+
+def _copy(ring, a):
+    """An equal point built from fresh elements."""
+    return tuple(ring.element_from_json(ring.element_to_json(x)) for x in a)
+
+
+def _held(frame):
+    """The values and the letters of indexed words the point cache holds."""
+    return sum(len(t.vals) + sum(map(len, t.index)) for t in frame._point_cache.values())
+
+
+def _check_walkers(frame, rng, points, rounds=3):
+    # evaluate, fundamental, fundamental_table and _value_rows, interleaved,
+    # each point also asked for as an equal point and as a list
+    ring, n = frame.ring, frame.n
+    words = monomials_below(n, 4)
+    tables = {a: fundamental_table_reference(frame, a, 5) for a in points}
+    for _ in range(rounds):
+        for a in points:
+            table = tables[a]
+            for b in (a, _copy(ring, a), list(a)):
+                F = random_nonzero_poly(frame, rng, max_deg=4)
+                assert evaluate(F, b) == evaluate_reference(F, a) == divide(F, a).remainder, a
+                w = rng.choice(words)
+                assert fundamental(frame, w, b) == table[w], (a, w)
+            assert fundamental_table(frame, list(a), 3) == {w: table[w] for w in
+                                                             monomials_below(n, 3)}
+        tails = monomials_below(n, rng.randint(1, 3))
+        rows = _value_rows(frame, tails, points)
+        assert set(rows) == {()} | {(i,) + w for w in tails for i in range(1, n + 1)}
+        for w, row in rows.items():
+            assert row == [ring.unwrap(tables[a][w]) for a in points], w
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_point_tables_serve_every_walker(name, frames):
+    frame = _fresh(frames[name])
+    rng = random.Random(f"tables-{name}")
+    points = _points(frame, rng, count=2)
+    _check_walkers(frame, rng, points)
+    assert all(frame._point_cache[tuple(map(frame.ring.unwrap, a))].index for a in points)
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_point_tables_hold_their_bound(name, frames, monkeypatch):
+    # a bound of 60 values and 3 points empties the cache many times over:
+    # the answers hold across each emptying, and the cache never holds more
+    monkeypatch.setattr(frames_module, "_POINT_VALUE_LIMIT", 60)
+    monkeypatch.setattr(frames_module, "_POINT_MEMO_LIMIT", 3)
+    frame = _fresh(frames[name])
+    rng = random.Random(f"bound-{name}")
+    points = _points(frame, rng, count=2)
+    held, held_values = [], frames_module.Frame.held_values
+
+    def counted(self, count):
+        held_values(self, count)
+        held.append((_held(self), self._point_held, len(self._point_cache)))
+
+    monkeypatch.setattr(frames_module.Frame, "held_values", counted)
+    _check_walkers(frame, rng, points, rounds=2)
+    assert held and all(actual <= counter <= 60 and size <= 3 for actual, counter, size in held)
+    assert any(counter < before for (_, before, _), (_, counter, _) in zip(held, held[1:]))
+    # a word longer than the bound still evaluates, and is not held
+    a = points[-1]
+    word = tuple(rng.randint(1, frame.n) for _ in range(40))
+    F = monomial(frame, word, frame.ring.one())
+    assert evaluate(F, a) == fundamental(frame, word, a) == evaluate_reference(F, a)
+    assert _held(frame) <= 60
+    # fundamental walks a word that would pass the bound alone without holding it
+    frame = _fresh(frame)
+    assert fundamental(frame, word, a) == evaluate_reference(F, a)
+    assert _held(frame) == 1
+
+
+@pytest.mark.parametrize("name", FRAMES)
+def test_held_points_are_still_checked(name, frames):
+    frame = _fresh(frames[name])
+    ring = frame.ring
+    rng = random.Random(f"checked-{name}")
+    a = random_point(frame, rng)
+    F = random_nonzero_poly(frame, rng)
+    value = evaluate(F, a)
+    foreign = QuaternionRing() if ring.is_finite else FiniteField(5)
+    # codes (field) or integers (quaternions) compare equal to elements
+    plain = tuple(x.val if ring.is_finite else 1 for x in a)
+    for call in (lambda b: evaluate(F, b), lambda b: fundamental(frame, (1,), b),
+                 lambda b: fundamental_table(frame, b, 2), lambda b: conjugate(frame, b, ring.one())):
+        call(a)
+        with pytest.raises(InvalidInput):
+            call(a + a[:1])
+        with pytest.raises(InvalidInput):
+            call(a[:1])
+        with pytest.raises(RingMismatch):
+            call((foreign.one(),) * frame.n)
+        with pytest.raises(RingMismatch):
+            call(plain)
+    assert evaluate(F, _copy(ring, a)) == value
