@@ -9,16 +9,17 @@ Finite-field elements are carried as a single integer ``val`` in
 ``[0, p^k)`` whose base-p digits are the power-basis coefficients
 (constant digit first).  Ascending ``val`` therefore enumerates GF(4)
 as 0, 1, w, w+1 where w is a root of the modulus.  Their arithmetic runs
-on exp/log/Zech-logarithm tables of O(q) size (see :class:`FiniteField`).
+on O(q)-size exp/log tables, plus Zech logarithms for odd p (see :class:`FiniteField`).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
-from operator import index, xor
+from operator import index, mul, xor
 
 from .errors import DivisionByZero, InvalidInput, NotFinite, RingMismatch
 
@@ -147,16 +148,14 @@ def _poly_pow(a, e, m, p):
     return out
 
 
-def _primitive_element(p, k, modulus):
-    """Coefficients of the smallest element (by code) whose powers run
-    through all q - 1 units.  t itself often is not one: it has order 51
-    in GF(2^8) and 21845 in GF(2^16) under the default moduli."""
-    n = p ** k - 1
+def _primitive_code(n, power):
+    """The smallest code g whose powers run through all n = q - 1 units,
+    power(g, e) being the code of g^e.  t itself often is not one: it has
+    order 51 in GF(2^8) and 21845 in GF(2^16) under the default moduli."""
     primes = {r for d in range(1, isqrt(n) + 1) if n % d == 0 for r in (d, n // d) if _is_prime(r)}
     for g in range(1, n + 1):
-        a = _poly_trim(_digits(g, p, k))
-        if all(_poly_pow(a, n // r, modulus, p) != [1] for r in primes):
-            return a
+        if all(power(g, n // r) != 1 for r in primes):
+            return g
 
 
 def _span_codes(cols, p, add):
@@ -173,24 +172,27 @@ def _span_codes(cols, p, add):
 
 def _build_tables(p, k, modulus):
     """exp, log and Zech-logarithm tables of GF(p)[t]/(modulus) over its
-    primitive element g, with n = q - 1:
+    primitive element g, with n = q - 1 (for p = 2 see _binary_tables):
 
     * ``exp[i]`` = g^i for 0 <= i < 2n, so a sum of two logs needs no reduction
     * ``log[a]`` = i with g^i = a for a != 0, and ``log[0]`` = n
-    * ``zech[i]`` = log(1 + g^i), which is n where 1 + g^i = 0
+    * ``zech[i]`` = log(1 + g^i), which is n where 1 + g^i = 0; None for p = 2
 
-    Multiplication by g is GF(p)-linear: each step of the walk through the
-    powers adds the images of the low and the high half of the digits,
-    read from tables of p^ceil(k/2) and p^floor(k/2) entries.
+    For odd p, multiplication by g is GF(p)-linear: each step of the walk
+    through the powers adds the images of the low and the high half of the
+    digits, read from tables of p^ceil(k/2) and p^floor(k/2) entries.
     """
     q = p ** k
     n = q - 1
     if p == 2:
-        add = xor  # the digit-wise sum mod 2
-    else:
-        def add(a, b):
-            return _encode([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
-    a = _primitive_element(p, k, modulus)
+        return _binary_tables(k, n, _encode(modulus, 2))
+
+    def add(a, b):
+        return _encode([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+
+    def power(g, e):
+        return _encode(_poly_pow(_poly_trim(_digits(g, p, k)), e, modulus, p), p)
+    a = _poly_trim(_digits(_primitive_code(n, power), p, k))
     cols = []  # g t^j
     for _ in range(k):
         cols.append(_encode(a, p))
@@ -213,6 +215,44 @@ def _build_tables(p, k, modulus):
     log_succ[p - 1::p] = log[::p]
     zech = array("H", map(log_succ.__getitem__, islice(exp, n)))
     return exp, log, zech
+
+
+def _binary_tables(k, n, m):
+    """exp and log of GF(2^k), m the modulus's code, with no Python step per
+    exp entry: multiplication by g^B is GF(2)-linear, so exp[B:2B] is exp[:B]
+    mapped by it, byte plane by byte plane of the codes through 256-entry
+    ``bytes.translate`` maps xor-ed as big ints (16 rounds for GF(2^16))."""
+    def mul(a, b):  # the GF(2)[t] product of two codes, reduced by m
+        out = 0
+        for j in range(k):
+            out ^= a if b >> j & 1 else 0
+            a = a << 1 ^ m if a >> (k - 1) else a << 1
+        return out
+    planes = [b"\1", b"\0"]  # low and high bytes of exp[:size]
+    size, step = 1, _primitive_code(n, lambda g, e: _power(g, e, 1, mul))  # step = g^size
+    while size < n:
+        maps, col = [], step  # col runs through g^size t^j, j < 16
+        for _ in range(2):
+            images = 0  # a byte's 256 images in 16-bit lanes, doubled by each bit j
+            for j in range(8):
+                lanes = int.from_bytes(col.to_bytes(2, "little") * (1 << j), "little")
+                images |= (images ^ lanes) << (16 << j)
+                col = col << 1 ^ m if col >> (k - 1) else col << 1
+            words = images.to_bytes(512, "little")
+            maps.append((words[0::2], words[1::2]))  # a byte -> its image's low, high byte
+        planes = [plane + (int.from_bytes(planes[0].translate(maps[0][o]), "little")
+                           ^ int.from_bytes(planes[1].translate(maps[1][o]), "little")
+                           ).to_bytes(size, "little") for o, plane in enumerate(planes)]
+        size, step = 2 * size, mul(step, step)
+    codes = bytearray(4 * n)  # exp as 16-bit words in the machine's byte order
+    big = sys.byteorder == "big"
+    codes[big::2], codes[1 - big::2] = planes[0][:n] * 2, planes[1][:n] * 2
+    exp = array("H", codes)
+    log = array("H", [n]) * (n + 1)
+    view = memoryview(log)  # its item assignment costs less than the array's
+    for i, x in zip(range(n), exp):
+        view[x] = i
+    return exp, log, None
 
 
 def default_modulus(p, k):
@@ -251,16 +291,16 @@ def _field_mul_add(p, exp, log, zech, units):
     return mul_add
 
 
-def _power(a, e, one):
-    """a^e by repeated squaring, one being the unit of a's ring; a negative
-    e inverts a first."""
+def _power(a, e, one, mul=mul):
+    """a^e by repeated squaring, one and mul being the unit and the product
+    of a's ring; a negative e inverts a first."""
     if e < 0:
         a, e = a.inv(), -e
     out = one
     while e:
         if e & 1:
-            out = out * a
-        a = a * a
+            out = mul(out, a)
+        a = mul(a, a)
         e >>= 1
     return out
 
@@ -359,14 +399,14 @@ class FiniteField:
     Sizes above 2**16 are rejected: the arithmetic tables hold 16-bit
     entries.  The modulus is checked with Rabin's irreducibility test.
 
-    Integer-code arithmetic reads three tables over a primitive element
-    g, built at construction in O(q) time and memory (the exp/log and
+    Integer-code arithmetic reads tables over a primitive element g,
+    built at construction in O(q) time and memory (the exp/log and
     Zech-logarithm tables of Lidl & Niederreiter, *Finite Fields*): a
-    product is g^(log a + log b), an inverse g^(-log a), and a sum
-    a + b = a (1 + g^(log b - log a)) = g^(log a + zech(log b - log a)).
-    In characteristic 2 a sum and a difference are the xor of the codes
-    instead, so add_val and sub_val are xor there.  The kernel acc + a b
-    of sums of products, mul_add_val, is one closure per field.
+    product is g^(log a + log b), an inverse g^(-log a), and for odd p a
+    sum a + b = a (1 + g^(log b - log a)) = g^(log a + zech(log b - log a)).
+    For p = 2 add_val and sub_val are the xor of the codes and there is no
+    Zech table (see _build_tables for how each is built).  The kernel
+    acc + a b of sums of products, mul_add_val, is one closure per field.
     """
 
     def __init__(self, p, k=1, modulus=None):

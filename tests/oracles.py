@@ -41,11 +41,14 @@ on the first invertible square of Vandermonde rows, and the verifier
 interpolant solved over the whole Vandermonde of degree #basis, which
 the solve stopping at the least degree of full column rank replaced.
 
-The module keeps two more procedures that the library replaced: the
+The module keeps three more procedures that the library replaced: the
 trial-division irreducibility test (every monic divisor of degree up to
-half the degree) that Rabin's test replaced, and the elimination that
-rebuilds every row in full together with the solve read off the
-rows x rows transform of [A | I], which the pivot-square solve replaced.
+half the degree) that Rabin's test replaced; the field tables built by
+walking the powers of the primitive element one step at a time, with a
+Zech table for every p, which the block-doubled GF(2^k) tables
+replaced; and the elimination that rebuilds every row in full together
+with the solve read off the rows x rows transform of [A | I], which the
+pivot-square solve replaced.
 
 The module keeps the uncompiled step of evaluation, N_(x_i m)(a) =
 sum_j sigma_ij(N_m(a)) a_j + delta_i(N_m(a)) applied map by map through
@@ -79,10 +82,11 @@ value_parts only reads a library value into Fractions, checking its
 normal form.
 """
 
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd
+from itertools import islice, product
+from math import comb, gcd, isqrt
 from operator import xor
 
 from skewpoly import (
@@ -116,7 +120,7 @@ from skewpoly.freering import (PUSH_TERM_LIMIT, _accumulate, _check_push_budget,
                                _product_words, count_monomials_below, frame_memo)
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import _solve
-from skewpoly.rings import _span_codes
+from skewpoly.rings import _digits, _encode, _is_prime, _poly_mod, _poly_pow, _poly_trim, _span_codes
 
 
 def monomial_values_by_division(frame, words, points, cache=None):
@@ -382,6 +386,54 @@ def default_modulus_reference(p, k):
         if is_irreducible_reference(cand, p):
             return tuple(cand)
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
+
+
+def _primitive_element_reference(p, k, modulus):
+    """Coefficients of the smallest element (by code) whose powers run
+    through all q - 1 units, by powers of coefficient lists."""
+    n = p ** k - 1
+    primes = {r for d in range(1, isqrt(n) + 1) if n % d == 0 for r in (d, n // d) if _is_prime(r)}
+    for g in range(1, n + 1):
+        a = _poly_trim(_digits(g, p, k))
+        if all(_poly_pow(a, n // r, modulus, p) != [1] for r in primes):
+            return a
+
+
+def field_tables_reference(p, k, modulus):
+    """exp, log and Zech-logarithm tables of GF(p)[t]/(modulus) by the walk
+    through the powers of the primitive element, one step per power, for
+    every p: exp[i] = g^i (0 <= i < 2n), log[a] (log[0] = n) and
+    zech[i] = log(1 + g^i) (n where 1 + g^i = 0), with n = q - 1."""
+    q = p ** k
+    n = q - 1
+    if p == 2:
+        add = xor  # the digit-wise sum mod 2
+    else:
+        def add(a, b):
+            return _encode([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+    a = _primitive_element_reference(p, k, modulus)
+    cols = []  # g t^j
+    for _ in range(k):
+        cols.append(_encode(a, p))
+        a = _poly_mod([0] + a, modulus, p)
+    h = (k + 1) // 2
+    split = p ** h
+    low_images, high_images = _span_codes(cols[:h], p, add), _span_codes(cols[h:], p, add)
+    exp = array("H", [0]) * (2 * n)
+    log = array("H", [n]) * q
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x = add(low_images[x % split], high_images[x // split])
+    exp[n:] = exp[:n]
+    # log(a + 1) for every code a: adding 1 changes only the constant digit
+    log_succ = array("H", log)
+    for d in range(p - 1):
+        log_succ[d::p] = log[d + 1::p]
+    log_succ[p - 1::p] = log[::p]
+    zech = array("H", map(log_succ.__getitem__, islice(exp, n)))
+    return exp, log, zech
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Division ring arithmetic: field axioms, quaternion axioms, JSON codecs."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from itertools import product
@@ -17,12 +18,13 @@ from skewpoly import (
     RingMismatch,
     ring_from_json,
 )
-from skewpoly.rings import _is_irreducible, _span_codes, default_modulus
+from skewpoly.rings import _build_tables, _is_irreducible, _span_codes, default_modulus
 from oracles import (
     default_modulus_reference,
     digit_add,
     digit_mul,
     digit_neg,
+    field_tables_reference,
     frac_parts,
     frac_quat_mul,
     is_irreducible_reference,
@@ -381,7 +383,7 @@ def test_table_arithmetic_matches_digit_arithmetic(p, k, modulus):
 
 
 @pytest.mark.parametrize("k,pairs", [(4, None), (16, 20000)])
-def test_characteristic_2_sums_are_xor_and_match_the_zech_path(k, pairs):
+def test_characteristic_2_sums_and_differences_are_xor_and_match_digit_arithmetic(k, pairs):
     # every pair of GF(2^4) codes, and seeded GF(2^16) pairs with the edges
     F = FiniteField(2, k)
     if pairs is None:
@@ -391,10 +393,49 @@ def test_characteristic_2_sums_are_xor_and_match_the_zech_path(k, pairs):
         edge = [0, 1, F.q - 1, 1 << (k - 1)]
         cases = [(a, b) for a in edge for b in edge]
         cases += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(pairs)]
-    zech = FiniteField.add_val  # the class's sum on logarithm tables
     for a, b in cases:
-        assert F.add_val(a, b) == F.sub_val(a, b) == a ^ b == zech(F, a, b), (a, b)
-        assert zech(F, a, F.neg_val(b)) == a ^ b, (a, b)
+        assert F.add_val(a, b) == F.sub_val(a, b) == a ^ b == digit_add(F, a, b), (a, b)
+        assert digit_add(F, a, digit_neg(F, b)) == a ^ b, (a, b)
+
+
+def _smallest_binary_moduli(k, count):
+    """The first count monic irreducibles of degree k over GF(2) by code."""
+    out = []
+    for code in range(1 << k, 1 << (k + 1)):
+        cand = [code >> j & 1 for j in range(k + 1)]
+        if _is_irreducible(cand, 2):
+            out.append(tuple(cand))
+            if len(out) == count:
+                break
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_binary_tables_match_the_walk_through_the_powers(k):
+    # the default modulus and up to three more: 56 (k, modulus) pairs
+    moduli = _smallest_binary_moduli(k, 4)
+    assert len(moduli) == ((2, 1, 2, 3)[k - 1] if k <= 4 else 4)
+    assert FiniteField(2, k).modulus == moduli[0]
+    for m in moduli:
+        F = FiniteField(2, k, m)
+        exp, log, _ = field_tables_reference(2, k, m)
+        assert F._exp == exp and F._log == log, m
+        assert F._zech is None
+
+
+def test_binary_tables_are_words_in_the_machine_byte_order(monkeypatch):
+    # the codes of the other byte order are the machine's words byte-swapped
+    F = FiniteField(2, 16)
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    exp = _build_tables(2, 16, F.modulus)[0]
+    exp.byteswap()
+    assert exp == F._exp
+
+
+@pytest.mark.parametrize("p,k", [(3, 7), (5, 2)])
+def test_odd_characteristic_tables_match_the_walk_through_the_powers(p, k):
+    F = FiniteField(p, k)
+    assert (F._exp, F._log, F._zech) == field_tables_reference(p, k, F.modulus)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1), (13, 1)])
