@@ -79,9 +79,12 @@ with the Hamilton product done part by part.  The library compiles the
 catalog to integer matrices and carries quaternions as integers over a
 common denominator; neither representation is computed with here, and
 value_parts only reads a library value into Fractions, checking its
-normal form.
+normal form.  With them it keeps the sampled validation of quaternion
+frames that the basis pairs 1, i, j, k replaced: the frame laws on the
+pairs of a generator set and of a fixed-seed random sample.
 """
 
+import random
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -491,6 +494,54 @@ def quat_map_reference(m, a):
     for sub in reversed(m.maps):
         a = quat_map_reference(sub, a)
     return a
+
+
+def quat_frame_laws_hold_on_samples(frame, pairs=256, seed=0x5EED):
+    """Verdict of the frame laws over the quaternions, with Fraction parts
+    and quat_map_reference: sigma(1) = I, then sigma(ab) = sigma(a) sigma(b)
+    and delta(ab) = sigma(a) delta(b) + delta(a) b on every pair of the
+    generators 1, i, j, k, 1/2, 1 + i and on `pairs` seeded random pairs
+    (numerators in [-4, 4], denominators in [1, 3])."""
+    n, zero, one = frame.n, Fraction(0), Fraction(1)
+
+    def add(x, y):
+        return tuple(u + v for u, v in zip(x, y))
+
+    def sigma(a):
+        return [[quat_map_reference(m, a) for m in row] for row in frame.sigma]
+
+    def delta(a):
+        return [quat_map_reference(m, a) for m in frame.delta]
+
+    def real(c):
+        return (Fraction(c), zero, zero, zero)
+
+    if sigma(real(1)) != [[real(i == j) for j in range(n)] for i in range(n)]:
+        return False
+    gens = [real(1), (zero, one, zero, zero), (zero, zero, one, zero), (zero, zero, zero, one),
+            real(Fraction(1, 2)), (one, one, zero, zero)]
+    rng = random.Random(seed)
+
+    def draw():
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+
+    samples = [(draw(), draw()) for _ in range(pairs)]
+    for a, b in [(a, b) for a in gens for b in gens] + samples:
+        sa, sb, da, db = sigma(a), sigma(b), delta(a), delta(b)
+        ab = frac_quat_mul(a, b)
+        sab, dab = sigma(ab), delta(ab)
+        for i in range(n):
+            want = frac_quat_mul(da[i], b)
+            for j in range(n):
+                want = add(want, frac_quat_mul(sa[i][j], db[j]))
+                prod = real(0)
+                for c in range(n):
+                    prod = add(prod, frac_quat_mul(sa[i][c], sb[c][j]))
+                if sab[i][j] != prod:
+                    return False
+            if dab[i] != want:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

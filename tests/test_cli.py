@@ -226,6 +226,23 @@ def test_validate_frame_verb_accepts_and_rejects():
     assert out["failures"]
 
 
+def test_validate_frame_reports_the_basis_pairs_of_an_invalid_quaternion_frame():
+    # conj is an anti-automorphism: sigma(ab) = sigma(a)sigma(b) fails on the
+    # six pairs of distinct imaginary units, and the message joins the first five
+    zero = ["0/1"] * 4
+    job = {"ring": {"kind": "rational-quaternion"},
+           "frame": {"n": 1, "sigma": [[{"op": "conj"}]], "delta": [{"op": "lmul", "c": zero}]}}
+    code, out, _ = invoke(["validate-frame"], job)
+    law = "sigma(ab) != sigma(a)sigma(b)"
+    pairs = [("i", "j"), ("i", "k"), ("j", "i"), ("j", "k"), ("k", "i"), ("k", "j")]
+    assert code == 1
+    assert out == {
+        "error": "InvalidFrame",
+        "failures": [{"a": a, "b": b, "law": law} for a, b in pairs],
+        "message": "; ".join(f"{law} at a={a}, b={b}" for a, b in pairs[:5]),
+    }
+
+
 def test_domain_error_exit_code():
     ring = QuaternionRing()
     frame = conventional_frame(ring, 1)

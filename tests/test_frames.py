@@ -24,6 +24,7 @@ from oracles import (
     frame_laws_hold_all_pairs,
     linear_map_reference,
     matrix_apply_reference,
+    quat_frame_laws_hold_on_samples,
     quat_map_reference,
     trace_reference,
     value_parts,
@@ -359,3 +360,41 @@ def test_basis_pair_validation_matches_all_pairs_oracle(p, k):
         assert validate_frame(f).valid == want, f.to_json()
         verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+def _invalid_quat_frames(quat, quat_inner_2):
+    """(name, frame, failures[0]) of quaternion frames breaking one law each."""
+    zero, ident = QuatMap.zero(quat), QuatMap.identity(quat)
+    conj = QuatMap(quat, "conj")
+    one, i, j = quat.one(), quat.i(), quat.j()
+    sigma = quat_inner_2.sigma
+    sigma_law = "sigma(ab) != sigma(a)sigma(b)"
+    delta_law = "delta(ab) != sigma(a)delta(b) + delta(a)b"
+    return [
+        ("diagonal conj", Frame(quat, [[conj, zero], [zero, conj]], [zero, zero]),
+         (sigma_law, i, j)),
+        ("lmul(2)", Frame(quat, [[QuatMap(quat, "lmul", quat(2))]], [zero]),
+         ("unit not preserved", one, one)),
+        ("identity + conj", Frame(quat, [[QuatMap(quat, "sum", maps=(ident, conj))]], [zero]),
+         ("unit not preserved", one, one)),
+        ("inner, delta_1 = lmul(i)",
+         Frame(quat, sigma, [QuatMap(quat, "lmul", i), quat_inner_2.delta[1]]),
+         (delta_law, one, one)),
+        ("rmul(j) over the identity", Frame(quat, [[ident]], [QuatMap(quat, "rmul", j)]),
+         (delta_law, one, one)),
+    ]
+
+
+def test_quat_basis_pair_validation_matches_sampled_oracle(quat, quat_inner_2):
+    # 1, i, j, k prove the laws by bilinearity: the generator pairs and the
+    # seeded sample of the oracle reach the same verdict, and each invalid
+    # frame's first witness is a basis pair
+    for f in _quat_frames(quat, quat_inner_2):
+        assert quat_frame_laws_hold_on_samples(f)
+        assert validate_frame(f).valid, f.to_json()
+    basis = quat.additive_basis()
+    for name, f, first in _invalid_quat_frames(quat, quat_inner_2):
+        assert not quat_frame_laws_hold_on_samples(f), name
+        report = validate_frame(f)
+        assert not report.valid and report.failures[0] == first, (name, report.failures[:3])
+        assert all(a in basis and b in basis for _, a, b in report.failures), name

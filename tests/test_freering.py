@@ -406,25 +406,23 @@ def test_composite_pushes_over_an_infinite_order_map_survive_emptied_tables(
     frame = Frame(conj_1_2i_quat_2.ring, conj_1_2i_quat_2.sigma, conj_1_2i_quat_2.delta)
     rng = random.Random(12)
     _assert_pushes_match_reference(frame, _prefix_cases(frame, rng, (1, 3, 7, 18, 30)))
-    assert len(frame._push_maps) <= 4 and len(frame._push_images) <= 4
+    assert len(frame._push_maps) <= 4
 
 
 def test_composite_tables_are_built_on_the_first_push_of_a_diagonal_frame(request):
     # a fresh frame has no tables; after one product, a frame whose every
     # branching is 1 has the one pair (u, sigma_u) in each list, and the
-    # others have some list of more pairs; images are memoized over H only,
-    # a GF(p^k) image being one lookup per term
+    # others have some list of more pairs
     for name in PUSH_FRAMES:
         frame = request.getfixturevalue(name)
         fresh = Frame(frame.ring, frame.sigma, frame.delta)
-        assert fresh._push_memo is None and not fresh._push_maps and not fresh._push_images
+        assert fresh._push_memo is None and not fresh._push_maps
         ring = fresh.ring
         a = ring.gen() if ring.is_finite else ring.i()
         mul(monomial(fresh, (1, 2, 1)), constant(fresh, a))
         memo = fresh._push_memo
         lists = [(v, p) for v, p in enumerate(memo.pushes) if p is not None]
         assert len(lists) == 4 and fresh._push_maps, name
-        assert bool(fresh._push_images) is not ring.is_finite, name
         if set(frame.branching) == {1}:
             assert all(len(p) == 1 and p[0][0] == v for v, p in lists), name
         else:
