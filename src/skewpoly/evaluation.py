@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from . import freering
 from .errors import DivisionByZero, InvalidInput, RingMismatch
 from .freering import (
     SkewPolynomial,
     _check_push_budget,
     _divide_words,
     _product_words,
+    _push_list,
     check_word,
     constant,
     frame_memo,
@@ -79,8 +79,8 @@ class DivisionResult:
 
         Runs on the ring's open sums, on the nodes of the frame's PushMemo: a
         quotient term c u gives c on the node of u x_i (u 1 = u, so the unit
-        needs no push) and -c (u a_i) on the output nodes of the push of a_i
-        through u.  Each sum is closed once, only the nodes that survive are
+        needs no push) and -c P(a_i) on w for each pair (w, P) of u's push
+        list.  Each sum is closed once, only the nodes that survive are
         spelled, and one element is built per result term.
         """
         point = check_point(frame, point)
@@ -102,9 +102,10 @@ class DivisionResult:
                 x = append(v, i)
                 out[x] = mul_add(out.get(x, 0), c, one)
                 c = neg(c)
-                # looked up on its module, as in divide, so the tracer sees it
-                for w, pc in freering._push(frame, v, a, memo).items():
-                    out[w] = mul_add(out.get(w, 0), c, pc)
+                for w, m in (memo.pushes[v] or _push_list(frame, v, memo)) if a else ():
+                    pc = m.apply(a)
+                    if pc:
+                        out[w] = mul_add(out.get(w, 0), c, pc)
         word = memo.word
         return SkewPolynomial._made(frame, {word(v): c
                                             for v, c in ring.wrap_sums(out.items()).items()})
@@ -153,12 +154,16 @@ def divide(F, point):
             spelled[prefix] = memo.word(v)[:-1]
             memo.letters += depth[prefix]
         quot[i][prefix] = c  # v is prefix x_(i+1), killed once
-        # F <- F - c * prefix * (x_i - a_i), the x_i part cancelled above;
-        # _push is looked up on its module so that a wrapper there sees it
-        for w, pc in freering._push(frame, prefix, point[i], memo).items():
-            if w and w not in rem:
-                heappush(heap, (-depth[w], w))
-            rem[w] = mul_add(rem.get(w, 0), c, pc)
+        # F <- F - c * prefix * (x_i - a_i), the x_i part cancelled above,
+        # one open image per pair of the prefix's push list
+        a = point[i]
+        for w, m in (memo.pushes[prefix] or _push_list(frame, prefix, memo)) if a else ():
+            pc = m.apply(a)
+            if pc:
+                s = rem.get(w)
+                if s is None and w:
+                    heappush(heap, (-depth[w], w))
+                rem[w] = mul_add(s or 0, c, pc)
     wrap = ring.wrap
     return DivisionResult(
         [SkewPolynomial._made(frame, {spelled[v]: wrap(q) for v, q in quo.items()})

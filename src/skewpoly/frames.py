@@ -233,19 +233,22 @@ def _compiled(m):
     return m._cols if isinstance(m, LinearMap) else (m.mat, m.den)
 
 
-def _quat_apply(mat, den, v):
-    """The 4 x 4 integer matrix mat over den on the quaternion ring value v."""
+def _quat_image(mat, den, v):
+    """The 4 x 4 integer matrix mat over den on the quaternion ring value v,
+    left open: the numerators over den * d with no gcd, or the int 0 when all
+    four vanish, a term of the ring's open sums (rings._quat_mul_add)."""
     if not v:
         return 0
     m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = mat
     w, x, y, z, d = v
-    return _quat_value(
-        m00 * w + m01 * x + m02 * y + m03 * z,
-        m10 * w + m11 * x + m12 * y + m13 * z,
-        m20 * w + m21 * x + m22 * y + m23 * z,
-        m30 * w + m31 * x + m32 * y + m33 * z,
-        den * d,
-    )
+    w, x, y, z = (m00 * w + m01 * x + m02 * y + m03 * z, m10 * w + m11 * x + m12 * y + m13 * z,
+                  m20 * w + m21 * x + m22 * y + m23 * z, m30 * w + m31 * x + m32 * y + m33 * z)
+    return (w, x, y, z, den * d) if w or x or y or z else 0
+
+
+def _quat_apply(mat, den, v):
+    """_quat_image closed to the normal form (see rings._quat_value)."""
+    return _quat_value(*s) if (s := _quat_image(mat, den, v)) else 0
 
 
 def _mul_matrix(v, left):
@@ -330,7 +333,7 @@ class Frame:
     chains of nonzero sigma_ij, itself included, and beta the most
     branchings summed over such a reach, which bound the pushes of a
     division (freering._divide_words).  The push_*
-    methods intern the maps of the push lists (see freering._push), the
+    methods intern the maps of the push lists (see freering._push_list), the
     table emptied at _MEMO_LIMIT entries; _push_memo, the frame's words
     and their lists, is freering's.
     _factored, geometry's, holds the factorization of the last point set
@@ -419,7 +422,7 @@ class Frame:
         """The pairs (0, m o delta_i), then (j, m o sigma_ij) for j = 1..n,
         whose map is not zero: what an entry (w, m) of the push list of a
         word u gives the list of u x_i on w and on w x_j, so a list holds a
-        word before its extensions (see freering._push).  Memoized on m."""
+        word before its extensions (see freering._push_list).  Memoized on m."""
         pairs = m.after.get(i)
         if pairs is None:
             field, out = isinstance(self.ring, FiniteField), []
@@ -551,12 +554,13 @@ class PointTable:
 
 
 class PushMap:
-    """One map of a push list (see freering._push), interned per frame:
+    """One map of a push list (see freering._push_list), interned per frame:
     ``key`` is its compiled form (see _compiled), ``apply`` applies it to a
     ring value, and ``after`` holds, by letter i, the pairs of
     Frame.push_after once made.  apply is not memoized: over GF(p^k) it is
     the apply_val of a LinearMap, one lookup per term of its linearized
-    polynomial, and over the quaternions the 4 x 4 product of _quat_apply.
+    polynomial, and over the quaternions _quat_image, the 4 x 4 product left
+    open (no gcd) for the open sums of mul, divide and reconstruct.
     PushMaps hash by identity."""
 
     __slots__ = ("key", "apply", "after", "sums")
@@ -567,7 +571,7 @@ class PushMap:
         if isinstance(ring, FiniteField):
             self.apply = LinearMap(ring, zip(*[_digits(c, ring.p, ring.k) for c in key])).apply_val
         else:
-            self.apply = partial(_quat_apply, *key)
+            self.apply = partial(_quat_image, *key)
         self.after, self.sums = {}, {}
 
 

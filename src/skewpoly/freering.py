@@ -20,13 +20,16 @@ when sigma is diagonal and delta zero the list is the one map sigma_u.
 Coefficients there are ring values, not elements (the code over GF(p^k),
 the normal-form tuple (w, x, y, z, den) over H, 0 for zero in both),
 which the memos hash and compare in C: the ring's unwrap checks each one
-where it enters.  Their products are summed by the ring's mul_add_val
-into open sums, off the normal form over H (numerators over one
-denominator, no gcd), which never reach a memo key; its wrap_sums
-closes a result dict once, drops the sums that cancel, and builds each
-result element once.  When sigma is not diagonal or delta is not zero,
-one push can make exponentially many words, so mul and divide refuse a
-job predicted past PUSH_TERM_LIMIT words before the first push.
+where it enters.  mul, divide and reconstruct read a word's push list
+themselves and add each nonzero image, times its coefficient, into the
+ring's open sums (mul_add_val): off the normal form over H, numerators
+over one denominator, and the images come open too (frames.PushMap), so
+no image pays a gcd of its own.  Open sums never reach a memo key; the
+ring's wrap_sums closes a result dict once, drops the sums that cancel,
+and builds each result element once.  When sigma is not diagonal or delta
+is not zero, one push can make exponentially many words, so mul and
+divide refuse a job predicted past PUSH_TERM_LIMIT words before the first
+push.
 """
 
 from __future__ import annotations
@@ -169,12 +172,12 @@ class PushMemo:
     by the letter i, one dict for the whole table, so appending a letter is
     one dict step and equal words are equal nodes.  spelled[v] is the tuple
     of node v, or None until it is first asked for, and letters counts the
-    letters spelled.  pushes[v] is the push list of word v (see _push), or
-    None until a push needs it; size counts the nodes and the entries of
-    the lists, so a chain of L nodes counts L, not the L(L + 1)/2 letters
-    of their words.  last is the node node() returned last.  A memo serves
-    one frame: mul, divide and reconstruct share the frame's own
-    (frame_memo) across calls.
+    letters spelled.  pushes[v] is the push list of word v (see
+    _push_list), or None until a push needs it; size counts the nodes and
+    the entries of the lists, so a chain of L nodes counts L, not the
+    L(L + 1)/2 letters of their words.  last is the node node() returned
+    last.  A memo serves one frame: mul, divide and reconstruct share the
+    frame's own (frame_memo) across calls.
     """
 
     __slots__ = ("parent", "letter", "depth", "children", "spelled", "letters", "pushes",
@@ -266,20 +269,14 @@ def frame_memo(frame):
 
 def _push(frame, v, a, memo):
     """(word) * a for the word u of node v of memo and a ring value a, as a
-    dict node -> nonzero left coefficient (a ring value): one image
+    dict node -> nonzero left coefficient (a closed ring value): one image
     P_(u,w)(a) per pair (w, P_(u,w)) of u's push list memo.pushes[v] (see
-    _push_list and frames.PushMap), zero images dropped."""
-    if not a:
-        return {}
-    pushes = memo.pushes[v]
-    if pushes is None:
-        pushes = _push_list(frame, v, memo)
-    out = {}
-    for w, m in pushes:
-        c = m.apply(a)
-        if c:
-            out[w] = c
-    return out
+    _push_list and frames.PushMap), zero images dropped.  mul, divide and
+    reconstruct read the list the same way but add each open image to their
+    sums in place; this reader closes each one (the ring's close_val)."""
+    pushes = (memo.pushes[v] or _push_list(frame, v, memo)) if a else ()
+    images = ((w, m.apply(a)) for w, m in pushes)
+    return {w: frame.ring.close_val(c) for w, c in images if c}
 
 
 _second = itemgetter(1)
@@ -564,10 +561,10 @@ def mul(F, G):
     """The unique degree-additive ring product.
 
     Each left coefficient of G is pushed through the corresponding
-    monomial of F, and G's monomial is appended on the right; on bare
-    monomials this is concatenation.  A product whose pushes
-    _product_words predicts to make more than PUSH_TERM_LIMIT words is
-    refused before the first push.
+    monomial of F, one image per pair of its push list, and G's monomial
+    is appended on the right; on bare monomials this is concatenation.  A
+    product whose pushes _product_words predicts to make more than
+    PUSH_TERM_LIMIT words is refused before the first push.
     """
     if F.frame is not G.frame:
         raise RingMismatch("polynomials built over different frames")
@@ -582,9 +579,12 @@ def mul(F, G):
     for mw, fc in F.terms.items():
         fc = unwrap(fc)
         v = memo.node(mw)
+        pushes = (memo.pushes[v] or _push_list(frame, v, memo)) if g_terms else ()
         for nw, gc in g_terms:
-            for w, c in _push(frame, v, gc, memo).items():
-                t = spelled[w]
-                x = (memo.word(w) if t is None else t) + nw
-                out[x] = mul_add(out.get(x, 0), fc, c)
+            for w, m in pushes:
+                c = m.apply(gc)  # open over H: added to the sum, not closed alone
+                if c:
+                    t = spelled[w]
+                    x = (memo.word(w) if t is None else t) + nw
+                    out[x] = mul_add(out.get(x, 0), fc, c)
     return SkewPolynomial._made(frame, ring.wrap_sums(out.items()))

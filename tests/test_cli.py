@@ -459,6 +459,13 @@ def test_push_blowup_is_refused_before_any_push(nondiag_gf8_2_inner, verb, lengt
     assert time.perf_counter() - start < 5
     assert code == 1 and out["error"] == "InvalidInput" and len(text.splitlines()) == 1
     assert f"over the limit of {PUSH_TERM_LIMIT}" in out["message"]
+    if verb == "mul":
+        # a zero g predicts no words and passes the budget: the product is
+        # zero with no push list built for the long word
+        start = time.perf_counter()
+        code, out, text = invoke([verb], dict(job, g=[]))
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == {"product": []} and len(text.splitlines()) == 1
 
 
 def test_twenty_thousand_term_eval_answers_at_once():

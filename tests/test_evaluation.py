@@ -18,6 +18,7 @@ from skewpoly import (
     frobenius_frame,
     fundamental,
     fundamental_table,
+    inner_frame,
     monomial,
     monomials_below,
     mul,
@@ -27,9 +28,10 @@ from skewpoly import (
 )
 from skewpoly import frames, freering
 from skewpoly.evaluation import DivisionResult
-from skewpoly.frames import Frame, block_frame
+from skewpoly.frames import Frame, QuatMap, block_frame
 from conftest import random_nonzero_poly, random_point, random_poly
-from oracles import conjugate_reference, divide_reference, reconstruct_reference
+from oracles import (conjugate_reference, divide_reference, evaluate_reference, push_reference,
+                     reconstruct_reference, value_parts)
 
 
 def all_frames(conv_gf5_2, frob_gf4_2, frob_gf9_2, quat_inner_2):
@@ -112,27 +114,87 @@ def _cancelling_pair(ring):
 
 
 @pytest.mark.parametrize("name", ["quat", "gf9"])
-def test_sums_that_cancel_are_dropped_in_divide_and_reconstruct(name, request, monkeypatch):
+def test_sums_that_cancel_are_dropped_in_divide_and_reconstruct(name, request):
     ring = request.getfixturevalue(name)
     frame = conventional_frame(ring, 1)
     c, a = _cancelling_pair(ring)
-    pushes, push = [0], freering._push
-
-    def counted_push(*args):
-        pushes[0] += 1
-        return push(*args)
-
-    monkeypatch.setattr(freering, "_push", counted_push)
     # F = c x (x - a): killing x^2 cancels the x term, which closes to zero
-    # and is skipped, not killed; the remainder at this zero of F is 0
+    # and is skipped, not killed; the remainder at this zero of F is 0.  A
+    # kill of u x_i puts one term u in quotient i and pushes a_i through u,
+    # so one quotient term is one kill and one push
     F = from_terms(frame, [((1, 1), c), ((1,), -(c * a))])
     res = divide(F, (a,))
-    assert pushes[0] == 1
+    assert sum(len(q.terms) for q in res.quotients) == 1
     assert res.quotients[0].terms == {(1,): c}
     assert res.remainder == ring.zero() and res.remainder.val == 0
     # c (x - a) + c a = c x: the constant term cancels
     res = DivisionResult([constant(frame, c)], c * a)
     assert res.reconstruct(frame, (a,)).terms == {(1,): c}
+
+
+@pytest.fixture(scope="module")
+def quat_fractional_2(quat):
+    """A quaternion inner frame whose push maps have denominators 3^e:
+    sigma_1 conjugation by 1 + i + j, sigma_2 by 2 + j + k, and
+    beta = (1/2 + i, i/3 + j)."""
+    zero_map = QuatMap.zero(quat)
+    sigma = [[QuatMap.inner_automorphism(quat, quat(1, 1, 1, 0)), zero_map],
+             [zero_map, QuatMap.inner_automorphism(quat, quat(2, 0, 1, 1))]]
+    return inner_frame(quat, sigma, (quat("1/2", 1, 0, 0), quat(0, "1/3", 1, 0)))
+
+
+def _mul_by_push_reference(F, G):
+    frame, memo, out = F.frame, {}, {}
+    for mw, fc in F.terms.items():
+        for nw, gc in G.terms.items():
+            for w, c in push_reference(frame, mw, gc, memo).items():
+                out[w + nw] = out.get(w + nw, frame.ring.zero()) + fc * c
+    return from_terms(frame, out.items())
+
+
+def _assert_normal(*polys):
+    """Every coefficient is in normal form: den > 0, gcd 1, never an open
+    (0, 0, 0, 0, den); value_parts checks it."""
+    for P in polys:
+        for c in P.terms.values():
+            assert c.val != 0 and value_parts(c.val)
+
+
+def test_fractional_quaternion_maps_match_the_references(quat_fractional_2):
+    # push images come out of the maps open, off the normal form; no open
+    # value may reach a returned coefficient
+    frame = quat_fractional_2
+    ring = frame.ring
+    memo = freering.frame_memo(frame)
+    assert any(m.key[1] % 3 == 0 for _, m in freering._push_list(frame, memo.node((1, 2)), memo))
+    # delta_i(c) = sigma_i(c) beta_i - beta_i c is 0 at a rational c: those
+    # images cancel to the int 0 and are dropped, the others are open
+    third = ring.unwrap(ring("1/3", 0, 0, 0))
+    for word in [(1,), (2,), (1, 2), (2, 1, 1)]:
+        v = memo.node(word)
+        images = [m.apply(third) for _, m in freering._push_list(frame, v, memo)]
+        assert 0 in images and all(c == 0 and type(c) is int or c[4] > 0 and any(c[:4])
+                                   for c in images)
+        pushed = freering._push(frame, v, third, memo)
+        assert len(pushed) == sum(c != 0 for c in images)
+        assert all(value_parts(c) for c in pushed.values())
+    rng = random.Random("fractional")
+    for k in range(40):
+        F = random_poly(frame, rng, max_deg=3, max_terms=3)
+        G = random_poly(frame, rng, max_deg=2, max_terms=3)
+        a = random_point(frame, rng) if k % 4 else (ring("1/3", 0, 0, 0), ring("-2/9", 0, 0, 0))
+        P = mul(F, G)
+        assert P == _mul_by_push_reference(F, G)
+        res = divide(P, a)
+        quotients, remainder = divide_reference(P, a)
+        assert res.quotients == quotients and res.remainder == remainder
+        back = res.reconstruct(frame, a)
+        assert back == reconstruct_reference(res, frame, a) == P
+        value = evaluate(P, a)
+        assert value == evaluate_reference(P, a) == remainder
+        _assert_normal(P, back, *res.quotients)
+        for c in (res.remainder, value):
+            assert c.val == 0 or value_parts(c.val)
 
 
 DIVIDE_FRAMES = ("conv_gf5_2", "frob_gf4_2", "frob_gf9_2", "quat_inner_2", "nondiag_gf8_2",
@@ -187,28 +249,28 @@ def test_divide_matches_reference_on_drawn_polynomials(conv_gf5_2, frob_gf4_2, f
     _assert_division_matches_reference(F, random_point(frame, rng))
 
 
+def _words_pushed(frame, res, point):
+    """The nonzero words the pushes of a division made: a kill of u x_i puts
+    u in quotient i and pushes a_i through u, one word per nonzero image."""
+    memo, ring = freering.frame_memo(frame), frame.ring
+    return sum(len(freering._push(frame, memo.node(u), ring.unwrap(a), memo))
+               for q, a in zip(res.quotients, point) for u in q.terms)
+
+
 @pytest.mark.parametrize("name", DIVIDE_FRAMES)
-def test_divide_prediction_bounds_the_words_pushed(name, request, monkeypatch):
-    # every word that a push of the division returns counts against the
+def test_divide_prediction_bounds_the_words_pushed(name, request):
+    # every word that a push of the division makes counts against the
     # budget's prediction, made before the first push
     frame = request.getfixturevalue(name)
-    pushed, push = [0], freering._push
-
-    def counted(*args):
-        out = push(*args)
-        pushed[0] += len(out)
-        return out
-
-    monkeypatch.setattr(freering, "_push", counted)
     rng = random.Random(f"predict:{name}")
     max_deg = 7 if name.startswith("nondiag") else 9
     total = 0
     for k in range(10):
         F = random_poly(frame, rng, max_deg=max_deg if k % 2 else 3, max_terms=5)
-        pushed[0] = 0
-        divide(F, random_point(frame, rng))
-        assert pushed[0] <= freering._divide_words(frame, F.terms)
-        total += pushed[0]
+        point = random_point(frame, rng)
+        pushed = _words_pushed(frame, divide(F, point), point)
+        assert pushed <= freering._divide_words(frame, F.terms)
+        total += pushed
     assert total > 10
 
 

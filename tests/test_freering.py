@@ -684,11 +684,12 @@ def test_division_bounds_match_the_reference(conv_gf5_2, frob_gf9_2, quat_inner_
 
 
 def test_mul_monomial_constant_refuses_a_push_past_the_limit(nondiag_gf8_2, monkeypatch):
-    # branching 2 over 30 letters predicts 2^30 words: refused before any push
+    # branching 2 over 30 letters predicts 2^30 words: refused before any
+    # push list is read or built
     def no_push(*args):
         raise AssertionError("pushed past the budget")
 
-    monkeypatch.setattr(freering, "_push", no_push)
+    monkeypatch.setattr(freering, "_push_list", no_push)
     with pytest.raises(InvalidInput, match=str(PUSH_TERM_LIMIT)):
         mul_monomial_constant(nondiag_gf8_2, (1, 2) * 15, nondiag_gf8_2.ring.gen())
 
@@ -772,9 +773,10 @@ def test_quaternion_kernels_build_elements_per_term_not_per_push(quat_inner_2, m
         made[0] = ops[0] = 0
         return fn(*args)
 
-    # a push is one normalized image per output word, each added into an
-    # open sum, and each sum is closed once, so the products and the
-    # division make at least two ring values per element they build
+    # a push is one open image per output word, with no gcd of its own,
+    # each added into an open sum, and each sum is closed once, so the
+    # products and the division make at least two ring values per element
+    # they build
     P = run(mul, F, G)
     assert made[0] == len(P.terms) and ops[0] >= 2 * made[0]
     res = run(divide, F, point)
