@@ -13,10 +13,10 @@ additive in v (Leroy's pseudo-linear map of a, in n variables), so
 Frame.point_table builds the n maps of a once, on ring values, and keeps
 the values N_w(a) found beside them, up to a bound.  PointTable.node is
 the one walker of the recursion on that table, and evaluate, fundamental,
-fundamental_table, conjugate and _value_rows (the Vandermonde rows, the
-value rows of the standard monomials and the closure residues, at
-several points) all read it.  Points are plain tuples of ring elements
-of length frame.n.
+fundamental_table, conjugate and _value_rows (the Vandermonde rows and
+the value rows of the standard monomials, at several points) all read
+it, and the class tests of geometry.py apply its map.  Points are plain
+tuples of ring elements of length frame.n.
 """
 
 from __future__ import annotations

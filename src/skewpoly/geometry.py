@@ -16,16 +16,20 @@ Buchberger's construction of polynomials with preassigned zeros; it
 reduces at most 1 + nM rows of length M.  The monomials whose rows
 enter the echelon are the standard monomials, the rows that
 independent_rows keeps in the Vandermonde of degree M.  Over a P-basis
-their values form an invertible square S; the rows of T = S^-1 are the
-dual polynomials, and the border relations x_i s - (values of x_i s) T,
-one per non-standard x_i s with s standard, generate the polynomials
-vanishing on the basis, so closure membership is their vanishing.
-A frame keeps this factorization for the last point set it was asked
-about and the P-basis it keeps (_factored): the echelon, then the value
-rows and T once asked for, so the rank, basis, interpolants, duals and
-closure of one set share one build.  vandermonde() stays as the
+their values form an invertible square S, and the rows of T = S^-1 are
+the dual polynomials.  A frame keeps this factorization for the last
+point set it was asked about and the P-basis it keeps (_factored): the
+echelon, then T once asked for, so the rank, basis, interpolants, duals
+and closure of one set share one build.  vandermonde() stays as the
 independent verifier and as the certificate of find_p_basis, and never
 reads that slot.
+
+Closures and two-sidedness read the conjugacy classes of that P-basis
+instead (_classes).  a^c = T^a(c) c^-1, T^a the compiled maps of a, so
+b = a^c for some c != 0 exactly when the additive map c -> T^a(c) - b c
+has a nonzero kernel, K_a for b = a; in one class the closure is the a^c
+with c in the right K_a-span of the class's conjugators
+(closure_members).  in_closure stays on the echelon: they check each other.
 """
 
 from __future__ import annotations
@@ -33,21 +37,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as _cartesian
+from itertools import count, product as _cartesian
 
 from .errors import DuplicatePoint, InvalidInput, NotFinite
-from .evaluation import (_point_values, _value_rows, check_point, conjugate, point_from_json,
-                         point_to_json)
+from .evaluation import _point_values, _value_rows, check_point, point_from_json, point_to_json
 from .freering import count_monomials_below, monomials_of_degree
 from .linalg import Matrix, _combine, _reduce_with_transform, echelon_insert
 from .rings import _span_codes
 
-# Work budgets, checked before any work is done (docs/wire_format.md).
+# Work budgets, each checked before the work it bounds (docs/wire_format.md).
 VANDERMONDE_CELL_LIMIT = 1 << 18   # predicted rows x points of vandermonde()
 VERIFIER_WORK_LIMIT = 1 << 22      # predicted rows x M^2 of lagrange_via_vandermonde()
-CLOSURE_POINT_LIMIT = 1 << 16      # q^n points of F^n, which bound closure_members()
+CLOSURE_POINT_LIMIT = 1 << 16      # points closure_members() lists, summed over the classes
 IMAGE_WORK_LIMIT = 1 << 25         # predicted n * M^3 of the image echelon of M points
-MEMBERSHIP_WORK_LIMIT = 1 << 22    # predicted n * M^2 * (k M + t) of the membership tests over M points
+MEMBERSHIP_WORK_LIMIT = 1 << 22    # class tests run, n * k^3 ring operations each
 
 
 def check_point_set(frame, points):
@@ -108,16 +111,17 @@ def _vandermonde_values(frame, points, d, least=False):
     vandermonde(frame, points, d), refused unbuilt past the cell limit.
 
     The rows grow one degree at a time.  With least=True (the verifier's
-    solve) they stop at the least degree e < d with full column rank,
-    giving the rows of vandermonde(frame, points, e), or run on to d; when
-    n >= 2 each degree's budgets are checked before it is built.  The rank
-    is read off a left echelon (echelon_insert) of the rows in order,
-    tested only when some degree below d has #points rows (never when
-    n = 1), and a row only when its tail's row entered: the row of x_i w is
-    T_i(row of w), T_i the point's map in each column, and T_i(c r) =
+    solve) they stop at the least degree e < d with full column rank, giving
+    the rows of vandermonde(frame, points, e), or where no row enters, or
+    run on to d; when n >= 2 each degree's budgets are checked before it is
+    built.  The rank is read off a left echelon (echelon_insert) of the rows
+    in order, tested only when some degree below d has #points rows (never
+    when n = 1), and a row only when its tail's row entered: the row of x_i
+    w is T_i(row of w), T_i the point's map in each column, and T_i(c r) =
     sum_l sigma_il(c) T_l(r) + delta_i(c) r, so a row that is a left
     combination of earlier rows sends x_i to a combination of rows already
-    built.  The at most 1 + n #points tested rows span all of degree < e.
+    built: the at most 1 + n #points tested rows span all of degree < e, and
+    a degree where none enters ends its growth.
     """
     if d < 1:
         raise InvalidInput("degree bound must be >= 1")
@@ -130,12 +134,13 @@ def _vandermonde_values(frame, points, d, least=False):
     for e in range(1, d):  # monos holds the monomials of degree < e
         last = monos[len(monos) - n ** (e - 1):]  # those of degree e - 1
         if test:
+            grown = len(entered)
             for m in last:
                 if (not m or m[1:] in entered) and echelon_insert(ring, span, rows[m]) is not None:
                     entered.add(m)
                     if len(span) == M:
                         break
-            if len(span) == M:
+            if len(span) == M or len(entered) == grown:  # full, or final: no tail entered
                 break
         if per_degree:
             _check_vandermonde(n, M, e + 1, True)
@@ -223,15 +228,15 @@ def _inverse_square(frame, monos, rows):
 
 class _Factorization:
     """One point set factored: its leading coordinates and standard
-    monomials, the P-basis they keep, and, once _basis_square builds them,
-    the value rows of that basis and its inverse square T, as tuples."""
+    monomials, the P-basis they keep, and, once _basis_inverse builds it,
+    the inverse square T of that basis, as a tuple."""
 
-    __slots__ = ("points", "lead", "standard", "basis", "rows", "inverse")
+    __slots__ = ("points", "lead", "standard", "basis", "inverse")
 
     def __init__(self, points, lead, standard):
         self.points, self.lead, self.standard = points, lead, standard
         self.basis = tuple(points[k] for k in lead)
-        self.rows = self.inverse = None
+        self.inverse = None
 
 
 def _factored(frame, points):
@@ -259,68 +264,66 @@ def _factored(frame, points):
     return lead, f
 
 
-def _basis_square(frame, f):
-    """The value rows (see _value_rows) of f's standard monomials at its
-    basis and the inverse square T of _inverse_square, built on first use
-    and kept in f."""
+def _basis_inverse(frame, f):
+    """The inverse square T (_inverse_square) of the value rows of f's
+    standard monomials at its basis, built on first use and kept in f."""
     if f.inverse is None:
         rows = _value_rows(frame, f.standard, f.basis)
-        f.rows = {w: tuple(r) for w, r in rows.items()}
         f.inverse = tuple(map(tuple, _inverse_square(frame, f.standard, rows)))
-    return f.rows, f.inverse
+    return f.inverse
 
 
-def _check_membership_work(frame, M, rows, table=0):
-    """Refuse membership work over M points predicted above
-    MEMBERSHIP_WORK_LIMIT.  For each of at most M basis points it counts
-    rows residue computations of about n M^2 ring operations each (the
-    values at one point and one dot product per border relation) and a
-    span table of table codes for each of the at most n M relations:
-    n M^2 (rows M + table) in all.  M bounds the basis, so this runs
-    before the closure test is set up."""
-    work = frame.n * M ** 2 * (rows * M + table)
-    if work > MEMBERSHIP_WORK_LIMIT:
-        raise InvalidInput(
-            f"membership tests over {M} points predict {work} ring operations "
-            f"(n * M^2 * ({rows} M + {table})), over the limit of {MEMBERSHIP_WORK_LIMIT}"
-        )
+# ---------------------------------------------------------------------------
+# Conjugacy classes
+# ---------------------------------------------------------------------------
+
+def _conjugators(ring, spanning, images, b):
+    """A prime-field basis of {c : T_i(c) = b_i c for all i}, from the images
+    T(e) of the additive basis e under a point a's compiled maps T: a^c = b
+    for its c != 0, and it is K_a for b = a.  c -> T(c) - b c is additive,
+    so this is the left kernel of its k x nk matrix of prime-field
+    coordinates (ring.coordinates_val), which the elimination keeps there."""
+    coordinates, sub, times = ring.coordinates_val, ring.sub_val, ring.mul_val
+    rows = [[x for t, y in zip(image, b) for x in coordinates(sub(t, times(y, e)))]
+            for e, image in zip(spanning, images)]
+    T, pivots = _reduce_with_transform(ring, rows, len(rows[0]))[1:]
+    return [_combine(ring, t, [[e] for e in spanning], 1)[0] for t in T[len(pivots):]]
 
 
-def _closure_test(frame, generators):
-    """A P-basis of the generators and the residues of a point b.
-
-    The basis is the one find_p_basis keeps.  The residues of b, yielded
-    one at a time as ring values, are the values R(b) of the border
-    relations R of the basis; those relations generate the polynomials
-    vanishing on the basis, so b lies in the closure exactly when every
-    residue is zero.
-    One call costs the values of the standard monomials at b and one dot
-    product per relation, about n M^2 ring operations.
-    """
-    f = _factored(frame, generators)[1]
-    basis, standard = f.basis, f.standard
+def _classes(frame, basis):
+    """The conjugacy classes of a P-basis, one at a time, as (phi, centre,
+    conjugators, full): phi the compiled maps of the class's first point a,
+    centre a prime-field basis of K_a, the c with a^c a basis point (1
+    first), and full = [D:K_a], the most c a class holds, as they are right
+    K_a-independent (the basis is P-independent): its tests stop there.
+    MEMBERSHIP_WORK_LIMIT is checked before each class test."""
     ring = frame.ring
-    if not basis:
-        # the constant 1 generates the polynomials vanishing on no point
-        one = ring.unwrap(ring.one())
-        return basis, lambda b: iter([one])
-    rows, T = _basis_square(frame, f)
-    is_standard = set(standard)
-    relations = [(w, _combine(ring, row, T, len(basis)))
-                 for w, row in rows.items() if w not in is_standard]
-    add, sub, times = ring.add_val, ring.sub_val, ring.mul_val
+    spanning = [ring.unwrap(e) for e in ring.additive_basis()]
+    one, unit, tests = ring.unwrap(ring.one()), frame.n * len(spanning) ** 3, count(1)
 
-    def residues(b):
-        values = _value_rows(frame, standard, (b,))
-        at_standard = [values[s][0] for s in standard]
-        for w, coeffs in relations:
-            acc = 0
-            for c, v in zip(coeffs, at_standard):
-                if c:
-                    acc = add(acc, times(c, v))
-            yield sub(values[w][0], acc)
+    def test(images, b):
+        work = next(tests) * unit
+        if work > MEMBERSHIP_WORK_LIMIT:
+            raise InvalidInput(f"membership tests reach {work // unit} class tests of about "
+                               f"{unit} ring operations each (n * k^3), {work} in all, over "
+                               f"the limit of {MEMBERSHIP_WORK_LIMIT}")
+        return _conjugators(ring, spanning, images, b)
 
-    return basis, residues
+    rest = [_point_values(frame, b) for b in basis]
+    while rest:
+        a = rest.pop(0)
+        phi = frame.point_table(a).phi
+        images = [phi(e) for e in spanning]
+        centre = test(images, a)
+        conjugators, full = [one], len(spanning) // len(centre)
+        for b in list(rest):
+            if len(conjugators) == full:
+                break
+            c = test(images, b)
+            if c:
+                conjugators.append(c[0])
+                rest.remove(b)
+        yield phi, centre, conjugators, full
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +393,11 @@ def closure_members(frame, generators):
     """All points of F^n in the closure of the generators (finite fields only),
     in all_points order.
 
-    Only the twisted conjugates a^c (c != 0) of the points a of a P-basis
-    B are decided: the closure lies in the conjugacy classes of any
-    generating set, the multivariate form of Lam and Leroy (1988).
+    The closure lies in the conjugacy classes of the points a of a P-basis
+    B, and in each class it is the set of a^c, c != 0 in the right
+    K_a-span of the class's conjugators (Lam and Leroy, *Algebraic
+    conjugacy classes and skew polynomial rings*, 1988, carried to n
+    variables).
     Proof, by induction on |B|, that a point b conjugate to no point of B
     has some F vanishing on B with F(b) != 0.  For B empty take F = 1.
     Otherwise B = B' + {a}, and by induction some F' vanishes on B' with
@@ -403,63 +408,43 @@ def closure_members(frame, generators):
     (FG)(p) = 0 where G(p) = 0, gives G = 0 on B', G(a) =
     ((a^c)_i - (a^c)_i) c = 0 and G(b) = ((b^d)_i - (a^c)_i) d != 0.
 
-    a^c lies in the closure exactly when every border relation R gives
-    R(a^c) = 0, that is (R c)(a) = R(a^c) c = 0 by the product rule.  The
-    map c -> (R c)(a) is additive, so its values at the k power-basis
-    elements t^j, one residue computation at each conjugate a^(t^j), give
-    its value at every c as a GF(p)-combination; the q - 1 conjugates
-    are decided from that table of sums.  Conjugacy classes partition
-    F^n (a^1 = a), so a basis point already listed adds no class.  The
-    q^n points of F^n are bounded by CLOSURE_POINT_LIMIT, and the k residue
-    computations and the q-entry span tables of at most M basis points, M
-    the number of generators, by MEMBERSHIP_WORK_LIMIT, before any work is
-    done.
+    Inside a class F(a^c) = (F c)(a) c^-1, and the maps c -> (F c)(a) are
+    all the right K_a-linear maps of D (Jacobson density), so the closure
+    of the a^(c_j) is the a^c with c in the span of the c_j, and a^(ck) =
+    a^c for k in K_a.  Each point is listed once, from the c whose first
+    nonzero coordinate on the c_j is 1; CLOSURE_POINT_LIMIT bounds their
+    count before the first is listed.
     """
     generators = check_point_set(frame, generators)
     ring = frame.ring
     if not ring.is_finite:
         raise NotFinite("closure listing needs a finite coefficient field")
-    if not generators:
-        return ()
-    count = ring.size ** frame.n
+    classes = list(_classes(frame, _factored(frame, generators)[1].basis))
+    count = sum((ring.p ** (len(centre) * len(cs)) - 1) // (ring.p ** len(centre) - 1)
+                for _, centre, cs, _ in classes)
     if count > CLOSURE_POINT_LIMIT:
-        raise InvalidInput(
-            f"closure lists up to {count} points, over the limit of {CLOSURE_POINT_LIMIT}"
-        )
-    _check_membership_work(frame, len(generators), ring.k, ring.size)
-    basis, residues = _closure_test(frame, generators)
-    spanning, times = ring.additive_basis(), ring.mul_val
-    members = set()
-    for a in basis:
-        if a in members:
-            continue
-        # (R c)(a) = R(a^c) c is additive in c for every border relation R:
-        # its codes at the power basis give its code at every constant
-        at_basis = [[times(r, e.val) for r in residues(conjugate(frame, a, e))]
-                    for e in spanning]
-        values = [_span_codes(col, ring.p, ring.add_val) for col in zip(*at_basis)]
-        units = [ring.element(v) for v in range(1, ring.size) if not any(t[v] for t in values)]
-        members.update(conjugate(frame, a, c) for c in units)
-    return tuple(sorted(members, key=lambda b: [x.val for x in b]))
+        raise InvalidInput(f"closure lists {count} points, over the limit of {CLOSURE_POINT_LIMIT}")
+    add, times, inv = ring.add_val, ring.mul_val, ring.inv_val
+    members = []
+    for phi, centre, conjugators, _ in classes:
+        for j, c in enumerate(conjugators):
+            later = [times(d, k) for d in conjugators[j + 1:] for k in centre]
+            for u in _span_codes(later, ring.p, add):
+                u = add(c, u)
+                members.append(tuple([times(y, inv(u)) for y in phi(u)]))
+    return tuple(tuple(map(ring.wrap, b)) for b in sorted(members))
 
 
 def is_two_sided(frame, points):
-    """Whether the ideal of polynomials vanishing on the points is two-sided.
-
-    That holds exactly when the closure is closed under conjugation.  By
-    the proof in closure_members every closure point is a conjugate a^e of
-    a basis point a, and (a^e)^c = a^(ce), so it is enough that every a^c
-    with c != 0 lies in the closure, that is, that (R c)(a) = R(a^c) c
-    vanishes for every border relation R.  c -> (R c)(a) is additive, so
-    its kernel is a subspace over the prime field and it suffices to test
-    c over an additive basis of the ring: M k tests, over the quaternions
-    too, bounded by MEMBERSHIP_WORK_LIMIT before any work is done.
+    """Whether the ideal of polynomials vanishing on the points is two-sided:
+    whether the closure is closed under conjugation.  (a^c)^e = a^(ec), so
+    by closure_members that holds exactly when every class spans all of D,
+    that is, holds [D:K_a] basis points.  The first class that falls short
+    answers False.
     """
     points = check_point_set(frame, points)
-    spanning = frame.ring.additive_basis()
-    _check_membership_work(frame, len(points), len(spanning))
-    basis, residues = _closure_test(frame, points)
-    return not any(any(residues(conjugate(frame, a, c))) for a in basis for c in spanning)
+    return all(len(cs) == full
+               for _, _, cs, full in _classes(frame, _factored(frame, points)[1].basis))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
 from .evaluation import check_point, evaluate
 from .freering import SkewPolynomial, zero
 from .geometry import (
-    _basis_square,
+    _basis_inverse,
     _check_vandermonde,
     _factored,
     _inverse_square,
@@ -78,7 +78,7 @@ def lagrange_interpolate(frame, basis, values):
         k = min(set(range(len(basis))) - set(lead))
         raise NotPIndependent(f"point {k + 1} lies in the closure of its predecessors")
     ring = frame.ring
-    T = _basis_square(frame, f)[1]
+    T = _basis_inverse(frame, f)
     coeffs = _combine(ring, [ring.unwrap(v) for v in values], T, len(basis))
     return _polynomial(frame, f.standard, coeffs)
 
@@ -94,12 +94,12 @@ def lagrange_via_vandermonde(frame, basis, values):
     """Interpolant from the left linear system over the Vandermonde rows.
 
     Solves coeffs * V = values over the Vandermonde V of the least
-    degree d <= M = #basis whose rows have full column rank M, or of
-    degree M when no lower degree has; an inconsistent system means the
-    points were not a P-basis of their closure.  The answer is the one
-    over all of degree M's rows: V's rows come first among them, and once
-    they have rank M the elimination finds every pivot among them, so the
-    later rows get coefficient 0.  Only the Vandermonde rows decide d.
+    degree d <= M = #basis whose rows have full column rank M or span all
+    of degree M's rows; an inconsistent system means the points were not
+    a P-basis of their closure.  The answer is the one over all of degree
+    M's rows: V's rows come first among them, and once they span the rest
+    the elimination finds every pivot among them, so the later rows get
+    coefficient 0.  Only the Vandermonde rows decide d.
     The solve takes about rows * M^2 ring operations; past VERIFIER_WORK_LIMIT
     or VANDERMONDE_CELL_LIMIT cells a job is refused before any row is built
     when n = 1, else before the degree that would pass (_vandermonde_values).
@@ -175,7 +175,7 @@ def dual_p_basis(frame, basis, row_order=None):
     if len(monos) != M:
         raise NotPIndependent("Vandermonde rank below #basis: points are P-dependent")
     # the verifier path builds its own square and never reads the frame's
-    T = (_basis_square(frame, f)[1] if row_order is None
+    T = (_basis_inverse(frame, f) if row_order is None
          else _inverse_square(frame, monos, dict(zip(V.row_labels, _values(V)))))
     return DualPBasis(basis=basis, duals=tuple(_polynomial(frame, monos, row) for row in T))
 

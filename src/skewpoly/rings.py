@@ -561,6 +561,10 @@ class FiniteField:
         """The power basis 1, t, ..., t^(k-1): a basis of GF(p^k) over GF(p)."""
         return [FieldElement(self, self.p ** j) for j in range(self.k)]
 
+    def coordinates_val(self, a):
+        """The digits of the code a on additive_basis(), codes of GF(p)."""
+        return _digits(a, self.p, self.k)
+
     def random_element(self, rng):
         return FieldElement(self, rng.randrange(self.q))
 
@@ -929,6 +933,11 @@ class QuaternionRing:
     def additive_basis(self):
         """1, i, j, k: a basis of the quaternions over Q."""
         return [self.one(), self.i(), self.j(), self.k()]
+
+    @staticmethod
+    def coordinates_val(a):
+        """The parts of the value a on additive_basis(), as real quaternion values."""
+        return [_quat_value(x, 0, 0, 0, a[4]) for x in a[:4]] if a else _ZERO4
 
     def random_element(self, rng, height=4):
         """Small random quaternion: numerators in [-height, height], denominators in [1, 3]."""

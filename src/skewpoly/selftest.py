@@ -127,6 +127,10 @@ def selftest_cases(seed):
         fr1 = frobenius_frame(gf4, 1)
         return not is_two_sided(fr1, [(gf4(1),)])
 
+    def case_two_sided_plane():
+        fr = frobenius_frame(gf4, 2)
+        return is_two_sided(fr, [(gf4(a), gf4(b)) for a in range(4) for b in range(4)])
+
     return [
         ("field-arithmetic", case_field_arithmetic),
         ("quaternion-relations", case_quaternion_relations),
@@ -141,4 +145,5 @@ def selftest_cases(seed):
         ("interpolation-agrees", case_interpolation_agrees),
         ("degree-additivity", case_degree_additivity),
         ("one-sided-witness", case_one_sided_witness),
+        ("two-sided-plane", case_two_sided_plane),
     ]

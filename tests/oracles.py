@@ -41,6 +41,15 @@ on the first invertible square of Vandermonde rows, and the verifier
 interpolant solved over the whole Vandermonde of degree #basis, which
 the solve stopping at the least degree of full column rank replaced.
 
+It keeps the border-relation engine that the conjugacy-class rule of
+closure_members and is_two_sided replaced: over the P-basis that the
+image echelon keeps, the relations x_i s - (values of x_i s) T, one per
+non-standard x_i s with s standard and T the inverse of the square of
+standard values, whose residues R(b) all vanish exactly when b lies in
+the closure.  The closure decides each conjugate a^c of a basis point by
+the additive map c -> R(a^c) c read off a span table over GF(p), and
+two-sidedness tests the conjugates by an additive basis of the ring.
+
 The module keeps three more procedures that the library replaced: the
 trial-division irreducibility test (every monic divisor of degree up to
 half the degree) that Rabin's test replaced; the field tables built by
@@ -99,6 +108,7 @@ from skewpoly import (
     NotSeparable,
     SkewPolynomial,
     all_points,
+    conjugate,
     constant,
     divide,
     evaluate,
@@ -121,8 +131,9 @@ from skewpoly.evaluation import _value_rows, check_point
 from skewpoly.frames import _CHUNK_ENTRIES, QuatMap, _matrix_product, _matrix_sum, _mul_matrix
 from skewpoly.freering import (PUSH_TERM_LIMIT, _accumulate, _check_push_budget,
                                _product_words, count_monomials_below, frame_memo)
+from skewpoly.geometry import _image_echelon
 from skewpoly.interpolation import independent_rows
-from skewpoly.linalg import _solve
+from skewpoly.linalg import _combine, _reduce_with_transform, _solve
 from skewpoly.rings import _digits, _encode, _is_prime, _poly_mod, _poly_pow, _poly_trim, _span_codes
 
 
@@ -602,6 +613,66 @@ def is_two_sided_reference(frame, points):
     closure = set(closure_reference(frame, points))
     units = [c for c in frame.ring.elements() if not c.is_zero()]
     return all(conjugate_reference(frame, a, c) in closure for a in points for c in units)
+
+
+def _border_residues(frame, generators):
+    """The P-basis of the generators that find_p_basis keeps, and the
+    residues of a point b: the values R(b) of the border relations
+    R = x_i s - (values of x_i s at the basis) T of the basis, one per
+    non-standard x_i s with s standard, T the inverse of the square of
+    standard values.  They generate the polynomials vanishing on the
+    basis, so b lies in the closure exactly when every residue is zero."""
+    lead, standard = _image_echelon(frame, generators)
+    basis = tuple(generators[k] for k in lead)
+    ring = frame.ring
+    if not basis:
+        # the constant 1 generates the polynomials vanishing on no point
+        return basis, lambda b: [ring.unwrap(ring.one())]
+    rows = _value_rows(frame, standard, basis)
+    T = _reduce_with_transform(ring, [rows[s] for s in standard], len(standard))[1]
+    relations = [(w, _combine(ring, row, T, len(basis)))
+                 for w, row in rows.items() if w not in set(standard)]
+
+    def residues(b):
+        values = _value_rows(frame, standard, (b,))
+        at_standard = [values[s][0] for s in standard]
+        return [ring.sub_val(values[w][0], _combine(ring, coeffs, [[v] for v in at_standard], 1)[0])
+                for w, coeffs in relations]
+
+    return basis, residues
+
+
+def closure_by_residues(frame, generators):
+    """The closure as the border-relation engine listed it: each class of a
+    basis point a once, a^c kept when every (R c)(a) = R(a^c) c is zero;
+    that value is additive in c, so its values at the power basis give it,
+    as a GF(p)-combination, at every c != 0."""
+    generators = tuple(generators)
+    if not generators:
+        return ()
+    ring = frame.ring
+    basis, residues = _border_residues(frame, generators)
+    spanning, times = ring.additive_basis(), ring.mul_val
+    members = set()
+    for a in basis:
+        if a in members:
+            continue
+        at_basis = [[times(r, e.val) for r in residues(conjugate(frame, a, e))]
+                    for e in spanning]
+        values = [_span_codes(col, ring.p, ring.add_val) for col in zip(*at_basis)]
+        units = [ring.element(v) for v in range(1, ring.size) if not any(t[v] for t in values)]
+        members.update(conjugate(frame, a, c) for c in units)
+    return tuple(sorted(members, key=lambda b: [x.val for x in b]))
+
+
+def is_two_sided_by_residues(frame, points):
+    """Two-sidedness as the border-relation engine decided it: every
+    residue of every conjugate a^c of a basis point a, c over an additive
+    basis of the ring, is zero (the c whose conjugate stays in the closure
+    form a subspace).  Works over the quaternions too."""
+    basis, residues = _border_residues(frame, tuple(points))
+    return not any(any(residues(conjugate(frame, a, c)))
+                   for a in basis for c in frame.ring.additive_basis())
 
 
 def independent_rows_reference(A, order=None):

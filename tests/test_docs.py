@@ -48,7 +48,10 @@ def _public_limits():
 
 def test_budget_table_names_every_limit_with_its_value():
     limits = _public_limits()
-    assert "MEMBERSHIP_WORK_LIMIT" in limits
+    # the class tests and the conjugates listed keep the budgets of the
+    # membership engine they replaced, by name and value
+    assert limits["MEMBERSHIP_WORK_LIMIT"] == 1 << 22
+    assert limits["CLOSURE_POINT_LIMIT"] == 1 << 16
     rows = {_name(row[0]): row[1] for row in _table("## Work budgets")}
     assert sorted(rows) == sorted(limits)
     for name, value in limits.items():

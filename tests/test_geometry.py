@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from skewpoly import (
     DuplicatePoint,
+    FiniteField,
     InvalidInput,
     NotFinite,
+    QuaternionRing,
     all_points,
     closure_members,
     complementary_p_basis,
@@ -34,12 +36,14 @@ from skewpoly import (
 from skewpoly import geometry
 from skewpoly.geometry import _image_echelon
 from skewpoly.interpolation import independent_rows
-from conftest import random_point, seeded_set
+from conftest import nondiagonal_frame, random_point, seeded_set
 from oracles import (
+    closure_by_residues,
     closure_reference,
     find_p_basis_reference,
     in_closure_bruteforce,
     is_p_independent_reference,
+    is_two_sided_by_residues,
     is_two_sided_reference,
     rank_reference,
     separator_exists_literal,
@@ -49,15 +53,11 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def conv_gf2_2():
-    from skewpoly import FiniteField
-
     return conventional_frame(FiniteField(2), 2)
 
 
 @pytest.fixture(scope="module")
 def conv_gf3_2():
-    from skewpoly import FiniteField
-
     return conventional_frame(FiniteField(3), 2)
 
 
@@ -564,6 +564,33 @@ def test_closure_and_two_sidedness_enumerate_no_points(monkeypatch, frob_gf9_2,
             for f, sets in cases] == want
 
 
+_CLASS_RULE_FRAMES = {
+    "frob_gf8_2": lambda: frobenius_frame(FiniteField(2, 3), 2),
+    "frob_gf8_2_power_2": lambda: frobenius_frame(FiniteField(2, 3), 2, 2),
+    "nondiag_gf4_2_inner": lambda: nondiagonal_frame(FiniteField(2, 2), with_delta=True),
+    "conv_quat_1": lambda: conventional_frame(QuaternionRing(), 1),
+}
+
+
+@pytest.mark.parametrize("name", FINITE_FRAMES + tuple(_CLASS_RULE_FRAMES) + ("quat_inner_2",))
+def test_class_rule_matches_the_border_relations(name, request):
+    # closure_members and is_two_sided by conjugacy classes against the
+    # border-relation residues they replaced (the closure over finite
+    # fields only), on 40 seeded sets of 1 to 6 points
+    build = _CLASS_RULE_FRAMES.get(name)
+    frame = build() if build else request.getfixturevalue(name)
+    ring = frame.ring
+    rng = random.Random(f"class-rule-{name}")
+    most = min(6, ring.size ** frame.n) if ring.is_finite else 6
+    for _ in range(40):
+        gens = seeded_set(frame, rng, rng.randint(1, most))
+        if ring.is_finite:
+            closure = closure_members(frame, gens)
+            assert closure == closure_by_residues(frame, gens), gens
+            assert rank_of(frame, closure) == rank_of(frame, gens)
+        assert is_two_sided(frame, gens) == is_two_sided_by_residues(frame, gens), gens
+
+
 def test_readme_full_plane_p_basis_rank_eleven(frob_gf4_2):
     # the README quick tour; the Vandermonde-rank procedures gave no result
     # within minutes.  The rank and the kept indices match the pivot columns
@@ -592,8 +619,6 @@ _SMALL_FRAMES = {}
 def _small_frame(key):
     """Conventional GF(2)^2 and GF(3)^2, Frobenius GF(4)^1 and GF(4)^2."""
     if key not in _SMALL_FRAMES:
-        from skewpoly import FiniteField
-
         build = {
             "conv-gf2-2": lambda: conventional_frame(FiniteField(2), 2),
             "conv-gf3-2": lambda: conventional_frame(FiniteField(3), 2),
@@ -647,34 +672,92 @@ def test_single_probe_membership_builds_no_inverse_square(monkeypatch, name, req
             is_p_independent_from(frame, gens[0], gens)
 
 
-def test_closure_is_refused_by_its_membership_work():
-    # 64 points of Frobenius GF(2^8)^2: k = 8 residue computations of about
-    # n M^2 ring operations and a q = 256 entry span table per relation, for
-    # each of up to M basis points, n M^2 (k M + q) in all; 60 points
-    # (5299200) take about 1.3 s when the work is done
-    from skewpoly import FiniteField
+def _counted_class_tests(monkeypatch):
+    """A list that grows by one at each class test (geometry._conjugators)."""
+    tests, conjugators = [], geometry._conjugators
 
-    frame = frobenius_frame(FiniteField(2, 8), 2)
-    rng = random.Random(64)
-    points = list(dict.fromkeys(random_point(frame, rng) for _ in range(64)))
-    M = len(points)
+    def counted(*args):
+        tests.append(1)
+        return conjugators(*args)
+
+    monkeypatch.setattr(geometry, "_conjugators", counted)
+    return tests
+
+
+def test_closure_is_refused_by_its_membership_work(monkeypatch):
+    # MEMBERSHIP_WORK_LIMIT counts class tests of about n k^3 ring
+    # operations each, checked before each test.  a^c = c a in a Frobenius
+    # frame, so 64 points (1, x) of GF(2^8)^2 lie in 64 classes of
+    # centralizer GF(2), and each point's class test runs against every
+    # point after it: 2080 tests, 2129920 ring operations, under the
+    # limit.  The residue engine predicted 6291456 for 64 points and
+    # refused them.
+    gf = FiniteField(2, 8)
+    frame = frobenius_frame(gf, 2)
+    points = [(gf.one(), x) for x in random.Random(64).sample(list(gf.elements()), 64)]
+    M, unit = len(points), 2 * 8 ** 3
+    tests = _counted_class_tests(monkeypatch)
     start = time.perf_counter()
-    with pytest.raises(InvalidInput, match=str(2 * M ** 2 * (8 * M + 256))):
-        closure_members(frame, points)
+    assert set(closure_members(frame, points)) == set(points)
     assert time.perf_counter() - start < 1
+    assert len(tests) == M * (M + 1) // 2
+    # two-sidedness stops at the first class, which falls short
+    tests.clear()
+    assert not is_two_sided(frame, points)
+    assert len(tests) == M
+    # under a smaller budget the first test past it is refused before it runs
+    for call, limit in ((closure_members, 100), (is_two_sided, 10)):
+        monkeypatch.setattr(geometry, "MEMBERSHIP_WORK_LIMIT", limit * unit)
+        tests.clear()
+        with pytest.raises(InvalidInput, match=f"{limit + 1} class tests of about {unit} ring "):
+            call(frame, points)
+        assert len(tests) == limit
 
 
 def test_closure_budget_admits_what_closure_can_do():
-    # 21 points of Frobenius GF(2^8)^2 predict 373968 ring operations, well
-    # under the budget: each point's conjugacy class is listed
-    from skewpoly import FiniteField
-
+    # 21 points of Frobenius GF(2^8)^2, each point's conjugacy class listed
     frame = frobenius_frame(FiniteField(2, 8), 2)
     rng = random.Random(21)
     points = list(dict.fromkeys(random_point(frame, rng) for _ in range(21)))
     members = closure_members(frame, points)
     assert set(points) <= set(members)
     assert rank_of(frame, members) == rank_of(frame, points)
+
+
+def _line(frame, a, count):
+    """The conjugates a^(t^j), j < count, of a point of a Frobenius frame,
+    t the field's generator: a^c = c a there."""
+    t = frame.ring.gen()
+    return [tuple(t ** j * x for x in a) for j in range(count)]
+
+
+def test_class_rule_answers_what_the_residue_engine_refused(frob_gf65536_2):
+    # the 256 points of the Frobenius GF(16)^2 plane: its two-sidedness
+    # was predicted at 134217728 ring operations and refused
+    plane_frame = frobenius_frame(FiniteField(2, 4), 2)
+    plane = tuple(all_points(plane_frame))
+    start = time.perf_counter()
+    assert is_two_sided(plane_frame, plane)
+    assert closure_members(plane_frame, plane) == plane
+    assert time.perf_counter() - start < 1
+    # over Frobenius GF(2^16)^2, F^n has 2^32 points; the closure of 3
+    # points, two of them in one class, answers with the class's third
+    gf = frob_gf65536_2.ring
+    rng = random.Random("gf65536-closure")
+    a, b = (tuple(gf.random_nonzero(rng) for _ in range(2)) for _ in range(2))
+    t = gf.gen()
+    start = time.perf_counter()
+    members = closure_members(frob_gf65536_2, (a, tuple(t * x for x in a), b))
+    assert time.perf_counter() - start < 1
+    assert set(members) == {a, tuple(t * x for x in a), tuple((t + 1) * x for x in a), b}
+    # one whole class of centralizer GF(2) is 2^16 - 1 points, the most
+    # listed; two of them are refused before the first is listed
+    line = _line(frob_gf65536_2, a, 16)
+    assert is_two_sided(frob_gf65536_2, line)
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="closure lists 131070 points, over the limit of 65536"):
+        closure_members(frob_gf65536_2, line + _line(frob_gf65536_2, b, 16))
+    assert time.perf_counter() - start < 1
 
 
 def _seven_points(frame):
@@ -690,15 +773,15 @@ def test_geometry_builds_elements_per_output_not_per_ring_operation(frob_gf65536
     # the kernels run on codes: an element is built for each coefficient,
     # point coordinate or constant a public function returns, and a few
     # for the units 0 and 1, never once per ring operation (kernels on
-    # elements built 258, 1094, 8916 and 392 elements for these calls)
+    # elements built 258, 1094 and 8916 elements for the first three calls).
+    # The closure is of 4 points over GF(2^16)^2, two of them in one class:
+    # 5 members.
     from skewpoly import FiniteField, FieldElement, dual_p_basis, lagrange_via_vandermonde
 
     gf = frob_gf65536_2.ring
     rng, points, values = _seven_points(frob_gf65536_2)
-    # a closure over GF(2^16)^2 lists more than CLOSURE_POINT_LIMIT points:
-    # the one-variable Frobenius frame stands in for it
-    line = frobenius_frame(gf, 1)
-    generators = [(gf.random_nonzero(rng),) for _ in range(3)]
+    generators = [random_point(frob_gf65536_2, rng) for _ in range(3)]
+    generators.append(tuple(gf.gen() * x for x in generators[0]))
     made, ops = [0], [0]
     init, mul_val = FieldElement.__init__, FiniteField.mul_val
 
@@ -723,8 +806,12 @@ def test_geometry_builds_elements_per_output_not_per_ring_operation(frob_gf65536
     assert made[0] <= sum(len(D.terms) for D in duals) + 8 < ops[0]
     G = run(lagrange_via_vandermonde, frob_gf65536_2, basis, values)
     assert made[0] <= len(G.terms) + len(basis) + 8 < ops[0] / 20
-    members = run(closure_members, line, generators)
-    assert made[0] <= gf.k * (len(generators) + 1) + 2 * len(members) + 8
+    members = run(closure_members, frob_gf65536_2, generators)
+    assert len(members) == 5
+    # the additive basis, the unit of each of the at most M (M + 1) / 2
+    # class tests and the coordinates of the members
+    M = len(generators)
+    assert made[0] <= gf.k + M * (M + 1) // 2 + 2 * len(members) + 8 < ops[0]
 
 
 def test_verifier_solves_only_as_deep_as_full_rank(frob_gf65536_2, monkeypatch):

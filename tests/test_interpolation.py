@@ -39,7 +39,6 @@ from skewpoly import geometry, interpolation, linalg
 from skewpoly.errors import InvalidInput
 from skewpoly.frames import Frame
 from skewpoly.freering import count_monomials_below
-from skewpoly.geometry import CLOSURE_POINT_LIMIT
 from skewpoly.interpolation import independent_rows
 from skewpoly.linalg import Matrix, rank
 from conftest import random_point, random_poly, seeded_set
@@ -241,9 +240,10 @@ def test_verifier_matches_the_whole_degree_solve(gf3, gf4, gf5, frob_gf4_2, nond
                                                  quat_inner_2, frob_gf65536_2, monkeypatch):
     # the verifier stops at the least degree whose Vandermonde has full
     # column rank; solving over every row of degree M must give the same
-    # polynomial, or refuse the same sets.  P-dependent sets go on to
-    # degree M: they answer when the values are those of a polynomial and
-    # refuse when the values contradict their dependency.
+    # polynomial, or refuse the same sets.  P-dependent sets go on until
+    # their span stops growing, at most to degree M: they answer when the
+    # values are those of a polynomial and refuse when the values
+    # contradict their dependency.
     solved = []
     solve = interpolation._solve
 
@@ -282,10 +282,12 @@ def test_verifier_matches_the_whole_degree_solve(gf3, gf4, gf5, frob_gf4_2, nond
                         assert want is None, (frame, pts)
                     else:
                         assert got == want, (frame, pts)
-                    assert solved == [count_monomials_below(frame.n, least)]
-                    seen.add((dependent, want is None, least < size))
-    # dependent sets answered and refused, and independent ones stopped early
-    assert {(True, False, False), (True, True, False), (False, False, True)} <= seen
+                    rows = count_monomials_below(frame.n, least)
+                    assert len(solved) == 1 and (solved[0] <= rows if dependent
+                                                 else solved[0] == rows)
+                    seen.add((dependent, want is None, solved[0] < rows or least < size))
+    # dependent sets answered and refused, and both kinds stopped early
+    assert {(True, False, True), (True, True, True), (False, False, True)} <= seen
 
 
 def test_verifier_budgets_follow_the_degree_it_stops_at(gf5, monkeypatch):
@@ -312,13 +314,15 @@ def test_verifier_budgets_follow_the_degree_it_stops_at(gf5, monkeypatch):
         vandermonde(frame, pts, 10)
 
 
-def test_verifier_budgets_refuse_the_degree_that_passes_them(monkeypatch):
-    # a P-dependent set never reaches full rank and runs on towards d = M:
-    # the 16 points of the Frobenius GF(4)^2 plane have rank 11, and degree
-    # 15 (32767 rows x 16^2) is the first to pass the work budget, so the
-    # rows of degree 13 are the last built
+def test_verifier_stops_when_the_span_stops_growing(monkeypatch):
+    # a P-dependent set never reaches full rank: the 16 points of the
+    # Frobenius GF(4)^2 plane have rank 11, all reached by degree 4, so no
+    # row of degree 5 enters and the rows stop there.  Run on towards d = M,
+    # they were built to degree 13 and refused at degree 15 by the work
+    # budget (32767 rows x 16^2 ring operations).
     frame = frobenius_frame(FiniteField(2, 2), 2)
     plane = list(all_points(frame))
+    one, zero = frame.ring.one(), frame.ring.zero()
     built, value_rows = [], geometry._value_rows
 
     def counted(frame, words, points, rows=None):
@@ -326,10 +330,18 @@ def test_verifier_budgets_refuse_the_degree_that_passes_them(monkeypatch):
         return value_rows(frame, words, points, rows)
 
     monkeypatch.setattr(geometry, "_value_rows", counted)
-    with pytest.raises(InvalidInput, match="the Vandermonde solve over 16 points takes about "
-                                           "8388352 ring operations, over the limit of 4194304"):
-        lagrange_via_vandermonde(frame, plane, [frame.ring.one()] * len(plane))
-    assert max(map(len, built)) == 12
+    start = time.perf_counter()
+    # values of the constant 1 answer with it
+    G = lagrange_via_vandermonde(frame, plane, [one] * len(plane))
+    assert G.terms == {(): one}
+    assert max(map(len, built)) == 4
+    # point 3 lies in the closure of points 0, 1 and 2, so no polynomial
+    # vanishes on those and is 1 at point 3
+    built.clear()
+    with pytest.raises(NotPIndependent):
+        lagrange_via_vandermonde(frame, plane, [one if k == 3 else zero for k in range(16)])
+    assert max(map(len, built)) == 4
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +439,8 @@ def test_square_matches_vandermonde_references(name, sizes, count, request):
         basis = find_p_basis(frame, seeded_set(frame, rng, rng.choice(sizes))).basis
         # a dual supported on the standard monomials is unique
         assert dual_p_basis(frame, basis).duals == dual_p_basis_reference(frame, basis), basis
-        # closures list F^n up to CLOSURE_POINT_LIMIT points, not GF(2^16)^2
-        listable = ring.is_finite and ring.size ** frame.n <= CLOSURE_POINT_LIMIT
-        closure = closure_members(frame, basis) if listable else basis
+        # closures are listed over every finite field, GF(2^16)^2 included
+        closure = closure_members(frame, basis) if ring.is_finite else basis
         values = [random_point(frame, rng)[0] for _ in basis]
         F = lagrange_interpolate(frame, basis, values)
         G = lagrange_interpolate_reference(frame, basis, values)
@@ -818,11 +829,12 @@ def test_a_primed_slot_is_refused_by_the_same_budgets(frob_gf4_2, monkeypatch):
         with pytest.raises(InvalidInput, match="image echelon"):
             call()
     monkeypatch.undo()
-    monkeypatch.setattr(geometry, "MEMBERSHIP_WORK_LIMIT", 0)
+    # the budget of one class test, n k^3 over GF(4): the second is refused
+    monkeypatch.setattr(geometry, "MEMBERSHIP_WORK_LIMIT", frame.n * 2 ** 3)
     for call in echelon:
         call()
     for call in membership:
-        with pytest.raises(InvalidInput, match="membership tests"):
+        with pytest.raises(InvalidInput, match="membership tests reach 2 class tests"):
             call()
 
 
